@@ -4,6 +4,13 @@ diagnostics, local conservation laws, and a Newton scheme for analytic data.
 
 __version__ = "0.1.0"
 
+from .errors import (
+    ContractionError,
+    LinearizedBlowupError,
+    NewtonDivergenceError,
+    NumericsError,
+    QuadratureError,
+)
 from .fields import (
     GridField,
     InitialData,
@@ -20,14 +27,12 @@ from .fields import (
 from .lattice import (
     LatticeModel,
     LatticeRunRecord,
-    NumericsError,
     forward_diff,
     global_energy as lattice_global_energy,
     lattice_laplacian,
     local_energy,
     local_mass,
     run_lattice,
-    step_splitstep,
     sup_time_derivative,
     windowed_mass_avg,
     windowed_quartic_avg,
@@ -57,7 +62,6 @@ from .continuum import (
     picard_solve,
     regularized_nonlinearity,
     run_continuum,
-    step_lawson_rk4,
 )
 from .newton import (
     AnalyticNormParams,
@@ -68,4 +72,4 @@ from .newton import (
     residual_first,
     solve_linearized,
 )
-from .wave import WaveState, nlw_cone_test, nlw_energy, nlw_step_leapfrog, run_nlw
+from .wave import WaveState, nlw_cone_test, nlw_energy, run_nlw

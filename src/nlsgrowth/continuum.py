@@ -22,7 +22,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import GridField, Mollifier, chi_eval, grid_wavenumbers
-from .lattice import NumericsError
+from .errors import ContractionError, NumericsError
 
 __all__ = [
     "ContinuumModel",
@@ -33,21 +33,15 @@ __all__ = [
     "regularized_nonlinearity",
     "linear_propagate",
     "comb_oracle",
-    "step_lawson_rk4",
     "run_continuum",
     "picard_solve",
     "PicardResult",
-    "ContractionError",
     "global_mass",
     "global_energy",
     "local_energy_probe",
     "bootstrap_monitor",
     "dispersive_envelope_ratio",
 ]
-
-
-class ContractionError(RuntimeError):
-    """Picard iterates diverged; the time horizon is past the contraction regime."""
 
 
 @dataclass(frozen=True)
@@ -100,8 +94,29 @@ def _grid_ctx(box_length: float, size: int):
     return k, dealias_mask
 
 
-def _transfer(model_mollifier: Mollifier, k: np.ndarray) -> np.ndarray:
-    return model_mollifier.transfer(k)
+def _cubic_filter(phi: Mollifier, box_length: float, size: int, dealias: bool) -> np.ndarray:
+    """Mollifier transfer on the grid, 2/3-rule masked when dealiasing."""
+    k, mask = _grid_ctx(box_length, size)
+    g = phi.transfer(k)
+    return g * mask if dealias else g
+
+
+def _cubic_hat(v_hat: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """fft of |w|^2 w for w = ifft(filt * v_hat), along the last axis.
+
+    N(u) is ifft(filt * _cubic_hat(fft(u), filt)); the outer filter is left
+    to the caller so a Lawson stage can fold its -i*sign*coupling into it.
+    """
+    w = _fft.ifft(filt * v_hat)
+    return _fft.fft((w.real ** 2 + w.imag ** 2) * w)
+
+
+def _check_grid(u: GridField, model: ContinuumModel) -> None:
+    if u.size != model.grid_size or u.box_length != model.box_length:
+        raise ValueError(
+            f"field grid (box {u.box_length}, size {u.size}) does not match "
+            f"model grid (box {model.box_length}, size {model.grid_size})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +132,8 @@ def mollify(u: GridField, phi: Mollifier) -> GridField:
 
 def regularized_nonlinearity(u: GridField, phi: Mollifier, dealias: bool = True) -> GridField:
     """N(u) = phi * (|phi * u|^2 (phi * u)), cubic product dealiased."""
-    k, mask = _grid_ctx(u.box_length, u.size)
-    g = phi.transfer(k)
-    filt = g * mask if dealias else g
-    w = _fft.ifft(filt * _fft.fft(u.values))
-    cubic = (w.real ** 2 + w.imag ** 2) * w
-    vals = _fft.ifft(filt * _fft.fft(cubic))
+    filt = _cubic_filter(phi, u.box_length, u.size, dealias)
+    vals = _fft.ifft(filt * _cubic_hat(_fft.fft(u.values), filt))
     return GridField(values=vals, box_length=u.box_length)
 
 
@@ -159,53 +170,28 @@ def comb_oracle(coeffs: Sequence[complex], t: float, x, comb_origin: int = 0):
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _nl_hat(v_hat: np.ndarray, filt: np.ndarray, sign_coupling: float) -> np.ndarray:
-    """Fourier transform of -i*coupling*N(u) for v_hat = fft(u)."""
-    w = _fft.ifft(filt * v_hat)
-    cubic = (w.real ** 2 + w.imag ** 2) * w
-    return -1j * sign_coupling * filt * _fft.fft(cubic)
-
-
 @lru_cache(maxsize=64)
 def _lawson_ctx(box_length: float, size: int, dt: float):
-    k, mask = _grid_ctx(box_length, size)
+    k, _ = _grid_ctx(box_length, size)
     e_full = np.exp(-1j * k ** 2 * dt)
     e_half = np.exp(-1j * k ** 2 * dt / 2.0)
     return e_full, e_half
 
 
-def _lawson_step_hat(v: np.ndarray, model: ContinuumModel, filt: np.ndarray) -> np.ndarray:
-    e1, eh = _lawson_ctx(model.box_length, model.grid_size, model.dt)
-    dt = model.dt
-    sc = model.sign * model.coupling
-    a1 = _nl_hat(v, filt, sc)
-    a2 = _nl_hat(eh * v + (dt / 2.0) * eh * a1, filt, sc)
-    a3 = _nl_hat(eh * v + (dt / 2.0) * a2, filt, sc)
-    a4 = _nl_hat(e1 * v + dt * eh * a3, filt, sc)
-    return e1 * v + (dt / 6.0) * (e1 * a1 + 2.0 * eh * a2 + 2.0 * eh * a3 + a4)
+def _lawson_rk4(v: np.ndarray, f, e1: np.ndarray, eh: np.ndarray, dt: float) -> np.ndarray:
+    """One integrating-factor (Lawson) RK4 step of v' = L v + f(v, s) in Fourier.
 
-
-def _model_filter(model: ContinuumModel) -> np.ndarray:
-    k, mask = _grid_ctx(model.box_length, model.grid_size)
-    g = model.mollifier.transfer(k)
-    return g * mask if model.dealias else g
-
-
-def step_lawson_rk4(u: GridField, model: ContinuumModel) -> GridField:
-    """One integrating-factor RK4 step; exact on the linear part.
-
-    With coupling = 0 this reduces to the exact linear propagator over dt.
-    Stability note: the stiff linear phase is integrated exactly, so the step
-    constraint comes from the nonlinear scale only,
-    dt * coupling * sup|phi*u|^2 well below 1.
+    e1 = e^{L dt} and eh = e^{L dt/2} carry the linear part exactly; f gets
+    the stage time as a fraction s in {0, 1/2, 1} of the step.  With f = 0
+    this is the exact linear propagator over dt.  The stiff linear phase is
+    integrated exactly, so the step constraint comes from f alone (for the
+    mollified cubic, dt * coupling * sup|phi*u|^2 well below 1).
     """
-    if u.size != model.grid_size or u.box_length != model.box_length:
-        raise ValueError("field grid does not match model grid")
-    v = _lawson_step_hat(_fft.fft(u.values), model, _model_filter(model))
-    vals = _fft.ifft(v)
-    if not np.all(np.isfinite(vals.view(float))):
-        raise NumericsError("Lawson-RK4 step overflowed")
-    return GridField(values=vals, box_length=u.box_length)
+    a1 = f(v, 0.0)
+    a2 = f(eh * v + (dt / 2.0) * eh * a1, 0.5)
+    a3 = f(eh * v + (dt / 2.0) * a2, 0.5)
+    a4 = f(e1 * v + dt * eh * a3, 1.0)
+    return e1 * v + (dt / 6.0) * (e1 * a1 + 2.0 * eh * a2 + 2.0 * eh * a3 + a4)
 
 
 def run_continuum(
@@ -214,15 +200,22 @@ def run_continuum(
     t_final: float,
     record_dt: float,
 ) -> Trajectory:
-    """Evolve u0 to t_final, storing snapshots every record_dt."""
+    """Evolve u0 to t_final by Lawson-RK4, storing snapshots every record_dt."""
+    _check_grid(u0, model)
     n_steps = int(round(t_final / model.dt))
     every = max(1, int(round(record_dt / model.dt)))
-    filt = _model_filter(model)
+    filt = _cubic_filter(model.mollifier, model.box_length, model.grid_size, model.dealias)
+    e1, eh = _lawson_ctx(model.box_length, model.grid_size, model.dt)
+    nl_filt = -1j * model.sign * model.coupling * filt
+
+    def nonlinear(v_hat, _s):
+        return nl_filt * _cubic_hat(v_hat, filt)
+
     v = _fft.fft(u0.values)
     times = [0.0]
     snaps = [u0.values.copy()]
     for step in range(1, n_steps + 1):
-        v = _lawson_step_hat(v, model, filt)
+        v = _lawson_rk4(v, nonlinear, e1, eh, model.dt)
         if step % every == 0 or step == n_steps:
             vals = _fft.ifft(v)
             if not np.all(np.isfinite(vals.view(float))):
@@ -256,8 +249,9 @@ def picard_solve(
     differences fall below tol in sup norm.  Diverging iterates raise
     ContractionError (choose a smaller horizon).
     """
+    _check_grid(u0, model)
     k, _ = _grid_ctx(u0.box_length, u0.size)
-    filt = _model_filter(model)
+    filt = _cubic_filter(model.mollifier, model.box_length, model.grid_size, model.dealias)
     sc = model.sign * model.coupling
     n_t = int(round(t_final / model.dt)) + 1
     times = model.dt * np.arange(n_t)
@@ -269,18 +263,15 @@ def picard_solve(
     prev_diff = np.inf
     grow_count = 0
     for iteration in range(1, max_iter + 1):
-        nl_hat = np.empty_like(current_hat)
-        for i in range(n_t):
-            w = _fft.ifft(filt * current_hat[i])
-            nl_hat[i] = filt * _fft.fft((w.real ** 2 + w.imag ** 2) * w)
+        # cumulative trapezoid of e^{+is Dxx} N(u(s)), then propagate forward
+        nl_hat = filt * _cubic_hat(current_hat, filt)
+        integrand = phases.conj() * nl_hat
+        acc = np.cumsum((model.dt / 2.0) * (integrand[:-1] + integrand[1:]), axis=0)
         new_hat = np.empty_like(current_hat)
         new_hat[0] = u0_hat
-        # cumulative trapezoid of e^{+is Dxx} N(u(s)), then propagate forward
-        integrand = phases.conj() * nl_hat
-        acc = np.zeros_like(u0_hat)
-        for i in range(1, n_t):
-            acc = acc + (model.dt / 2.0) * (integrand[i - 1] + integrand[i])
-            new_hat[i] = phases[i] * (u0_hat - 1j * sc * acc)
+        # out= stops numpy from reusing the large temporary for an in-place
+        # complex multiply, which rounds differently from the out-of-place one
+        np.multiply(phases[1:], u0_hat - 1j * sc * acc, out=new_hat[1:])
         diff = float(np.max(np.abs(_fft.ifft(new_hat - current_hat, axis=1))))
         current_hat = new_hat
         if diff <= tol:

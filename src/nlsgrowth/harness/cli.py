@@ -7,7 +7,10 @@ Verbs:
   accept         run the acceptance suite (quick or full)
   export-kernel  write a propagator kernel table as CSV (n, re, im)
 
-Exit codes: 0 success, 2 config error, 3 numerical abort, 4 acceptance failure.
+Exit codes: 0 success, 2 config error or invalid input (``ConfigError``,
+``ValueError``, ``OSError``), 3 numerical abort (any ``NumericsError``, see
+``nlsgrowth.errors``), 4 acceptance failure.  Each failure prints one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..lattice import NumericsError
+from ..errors import NumericsError
 from ..lattice_linear import kernel_table
 from .acceptance import acceptance_suite
 from .config import ConfigError, parse_config

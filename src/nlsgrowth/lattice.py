@@ -15,15 +15,14 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as _fft
 
+from .errors import NumericsError
 from .fields import LatticeField, WeightProfile
 
 __all__ = [
     "LatticeModel",
     "LatticeRunRecord",
-    "NumericsError",
     "forward_diff",
     "lattice_laplacian",
-    "step_splitstep",
     "local_mass",
     "local_energy",
     "windowed_mass_avg",
@@ -33,10 +32,6 @@ __all__ = [
     "require_defocusing",
     "run_lattice",
 ]
-
-
-class NumericsError(RuntimeError):
-    """A simulation left the finite range (overflow / NaN); the run aborts."""
 
 
 @dataclass(frozen=True)
@@ -145,22 +140,12 @@ def _abs_pow(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def _step_values(values: np.ndarray, model: LatticeModel, symbol: np.ndarray) -> np.ndarray:
+    """One Strang step: half nonlinear phase, exact DFT linear step, half phase."""
     half = -1j * model.sign * model.coupling * (model.dt / 2.0)
     v = values * np.exp(half * _abs_pow(values, model.p))
     v = _fft.ifft(symbol * _fft.fft(v))
     v = v * np.exp(half * _abs_pow(v, model.p))
     return v
-
-
-def step_splitstep(psi: LatticeField, model: LatticeModel) -> LatticeField:
-    """One Strang step: half nonlinear phase, exact DFT linear step, half phase."""
-    if psi.extent != model.extent:
-        raise ValueError("field extent does not match model extent")
-    period = 2 * model.extent + 1
-    v = _step_values(psi.values, model, _linear_symbol(period, model.dt))
-    if not np.all(np.isfinite(v.view(float))):
-        raise NumericsError("split step produced non-finite amplitudes (overflow)")
-    return LatticeField(values=v, extent=psi.extent)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +229,10 @@ def run_lattice(
     One simulation is one sequential state machine; concurrency happens only
     across independent runs.  Returns the records and the final field.
     """
+    if psi0.extent != model.extent:
+        raise ValueError(
+            f"field extent {psi0.extent} does not match model extent {model.extent}"
+        )
     if weight is None:
         weight = WeightProfile(x0=0, R=1.0, t0=t_final)
     n_steps = int(round(t_final / model.dt))

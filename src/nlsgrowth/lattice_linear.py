@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
+from .errors import QuadratureError
 from .fields import LatticeField
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "adversarial_data",
     "pairing_check",
     "random_ensemble_second_moment",
-    "QuadratureError",
     "InsufficientHalfWidthError",
 ]
 
@@ -46,10 +46,6 @@ PHASE_FLOOR = 1e-300
 
 # tolerated unitarity deficit of a truncated kernel table
 TAIL_MASS_TOL = 1e-14
-
-
-class QuadratureError(RuntimeError):
-    """Oscillatory quadrature failed to converge to the requested tolerance."""
 
 
 class InsufficientHalfWidthError(ValueError):

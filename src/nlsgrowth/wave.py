@@ -2,7 +2,9 @@
 
 u_tt - u_xx + u^(2p+1) = 0 with real data (u0, u1); p = 1 is the cubic case.
 Time stepping is Stormer-Verlet (velocity form) with the spatial derivative
-taken spectrally on the periodic grid (real FFT); the conserved energy is
+taken spectrally on the periodic grid (real FFT).  One Verlet loop serves
+``run_nlw`` (one field) and ``nlw_cone_test`` (a two-row batch of the full
+and the truncated data, along the last axis).  The conserved energy is
 
     E = 1/2 int u_x^2 + 1/2 int u_t^2 + 1/(2p+2) int u^(2p+2).
 
@@ -23,11 +25,10 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import GridField, chi_eval
-from .lattice import NumericsError
+from .errors import NumericsError
 
 __all__ = [
     "WaveState",
-    "nlw_step_leapfrog",
     "nlw_energy",
     "run_nlw",
     "nlw_cone_test",
@@ -51,31 +52,28 @@ def _k2_real(box_length: float, size: int) -> np.ndarray:
     return k ** 2
 
 
-def _accel(u_vals: np.ndarray, k2: np.ndarray, p: int, coupling: float) -> np.ndarray:
-    lap = _fft.irfft(-k2 * _fft.rfft(u_vals), n=u_vals.shape[0])
-    return lap - coupling * u_vals ** (2 * p + 1)
+def _accel(u: np.ndarray, k2: np.ndarray, p: int, coupling: float) -> np.ndarray:
+    """u_xx - coupling * u^(2p+1) along the last axis (one row per field)."""
+    lap = _fft.irfft(-k2 * _fft.rfft(u), n=u.shape[-1])
+    return lap - coupling * u ** (2 * p + 1)
+
+
+def _verlet(
+    u: np.ndarray, v: np.ndarray, k2: np.ndarray, dt: float, n_steps: int, p: int, coupling: float
+):
+    """Stormer-Verlet (velocity form) with force reuse; yields (step, u, v)."""
+    a = _accel(u, k2, p, coupling)
+    for step in range(1, n_steps + 1):
+        v_half = v + 0.5 * dt * a
+        u = u + dt * v_half
+        a = _accel(u, k2, p, coupling)
+        v = v_half + 0.5 * dt * a
+        yield step, u, v
 
 
 def _check_cfl(dt: float, grid: GridField) -> None:
     if dt > grid.spacing:
         raise ValueError(f"CFL violation: dt={dt} > h={grid.spacing}")
-
-
-def nlw_step_leapfrog(state: WaveState, dt: float, p: int = 1, coupling: float = 1.0) -> WaveState:
-    """One Stormer-Verlet step of u_tt = u_xx - coupling * u^(2p+1)."""
-    _check_cfl(dt, state.u)
-    k2 = _k2_real(state.u.box_length, state.u.size)
-    u = state.u.values.real.copy()
-    v = state.v.values.real.copy()
-    a = _accel(u, k2, p, coupling)
-    v_half = v + 0.5 * dt * a
-    u_new = u + dt * v_half
-    v_new = v_half + 0.5 * dt * _accel(u_new, k2, p, coupling)
-    box = state.u.box_length
-    return WaveState(
-        u=GridField(values=u_new.astype(complex), box_length=box),
-        v=GridField(values=v_new.astype(complex), box_length=box),
-    )
 
 
 def nlw_energy(state: WaveState, p: int = 1, coupling: float = 1.0) -> float:
@@ -116,12 +114,7 @@ def run_nlw(
         )
 
     records = [(0.0, float(np.max(np.abs(u))), nlw_energy(snapshot(u, v), p, coupling))]
-    a = _accel(u, k2, p, coupling)
-    for step in range(1, n_steps + 1):
-        v_half = v + 0.5 * dt * a
-        u = u + dt * v_half
-        a = _accel(u, k2, p, coupling)
-        v = v_half + 0.5 * dt * a
+    for step, u, v in _verlet(u, v, k2, dt, n_steps, p, coupling):
         if step % every == 0 or step == n_steps:
             if not np.all(np.isfinite(u)):
                 raise NumericsError(f"wave run overflowed near t={step * dt:.3f}")
@@ -156,17 +149,8 @@ def nlw_cone_test(
     i0 = int(np.argmin(np.abs(x - x0)))
     n_steps = int(round(t_final / dt))
 
-    def accel2(uu):
-        lap = _fft.irfft(-k2[None, :] * _fft.rfft(uu, axis=1), n=uu.shape[1], axis=1)
-        return lap - coupling * uu ** (2 * p + 1)
-
-    a = accel2(u)
     worst = abs(u[0, i0] - u[1, i0])
-    for _ in range(n_steps):
-        v_half = v + 0.5 * dt * a
-        u = u + dt * v_half
-        a = accel2(u)
-        v = v_half + 0.5 * dt * a
+    for _, u, _ in _verlet(u, v, k2, dt, n_steps, p, coupling):
         worst = max(worst, abs(u[0, i0] - u[1, i0]))
     if not np.all(np.isfinite(u)):
         raise NumericsError("cone test run overflowed")

@@ -4,7 +4,6 @@ from scipy import integrate
 
 from nlsgrowth.continuum import (
     ContinuumModel,
-    ContractionError,
     LocalEnergyProbe,
     Trajectory,
     bootstrap_monitor,
@@ -18,8 +17,8 @@ from nlsgrowth.continuum import (
     picard_solve,
     regularized_nonlinearity,
     run_continuum,
-    step_lawson_rk4,
 )
+from nlsgrowth.errors import ContractionError
 from nlsgrowth.fields import (
     GridField,
     InitialData,
@@ -142,14 +141,23 @@ class TestLawson:
     def test_zero_field(self):
         model = ContinuumModel(GAUSS, 32.0, 128, 0.01)
         g = GridField(values=np.zeros(128, dtype=complex), box_length=32.0)
-        assert np.all(step_lawson_rk4(g, model).values == 0)
+        assert np.all(run_continuum(g, model, model.dt, model.dt).values[-1] == 0)
 
     def test_coupling_off_matches_linear_exactly(self):
         model = ContinuumModel(GAUSS, 32.0, 256, 0.02, coupling=0.0)
         u0 = make_initial_grid(InitialData.random_band(0.5, 2.0, 3), 32.0, 256)
-        stepped = step_lawson_rk4(u0, model)
+        stepped = run_continuum(u0, model, model.dt, model.dt).values[-1]
         exact = linear_propagate(u0, 0.02)
-        assert np.max(np.abs(stepped.values - exact.values)) < 1e-14
+        assert np.max(np.abs(stepped - exact.values)) < 1e-14
+
+    def test_grid_mismatch_rejected(self):
+        # a box-64 field must not be stepped with a box-128 model's wavenumbers
+        model = ContinuumModel(GAUSS, 128.0, 256, 0.01)
+        u0 = make_initial_grid(InitialData.random_band(0.5, 1.0, 3), 64.0, 256)
+        with pytest.raises(ValueError, match="grid"):
+            run_continuum(u0, model, 0.01, 0.01)
+        with pytest.raises(ValueError, match="grid"):
+            picard_solve(u0, 0.01, model, tol=1e-8)
 
     def test_dt_halving_fourth_order(self):
         box, size = 128.0, 512

@@ -256,6 +256,26 @@ class TestCli:
         assert proc.returncode == 2
         assert "engine" in proc.stderr
 
+    def test_newton_blowup_exit_3(self, tmp_path):
+        # the linearized solve outgrows its bound: a numerical abort, one line
+        cfg_path = tmp_path / "n.cfg"
+        cfg_path.write_text(
+            "engine = newton\ndata.kind = constant\ndata.amplitude = 5.0\n"
+            "newton.t_final = 40.0\nnewton.dt = 0.01\nnewton.grid_size = 16\n"
+        )
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical abort:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_newton_radius_too_large_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "n.cfg"
+        cfg_path.write_text("engine = newton\nnewton.r1 = 100\n")
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert "radius" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_export_kernel(self, tmp_path):
         out = tmp_path / "k.csv"
         proc = self.run_cli("export-kernel", "--t", "5.0", "--out", str(out))

@@ -11,7 +11,6 @@ from nlsgrowth.lattice import (
     local_mass,
     require_defocusing,
     run_lattice,
-    step_splitstep,
     sup_time_derivative,
     windowed_mass_avg,
     windowed_quartic_avg,
@@ -54,17 +53,21 @@ class TestStencils:
 
 
 class TestSplitStep:
+    @staticmethod
+    def evolve(psi, model, n_steps):
+        t_final = n_steps * model.dt
+        return run_lattice(model, psi, t_final, record_dt=t_final)[1]
+
     def test_zero_field(self):
         model = LatticeModel(extent=8, dt=0.05)
-        out = step_splitstep(lattice(np.zeros(17)), model)
+        out = self.evolve(lattice(np.zeros(17)), model, 1)
         assert np.all(out.values == 0)
 
     def test_constant_field_phase_rotation(self):
         # uniform solution: psi(t) = e^{-i t} for A = 1, defocusing cubic
         model = LatticeModel(sign=+1, p=2.0, extent=8, dt=0.05)
         psi = make_initial_lattice(InitialData.constant(1.0), 8)
-        for _ in range(100):
-            psi = step_splitstep(psi, model)
+        psi = self.evolve(psi, model, 100)
         t = 100 * model.dt
         assert np.allclose(psi.values, np.exp(-1j * t), atol=1e-12)
         assert np.max(np.abs(np.abs(psi.values) - 1.0)) < 1e-13
@@ -73,15 +76,14 @@ class TestSplitStep:
         model = LatticeModel(extent=128, dt=0.05)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 21), 128)
         m0 = psi.mass()
-        psi = step_splitstep(psi, model)
+        psi = self.evolve(psi, model, 1)
         assert abs(psi.mass() - m0) / m0 < 1e-14
 
     def test_mass_drift_many_steps(self):
         model = LatticeModel(extent=256, dt=0.01)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 5), 256)
         m0 = psi.mass()
-        for _ in range(2000):
-            psi = step_splitstep(psi, model)
+        psi = self.evolve(psi, model, 2000)
         assert abs(psi.mass() - m0) / m0 < 1e-12
 
     def test_linear_limit_matches_bessel_kernel(self):
@@ -89,14 +91,15 @@ class TestSplitStep:
         t = 50.0
         extent = max(default_half_width(t), 200)
         model = LatticeModel(extent=extent, dt=0.05, coupling=0.0)
-        psi = make_initial_lattice(InitialData.delta(1.0), extent)
-        for _ in range(1000):
-            psi = step_splitstep(psi, model)
-        exact = linear_evolve(
-            make_initial_lattice(InitialData.delta(1.0), extent), t,
-            kernel_table(t, extent),
-        )
+        psi0 = make_initial_lattice(InitialData.delta(1.0), extent)
+        psi = self.evolve(psi0, model, 1000)
+        exact = linear_evolve(psi0, t, kernel_table(t, extent))
         assert np.max(np.abs(psi.values - exact.values)) < 1e-8
+
+    def test_extent_mismatch_rejected(self):
+        model = LatticeModel(extent=8, dt=0.05)
+        with pytest.raises(ValueError, match="extent"):
+            run_lattice(model, lattice(np.zeros(33)), 0.05, 0.05)
 
     def test_dt_precondition(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,10 @@ import pytest
 
 from nlsgrowth.continuum import ContinuumModel, Trajectory, run_continuum
 from nlsgrowth.fields import GridField, InitialData, Mollifier, make_initial_grid
+from nlsgrowth.errors import NumericsError
 from nlsgrowth.newton import (
     AnalyticNormParams,
     LinearizedSystem,
-    NewtonDivergenceError,
     RadiusSchedule,
     find_working_time,
     majorant_norm,
@@ -49,7 +49,7 @@ class TestMajorantNorm:
 
     def test_overflow_guard(self):
         g = grid(np.cos(x_grid()))
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="radius"):
             majorant_norm(g, AnalyticNormParams(30.0, 0))
 
     def test_radius_shrink_inequality(self):
@@ -140,7 +140,6 @@ class TestSolveLinearized:
         forcing = self.make_zero_psi(101, dt)
         sol = solve_linearized(LinearizedSystem(psi, forcing), 0.1, dt)
         assert np.all(sol.xi.values == 0)
-        assert np.all(sol.eta.values == 0)
 
     def test_constant_forcing_mode_formula(self):
         # V = 0, b constant in t: mode k solves u(t) = -b (1 - e^{-ik^2 t})/k^2,
@@ -180,17 +179,6 @@ class TestSolveLinearized:
         )
         sol = solve_linearized(LinearizedSystem(psi, forcing), 0.05, dt)
         assert np.all(sol.xi.values[0] == 0)
-
-    def test_conjugation_mirror_preserved(self):
-        dt = 1e-3
-        n_t = 101
-        times = dt * np.arange(n_t)
-        x = x_grid()
-        psi_vals = 0.3 * np.cos(x)[None, :] * np.exp(-1j * times[:, None])
-        psi = Trajectory(times=times, values=psi_vals.astype(complex), box_length=BOX)
-        forcing = residual_first(psi)
-        sol = solve_linearized(LinearizedSystem(psi, forcing), 0.1, dt)
-        assert sol.mirror_defect < 1e-12
 
 
 class TestNewton:
@@ -265,7 +253,7 @@ class TestNewton:
 
     def test_divergence_error_for_large_data_and_time(self):
         psi0 = grid(0.9 * np.cos(x_grid()) + 0.9 * np.cos(2 * x_grid()))
-        with pytest.raises((NewtonDivergenceError, RuntimeError)):
+        with pytest.raises(NumericsError):
             newton_iterate(psi0, 2.0, 2e-3, smallness=1e9, max_iter=12)
 
     def test_find_working_time(self):
@@ -273,6 +261,13 @@ class TestNewton:
         t, res = find_working_time(psi0, 1e-3, t_start=0.4, tol=1e-11)
         assert res.converged
         assert t <= 0.4
+
+    def test_find_working_time_propagates_input_errors(self):
+        # only numerical failures trigger a shorter horizon; a radius the grid
+        # cannot weight is an input error and surfaces at once
+        psi0 = grid(0.3 * np.cos(x_grid()))
+        with pytest.raises(ValueError, match="radius"):
+            find_working_time(psi0, 1e-3, t_start=0.4, schedule=RadiusSchedule(r1=100.0))
 
     def test_trajectory_majorant_linear_constant(self):
         psi0 = grid(0.1 * np.cos(x_grid()))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlsgrowth.fields import GridField, InitialData, chi_eval, make_initial_grid
-from nlsgrowth.wave import WaveState, nlw_cone_test, nlw_energy, nlw_step_leapfrog, run_nlw
+from nlsgrowth.wave import WaveState, nlw_cone_test, nlw_energy, run_nlw
 
 
 def real_grid(vals, box):
@@ -17,13 +17,15 @@ def zero_state(box, size):
 class TestStep:
     def test_zero_state_fixed(self):
         s = zero_state(32.0, 256)
-        out = nlw_step_leapfrog(s, 0.05)
+        _, out = run_nlw(s, 0.05, 0.05, 0.05)
         assert np.all(out.u.values == 0) and np.all(out.v.values == 0)
 
     def test_cfl_guard(self):
         s = zero_state(32.0, 256)
-        with pytest.raises(ValueError):
-            nlw_step_leapfrog(s, 1.0)
+        with pytest.raises(ValueError, match="CFL"):
+            run_nlw(s, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="CFL"):
+            nlw_cone_test(s.u, s.v, 1.0, 1.0)
 
     def test_linear_standing_wave(self):
         # coupling 0: u = cos(kx) cos(kt) exactly (spectral space, 2nd order time)
