@@ -16,20 +16,16 @@ from .fields import (
     InitialData,
     LatticeField,
     Mollifier,
-    SpectralField,
     WeightProfile,
     chi_eval,
     gaussian_comb_eval,
     make_initial_grid,
     make_initial_lattice,
-    weight_eval,
 )
 from .lattice import (
     LatticeModel,
     LatticeRunRecord,
-    forward_diff,
     global_energy as lattice_global_energy,
-    lattice_laplacian,
     local_energy,
     local_mass,
     run_lattice,

@@ -40,7 +40,6 @@ __all__ = [
     "global_energy",
     "local_energy_probe",
     "bootstrap_monitor",
-    "dispersive_envelope_ratio",
 ]
 
 
@@ -396,11 +395,3 @@ def bootstrap_monitor(
         reference=ref, flagged=worst[0] > flag_factor,
     )
 
-
-def dispersive_envelope_ratio(u0: GridField, times: Sequence[float]) -> float:
-    """max over sampled times of sup_x |e^{it Dxx} u0| / (1 + t^(3/2))."""
-    best = 0.0
-    for t in times:
-        sup = linear_propagate(u0, float(t)).sup_abs()
-        best = max(best, sup / (1.0 + float(t) ** 1.5))
-    return best

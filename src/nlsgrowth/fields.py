@@ -1,9 +1,14 @@
-"""Shared field types, cutoffs, weights, and initial-data generators.
+"""Shared field types, cutoffs, weights, mollifiers and initial data.
 
 Complex amplitudes live either on a truncated integer lattice (origin-centered,
 periodic wrap) or on a uniform periodic grid over a box of length L.  All types
 are plain immutable-after-construction values and safe to share read-only
 between concurrent runs.
+
+Mollifiers and initial data carry their own formulas: a ``Mollifier`` holds
+its transfer function and an ``InitialData`` its ``sample(x, period)``, so
+``make_initial_lattice`` and ``make_initial_grid`` only check the domain and
+build the points.
 
 Random generators use numpy's PCG64 (``np.random.default_rng(seed)``); every
 random construction is bitwise reproducible from its seed.
@@ -11,8 +16,8 @@ random construction is bitwise reproducible from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -20,12 +25,10 @@ from scipy import fft as _fft
 __all__ = [
     "LatticeField",
     "GridField",
-    "SpectralField",
     "WeightProfile",
     "Mollifier",
     "InitialData",
     "chi_eval",
-    "weight_eval",
     "make_initial_lattice",
     "make_initial_grid",
     "gaussian_comb_eval",
@@ -35,6 +38,8 @@ __all__ = [
 # e^{-(x-j)^2} below this threshold is dropped from comb sums; exact to double
 # precision.
 COMB_TRUNCATION = 1e-18
+# distance |x - j| beyond which a comb term falls below COMB_TRUNCATION
+_COMB_REACH = float(np.sqrt(-np.log(COMB_TRUNCATION)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,41 +130,6 @@ def grid_wavenumbers(box_length: float, size: int) -> np.ndarray:
     return 2.0 * np.pi * _fft.fftfreq(size, d=box_length / size)
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients c_m with u(x) = sum_m c_m exp(i k_m x).
-
-    Coefficients are stored in FFT ordering; ``wavenumbers`` gives the matching
-    k_m = 2*pi*m/L, m in {-M/2, ..., M/2-1}.
-    """
-
-    coeffs: np.ndarray
-    box_length: float
-
-    @property
-    def size(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return grid_wavenumbers(self.box_length, self.size)
-
-    @classmethod
-    def from_grid(cls, grid: GridField) -> "SpectralField":
-        m = grid.size
-        k = grid_wavenumbers(grid.box_length, m)
-        # grid samples start at x = -L/2, so undo that offset to make the
-        # coefficients literal coefficients of exp(i k x)
-        coeffs = _fft.fft(grid.values) / m * np.exp(1j * k * grid.box_length / 2)
-        return cls(coeffs=coeffs, box_length=grid.box_length)
-
-    def to_grid(self) -> GridField:
-        m = self.size
-        k = self.wavenumbers
-        vals = _fft.ifft(self.coeffs * np.exp(-1j * k * self.box_length / 2) * m)
-        return GridField(values=vals, box_length=self.box_length)
-
-
 # ---------------------------------------------------------------------------
 # cutoff and weights
 # ---------------------------------------------------------------------------
@@ -207,12 +177,6 @@ class WeightProfile:
         return num / (self.R * (2.0 * self.t0 - t + 1.0))
 
 
-def weight_eval(w: WeightProfile, t: float, x) -> float:
-    """F(t,x) for a single site (scalar convenience wrapper)."""
-    out = w.evaluate(t, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # mollifier
 # ---------------------------------------------------------------------------
@@ -221,35 +185,29 @@ def weight_eval(w: WeightProfile, t: float, x) -> float:
 class Mollifier:
     """Smoothing kernel applied by spectral multiplication.
 
-    kind "gaussian": unit-mass Gaussian of width sigma, transfer
-    exp(-sigma^2 k^2 / 2).  kind "fourier_cutoff": sharp frequency truncation,
-    transfer 1_{|k| <= K}.  ``fourier_cutoff(np.inf)`` is the identity and
+    ``transfer(k)`` is the kernel's real, even transfer function, bounded by 1.
+    ``gaussian(sigma)``: unit-mass Gaussian of width sigma, transfer
+    exp(-sigma^2 k^2 / 2).  ``fourier_cutoff(K)``: sharp frequency truncation,
+    transfer 1_{|k| <= K}; ``fourier_cutoff(np.inf)`` is the identity and
     serves as the sigma -> 0 plain-cubic limit.
     """
 
-    kind: str
-    sigma: float = 0.0
-    cutoff: float = 0.0
+    name: str
+    transfer: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     @classmethod
     def gaussian(cls, sigma: float) -> "Mollifier":
         if not sigma > 0:
             raise ValueError("gaussian width must be positive")
-        return cls(kind="gaussian", sigma=sigma)
+        return cls(f"gaussian(sigma={sigma})", lambda k: np.exp(-sigma ** 2 * k ** 2 / 2.0))
 
     @classmethod
     def fourier_cutoff(cls, cutoff: float) -> "Mollifier":
         if not cutoff > 0:
             raise ValueError("cutoff wavenumber must be positive")
-        return cls(kind="fourier_cutoff", cutoff=cutoff)
-
-    def transfer(self, k: np.ndarray) -> np.ndarray:
-        """Real, even transfer function, bounded by 1."""
-        if self.kind == "gaussian":
-            return np.exp(-self.sigma ** 2 * k ** 2 / 2.0)
-        if self.kind == "fourier_cutoff":
-            return (np.abs(k) <= self.cutoff).astype(float)
-        raise ValueError(f"unknown mollifier kind {self.kind!r}")
+        return cls(
+            f"fourier_cutoff(cutoff={cutoff})", lambda k: (np.abs(k) <= cutoff).astype(float)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -258,47 +216,70 @@ class Mollifier:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Generator spec for bounded (and a few unbounded) initial data.
+    """Bounded (and a few unbounded) initial data: a name and its formula.
 
-    Kinds:
+    ``sample(x, period)`` gives the values at the points ``x`` of a ring of
+    length ``period``: the lattice passes sites -N..N with period 2N+1, the
+    grid passes x_j with period L.  ``on_lattice``/``on_grid`` say where the
+    formula is defined.  ``support_radius`` bounds |x| where the data exceed
+    COMB_TRUNCATION for comb data; it is 0 for point data and for spread
+    data, whose wrap-margin check concerns only the light cone of the origin.
+
+    Constructors:
       constant(A)                   psi0 = A everywhere
-      delta(A)                      A at the origin, 0 elsewhere
+      delta(A)                      A at the origin, 0 elsewhere (lattice)
       random_phase(A, seed)         A * exp(i theta_x), theta uniform [0, 2pi)
+                                    (lattice)
       random_gaussian(A, seed)      complex Gaussians with E|psi0|^2 = A^2
-                                    (not sup-bounded)
+                                    (lattice; not sup-bounded)
       gaussian_comb(coeffs, j0)     sum_j a_j exp(-(x - j)^2), j = j0, j0+1, ...
+      random_comb(A, J, seed)       comb on j = -J..J with random-phase a_j, |a_j| = A
       periodic(amps, freqs)         sum_m amp_m exp(i freq_m x); frequencies
-                                    are snapped to the carrier's reciprocal
+                                    are snapped to the ring's reciprocal
                                     lattice at realization time
       random_band(A, k_band, seed)  random-phase trig polynomial with modes
                                     |k| <= k_band, normalized to sup = A
-                                    (continuum-smooth random bounded data)
+                                    (grid; continuum-smooth random bounded data)
     """
 
-    kind: str
-    amplitude: float = 1.0
-    seed: int | None = None
-    coeffs: np.ndarray | None = None
-    comb_origin: int = 0
-    amplitudes: tuple = ()
-    frequencies: tuple = ()
-    k_band: float = 1.0
+    name: str
+    sample: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
+    on_lattice: bool = True
+    on_grid: bool = True
+    support_radius: float = 0.0
 
     @classmethod
     def constant(cls, amplitude: float = 1.0) -> "InitialData":
-        return cls(kind="constant", amplitude=amplitude)
+        return cls(
+            f"constant({amplitude})",
+            lambda x, period: np.full(x.shape, amplitude, dtype=complex),
+        )
 
     @classmethod
     def delta(cls, amplitude: float = 1.0) -> "InitialData":
-        return cls(kind="delta", amplitude=amplitude)
+        def sample(x, period):
+            vals = np.zeros(x.shape, dtype=complex)
+            vals[x == 0] = amplitude
+            return vals
+
+        return cls(f"delta({amplitude})", sample, on_grid=False)
 
     @classmethod
     def random_phase(cls, amplitude: float, seed: int) -> "InitialData":
-        return cls(kind="random_phase", amplitude=amplitude, seed=seed)
+        def sample(x, period):
+            rng = np.random.default_rng(seed)
+            return amplitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(x)))
+
+        return cls(f"random_phase({amplitude}, seed={seed})", sample, on_grid=False)
 
     @classmethod
     def random_gaussian(cls, amplitude: float, seed: int) -> "InitialData":
-        return cls(kind="random_gaussian", amplitude=amplitude, seed=seed)
+        def sample(x, period):
+            rng = np.random.default_rng(seed)
+            n = len(x)
+            return amplitude * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+        return cls(f"random_gaussian({amplitude}, seed={seed})", sample, on_grid=False)
 
     @classmethod
     def gaussian_comb(cls, coeffs: Sequence[complex], comb_origin: int | None = None) -> "InitialData":
@@ -307,7 +288,13 @@ class InitialData:
             raise ValueError("comb coefficients must satisfy |a_j| <= 1")
         if comb_origin is None:
             comb_origin = -(len(arr) // 2)
-        return cls(kind="gaussian_comb", coeffs=arr, comb_origin=comb_origin)
+        live = comb_origin + np.flatnonzero(np.abs(arr) > 0)
+        support = float(np.max(np.abs(live))) + _COMB_REACH if len(live) else 0.0
+        return cls(
+            f"gaussian_comb({len(arr)} centers from j={comb_origin})",
+            lambda x, period: gaussian_comb_eval(arr, x, comb_origin),
+            support_radius=support,
+        )
 
     @classmethod
     def random_comb(cls, amplitude: float, half_extent: int, seed: int) -> "InitialData":
@@ -322,27 +309,40 @@ class InitialData:
     def periodic(cls, amplitudes: Sequence[complex], frequencies: Sequence[float]) -> "InitialData":
         if len(amplitudes) != len(frequencies):
             raise ValueError("amplitudes and frequencies must have equal length")
-        return cls(
-            kind="periodic",
-            amplitudes=tuple(complex(a) for a in amplitudes),
-            frequencies=tuple(float(f) for f in frequencies),
-        )
+        amps = tuple(complex(a) for a in amplitudes)
+        freqs = tuple(float(f) for f in frequencies)
+
+        def sample(x, period):
+            # ring-commensurate frequencies keep the data truly periodic across
+            # the wrap seam
+            fund = 2.0 * np.pi / period
+            vals = np.zeros(x.shape, dtype=complex)
+            for amp, f in zip(amps, freqs):
+                snapped = round(f / fund) * fund
+                vals += amp * np.exp(1j * snapped * x)
+            return vals
+
+        return cls(f"periodic({len(amps)} modes)", sample)
 
     @classmethod
     def random_band(cls, amplitude: float, k_band: float, seed: int) -> "InitialData":
-        return cls(kind="random_band", amplitude=amplitude, k_band=k_band, seed=seed)
+        def sample(x, period):
+            rng = np.random.default_rng(seed)
+            n_modes = int(np.floor(k_band * period / (2.0 * np.pi)))
+            vals = np.zeros(x.shape, dtype=complex)
+            for m in range(1, n_modes + 1):
+                k = 2.0 * np.pi * m / period
+                c_plus = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                c_minus = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                vals += c_plus * np.exp(1j * k * x) + c_minus * np.exp(-1j * k * x)
+            peak = np.max(np.abs(vals))
+            if peak > 0:
+                vals *= amplitude / peak
+            return vals
 
-    @property
-    def sup_bound(self) -> float:
-        """A with sup|psi0| <= A (inf for the unbounded Gaussian kind)."""
-        if self.kind in ("constant", "delta", "random_phase", "random_band"):
-            return self.amplitude
-        if self.kind == "gaussian_comb":
-            # each site sees at most the full comb of unit Gaussians
-            return float(np.max(np.abs(self.coeffs))) * 1.7726372048266521
-        if self.kind == "periodic":
-            return float(np.sum(np.abs(self.amplitudes)))
-        return float("inf")
+        return cls(
+            f"random_band({amplitude}, k_band={k_band}, seed={seed})", sample, on_lattice=False
+        )
 
 
 def gaussian_comb_eval(coeffs: Sequence[complex], x, comb_origin: int = 0):
@@ -356,12 +356,10 @@ def gaussian_comb_eval(coeffs: Sequence[complex], x, comb_origin: int = 0):
         raise ValueError("comb coefficients must satisfy |a_j| <= 1")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     j = comb_origin + np.arange(len(a), dtype=float)
-    # window of centers that can contribute at least COMB_TRUNCATION
-    reach = np.sqrt(-np.log(COMB_TRUNCATION))
     out = np.zeros(xv.shape, dtype=complex)
     if len(a):
-        lo = np.searchsorted(j, xv - reach, side="left")
-        hi = np.searchsorted(j, xv + reach, side="right")
+        lo = np.searchsorted(j, xv - _COMB_REACH, side="left")
+        hi = np.searchsorted(j, xv + _COMB_REACH, side="right")
         for idx in range(xv.shape[0]):
             jj = j[lo[idx]:hi[idx]]
             out[idx] = np.sum(a[lo[idx]:hi[idx]] * np.exp(-(xv[idx] - jj) ** 2))
@@ -370,72 +368,19 @@ def gaussian_comb_eval(coeffs: Sequence[complex], x, comb_origin: int = 0):
     return out
 
 
-def _snap_frequencies(frequencies, fundamental):
-    """Snap requested frequencies to integer multiples of the fundamental."""
-    return [round(f / fundamental) * fundamental for f in frequencies]
-
-
 def make_initial_lattice(spec: InitialData, extent: int) -> LatticeField:
     """Realize an InitialData spec on the truncated lattice, sites -N..N."""
     if extent < 1:
         raise ValueError("extent must be >= 1")
-    n_sites = 2 * extent + 1
+    if not spec.on_lattice:
+        raise ValueError(f"{spec.name} is not defined on the lattice")
     sites = np.arange(-extent, extent + 1, dtype=float)
-    if spec.kind == "constant":
-        vals = np.full(n_sites, spec.amplitude, dtype=complex)
-    elif spec.kind == "delta":
-        vals = np.zeros(n_sites, dtype=complex)
-        vals[extent] = spec.amplitude
-    elif spec.kind == "random_phase":
-        rng = np.random.default_rng(spec.seed)
-        vals = spec.amplitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_sites))
-    elif spec.kind == "random_gaussian":
-        rng = np.random.default_rng(spec.seed)
-        vals = spec.amplitude * (
-            rng.standard_normal(n_sites) + 1j * rng.standard_normal(n_sites)
-        ) / np.sqrt(2.0)
-    elif spec.kind == "gaussian_comb":
-        vals = gaussian_comb_eval(spec.coeffs, sites, spec.comb_origin)
-    elif spec.kind == "periodic":
-        # ring-commensurate frequencies keep the data truly periodic across
-        # the wrap seam
-        fund = 2.0 * np.pi / n_sites
-        freqs = _snap_frequencies(spec.frequencies, fund)
-        vals = np.zeros(n_sites, dtype=complex)
-        for amp, f in zip(spec.amplitudes, freqs):
-            vals += amp * np.exp(1j * f * sites)
-    elif spec.kind == "random_band":
-        raise ValueError("random_band is a continuum-grid data kind")
-    else:
-        raise ValueError(f"unknown initial data kind {spec.kind!r}")
-    return LatticeField(values=vals, extent=extent)
+    return LatticeField(values=spec.sample(sites, 2 * extent + 1), extent=extent)
 
 
 def make_initial_grid(spec: InitialData, box_length: float, size: int) -> GridField:
     """Realize an InitialData spec on the periodic grid."""
+    if not spec.on_grid:
+        raise ValueError(f"{spec.name} is not defined on the grid")
     x = -box_length / 2 + (box_length / size) * np.arange(size)
-    if spec.kind == "constant":
-        vals = np.full(size, spec.amplitude, dtype=complex)
-    elif spec.kind == "gaussian_comb":
-        vals = gaussian_comb_eval(spec.coeffs, x, spec.comb_origin)
-    elif spec.kind == "periodic":
-        fund = 2.0 * np.pi / box_length
-        freqs = _snap_frequencies(spec.frequencies, fund)
-        vals = np.zeros(size, dtype=complex)
-        for amp, f in zip(spec.amplitudes, freqs):
-            vals += amp * np.exp(1j * f * x)
-    elif spec.kind == "random_band":
-        rng = np.random.default_rng(spec.seed)
-        n_modes = int(np.floor(spec.k_band * box_length / (2.0 * np.pi)))
-        vals = np.zeros(size, dtype=complex)
-        for m in range(1, n_modes + 1):
-            k = 2.0 * np.pi * m / box_length
-            c_plus = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            c_minus = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            vals += c_plus * np.exp(1j * k * x) + c_minus * np.exp(-1j * k * x)
-        peak = np.max(np.abs(vals))
-        if peak > 0:
-            vals *= spec.amplitude / peak
-    else:
-        raise ValueError(f"initial data kind {spec.kind!r} not defined on the grid")
-    return GridField(values=vals, box_length=box_length)
+    return GridField(values=spec.sample(x, box_length), box_length=box_length)

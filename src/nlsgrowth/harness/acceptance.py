@@ -179,19 +179,19 @@ def _c04_gronwall_mass(level: str, kernel_hook) -> CriterionResult:
     )
 
 
-def _growth_run(kind: str, sign: int, seed: int = 11, p: float = 2.0, t_final: float = 200.0):
+# the three bounded data classes of Proposition 2.1
+_GROWTH_DATA = {
+    "constant": InitialData.constant(1.0),
+    "random_phase": InitialData.random_phase(1.0, 11),
+    "periodic": InitialData.periodic([0.5, 0.5], [0.9, 2.3]),
+}
+
+
+def _growth_run(spec: InitialData, sign: int):
     extent = 512
-    model = LatticeModel(sign=sign, p=p, extent=extent, dt=0.01)
-    if kind == "constant":
-        spec = InitialData.constant(1.0)
-    elif kind == "random_phase":
-        spec = InitialData.random_phase(1.0, seed)
-    elif kind == "periodic":
-        spec = InitialData.periodic([0.5, 0.5], [0.9, 2.3])
-    else:
-        raise ValueError(kind)
+    model = LatticeModel(sign=sign, p=2.0, extent=extent, dt=0.01)
     psi0 = make_initial_lattice(spec, extent)
-    records, _ = run_lattice(model, psi0, t_final, record_dt=0.5)
+    records, _ = run_lattice(model, psi0, 200.0, record_dt=0.5)
     t = np.array([r.t for r in records])
     sup = np.array([r.sup_abs for r in records])
     sup_dt = np.array([r.sup_dt for r in records])
@@ -201,9 +201,9 @@ def _growth_run(kind: str, sign: int, seed: int = 11, p: float = 2.0, t_final: f
 def _c05_prop21(level: str, kernel_hook) -> CriterionResult:
     start = time.perf_counter()
     slopes = {}
-    for kind in ("constant", "random_phase", "periodic"):
+    for kind, spec in _GROWTH_DATA.items():
         for sign in (+1, -1):
-            t, sup, _ = _growth_run(kind, sign)
+            t, sup, _ = _growth_run(spec, sign)
             slopes[f"{kind}/{sign:+d}"] = fit_growth(t, sup, (10.0, 200.0)).slope
     worst_slope = max(slopes.values())
 
@@ -244,7 +244,7 @@ def _c06_prop22(level: str, kernel_hook) -> CriterionResult:
         t_done = t0
         quartics.append(windowed_quartic_avg(psi, 0, t0))
     stability = max(quartics) / min(quartics)
-    t, sup, _ = _growth_run("random_phase", +1)
+    t, sup, _ = _growth_run(_GROWTH_DATA["random_phase"], +1)
     slope = fit_growth(t, sup, (10.0, 200.0)).slope
     ok = stability <= 4.0 and slope <= 0.30
     elapsed = time.perf_counter() - start
@@ -385,11 +385,7 @@ def _c12_nlw(level: str, kernel_hook) -> CriterionResult:
     box, size = 128.0, 512
     u0 = make_initial_grid(InitialData.random_band(1.0, 2.0, 4), box, size)
     u1 = make_initial_grid(InitialData.random_band(1.0, 2.0, 5), box, size)
-    state = WaveState(
-        u=GridField(values=u0.values.real.astype(complex), box_length=box),
-        v=GridField(values=u1.values.real.astype(complex), box_length=box),
-    )
-    records, _ = run_nlw(state, 50.0, 2.5e-4, 1.0)
+    records, _ = run_nlw(WaveState(u=u0, v=u1), 50.0, 2.5e-4, 1.0)
     e0 = records[0][2]
     drift = max(abs(e - e0) / abs(e0) for _, _, e in records)
 
@@ -397,11 +393,7 @@ def _c12_nlw(level: str, kernel_hook) -> CriterionResult:
     cbox, csize = 160.0, 8192
     c0 = make_initial_grid(InitialData.random_band(0.5, 0.5, 11), cbox, csize)
     c1 = make_initial_grid(InitialData.random_band(0.5, 0.5, 12), cbox, csize)
-    cone = nlw_cone_test(
-        GridField(values=c0.values.real.astype(complex), box_length=cbox),
-        GridField(values=c1.values.real.astype(complex), box_length=cbox),
-        20.0, 3.2e-4,
-    )
+    cone = nlw_cone_test(c0, c1, 20.0, 3.2e-4)
 
     # (c) sup-norm growth slopes, p = 1 and p = 2
     slopes = {}
@@ -409,11 +401,7 @@ def _c12_nlw(level: str, kernel_hook) -> CriterionResult:
         sbox, ssize = 256.0, 1024
         s0 = make_initial_grid(InitialData.random_band(1.0, 1.0, 21), sbox, ssize)
         s1 = make_initial_grid(InitialData.random_band(1.0, 1.0, 22), sbox, ssize)
-        sstate = WaveState(
-            u=GridField(values=s0.values.real.astype(complex), box_length=sbox),
-            v=GridField(values=s1.values.real.astype(complex), box_length=sbox),
-        )
-        recs, _ = run_nlw(sstate, 100.0, 0.0625, 0.5, p=p)
+        recs, _ = run_nlw(WaveState(u=s0, v=s1), 100.0, 0.0625, 0.5, p=p)
         t = np.array([r[0] for r in recs])
         sup = np.array([r[1] for r in recs])
         slopes[p] = fit_growth(t, sup, (10.0, 100.0)).slope

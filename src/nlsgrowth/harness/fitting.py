@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FitResult", "fit_growth", "dyadic_subsample", "last_decade_window"]
+__all__ = ["FitResult", "fit_growth"]
 
 
 @dataclass(frozen=True)
@@ -50,28 +50,3 @@ def fit_growth(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -
         n_points=int(len(tv)),
     )
 
-
-def last_decade_window(t_final: float) -> tuple[float, float]:
-    """Default fit window: the last decade of the run, [T/10, T]."""
-    return (t_final / 10.0, t_final)
-
-
-def dyadic_subsample(t: np.ndarray, values: np.ndarray, per_octave: int = 8):
-    """Thin a time series so samples are roughly uniform in log t.
-
-    Keeps every sample whose log-time advanced by at least 1/per_octave
-    octaves since the last kept sample (first positive-t sample always kept).
-    """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = []
-    last_log = -np.inf
-    step = np.log(2.0) / per_octave
-    for i, ti in enumerate(t):
-        if ti <= 0:
-            continue
-        if np.log(ti) >= last_log + step or not keep:
-            keep.append(i)
-            last_log = np.log(ti)
-    idx = np.array(keep, dtype=int)
-    return t[idx], values[idx]

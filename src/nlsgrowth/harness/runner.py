@@ -19,7 +19,6 @@ import numpy as np
 
 from .. import __version__
 from ..fields import (
-    GridField,
     InitialData,
     Mollifier,
     WeightProfile,
@@ -29,6 +28,7 @@ from ..fields import (
 from ..lattice import LatticeModel, run_lattice
 from ..lattice_linear import (
     adversarial_data,
+    default_half_width,
     kernel_table,
     linear_evolve,
     pairing_check,
@@ -92,16 +92,13 @@ def _initial_data(params: dict) -> InitialData:
     raise ConfigError(f"invalid value for field 'data.kind': {kind!r}")
 
 
-def _support_radius(spec: InitialData) -> float | None:
-    """Spatial support radius for localized kinds; None for spread data."""
-    if spec.kind == "delta":
-        return 0.0
-    if spec.kind == "gaussian_comb":
-        j = spec.comb_origin + np.arange(len(spec.coeffs))
-        live = j[np.abs(spec.coeffs) > 0]
-        reach = float(np.sqrt(-np.log(1e-18)))
-        return float(np.max(np.abs(live))) + reach if len(live) else 0.0
-    return None
+def _nlw_velocity(params: dict) -> InitialData:
+    """Wave velocity: an independent draw for random_band data, else rest."""
+    if params["data.kind"] == "random_band":
+        return _initial_data(
+            dict(params, **{"data.seed": params["data.seed"] + _NLW_VELOCITY_SEED_OFFSET})
+        )
+    return InitialData.constant(0.0)
 
 
 def _run_lattice_engine(params: dict) -> EngineResult:
@@ -118,14 +115,13 @@ def _run_lattice_engine(params: dict) -> EngineResult:
     w_t0 = params["weight.t0"] if params["weight.t0"] is not None else t_final
     weight = WeightProfile(x0=params["weight.x0"], R=params["weight.R"], t0=w_t0)
     warnings = []
-    support = _support_radius(spec)
-    if support is not None:
-        needed = support + 2.0 * t_final + 64.0
-        if model.extent < needed:
-            warnings.append(
-                f"wrap-margin check: extent {model.extent} < support + 2T + 64 = {needed:.0f}; "
-                "wrap-around may contaminate the light cone"
-            )
+    # reach of the lattice kernel over [0, T] (group speed <= 2), tail mass < TAIL_MASS_TOL
+    needed = spec.support_radius + default_half_width(t_final)
+    if model.extent < needed:
+        warnings.append(
+            f"wrap-margin check: extent {model.extent} < support + default_half_width(T) = "
+            f"{needed:.0f}; wrap-around may contaminate the light cone of the origin"
+        )
     records, final = run_lattice(model, psi0, t_final, params["run.record_dt"], weight)
     rows = [
         (r.t, r.sup_abs, r.global_mass, r.global_energy, r.local_mass, r.local_energy, r.sup_dt)
@@ -202,18 +198,9 @@ def _run_continuum_engine(params: dict) -> EngineResult:
 def _run_nlw_engine(params: dict) -> EngineResult:
     box = params["nlw.box_length"]
     size = params["nlw.grid_size"]
-    spec_u = _initial_data(params)
-    u0 = make_initial_grid(spec_u, box, size)
-    if spec_u.kind == "random_band":
-        spec_v = InitialData.random_band(
-            spec_u.amplitude, spec_u.k_band, params["data.seed"] + _NLW_VELOCITY_SEED_OFFSET
-        )
-        v0 = make_initial_grid(spec_v, box, size)
-    else:
-        v0 = GridField(values=np.zeros(size, dtype=complex), box_length=box)
     state = WaveState(
-        u=GridField(values=u0.values.real.astype(complex), box_length=box),
-        v=GridField(values=v0.values.real.astype(complex), box_length=box),
+        u=make_initial_grid(_initial_data(params), box, size),
+        v=make_initial_grid(_nlw_velocity(params), box, size),
     )
     records, _final = run_nlw(
         state, params["run.t_final"], params["nlw.dt"], params["run.record_dt"], params["nlw.p"]

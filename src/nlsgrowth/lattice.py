@@ -21,8 +21,6 @@ from .fields import LatticeField, WeightProfile
 __all__ = [
     "LatticeModel",
     "LatticeRunRecord",
-    "forward_diff",
-    "lattice_laplacian",
     "local_mass",
     "local_energy",
     "windowed_mass_avg",
@@ -77,22 +75,6 @@ def require_defocusing(model: LatticeModel, what: str) -> None:
     """Guard for diagnostics whose interpretation needs the defocusing sign."""
     if model.sign != +1:
         raise ValueError(f"{what} requires the defocusing sign (+1)")
-
-
-# ---------------------------------------------------------------------------
-# stencils
-# ---------------------------------------------------------------------------
-
-def forward_diff(f: LatticeField) -> LatticeField:
-    """(df)(x) = f(x+1) - f(x), periodic wrap at the truncation boundary."""
-    vals = np.roll(f.values, -1) - f.values
-    return LatticeField(values=vals, extent=f.extent)
-
-
-def lattice_laplacian(f: LatticeField) -> LatticeField:
-    """(Delta f)(x) = f(x+1) + f(x-1) - 2 f(x), periodic wrap."""
-    vals = np.roll(f.values, -1) + np.roll(f.values, 1) - 2.0 * f.values
-    return LatticeField(values=vals, extent=f.extent)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +209,9 @@ def run_lattice(
     """Evolve psi0 to t_final, recording diagnostics every record_dt.
 
     One simulation is one sequential state machine; concurrency happens only
-    across independent runs.  Returns the records and the final field.
+    across independent runs.  Returns the records and the final field.  The
+    weight defaults to t0 = t_final; a weight with t0 < t_final is rejected
+    (ValueError), since F(t,x) is undefined after t0.
     """
     if psi0.extent != model.extent:
         raise ValueError(
@@ -235,13 +219,17 @@ def run_lattice(
         )
     if weight is None:
         weight = WeightProfile(x0=0, R=1.0, t0=t_final)
+    if weight.t0 < t_final:
+        raise ValueError(
+            f"weight t0 = {weight.t0} < t_final = {t_final}: the weight is defined only up to t0"
+        )
     n_steps = int(round(t_final / model.dt))
     every = max(1, int(round(record_dt / model.dt)))
     period = 2 * model.extent + 1
     symbol = _linear_symbol(period, model.dt)
 
     def make_record(t: float, field: LatticeField) -> LatticeRunRecord:
-        t_w = min(t, weight.t0)  # weight is defined up to its target time
+        t_w = min(t, weight.t0)  # step * dt may overshoot t_final by roundoff
         return LatticeRunRecord(
             t=t,
             sup_abs=field.sup_abs(),

@@ -1,18 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from nlsgrowth.fields import (
+    COMB_TRUNCATION,
     GridField,
     InitialData,
     LatticeField,
     Mollifier,
-    SpectralField,
     WeightProfile,
     chi_eval,
     gaussian_comb_eval,
+    grid_wavenumbers,
     make_initial_grid,
     make_initial_lattice,
-    weight_eval,
 )
 
 
@@ -52,9 +54,9 @@ class TestChi:
 
 class TestWeight:
     def test_point_values(self):
-        assert weight_eval(WeightProfile(0, 1.0, 0.0), 0.0, 0) == pytest.approx(1.0)
-        assert weight_eval(WeightProfile(0, 1.0, 10.0), 0.0, 0) == pytest.approx(1.0 / 21.0)
-        assert weight_eval(WeightProfile(5, 2.0, 10.0), 10.0, 5) == pytest.approx(1.0 / 22.0)
+        assert WeightProfile(0, 1.0, 0.0).evaluate(0.0, 0) == pytest.approx(1.0)
+        assert WeightProfile(0, 1.0, 10.0).evaluate(0.0, 0) == pytest.approx(1.0 / 21.0)
+        assert WeightProfile(5, 2.0, 10.0).evaluate(10.0, 5) == pytest.approx(1.0 / 22.0)
 
     def test_rejects_time_outside_window(self):
         w = WeightProfile(0, 1.0, 5.0)
@@ -69,7 +71,7 @@ class TestWeight:
         w = WeightProfile(3, 2.0, 20.0)
         ts = np.linspace(0.0, 20.0, 50)
         for x in (-7, 0, 3, 11):
-            vals = [weight_eval(w, t, x) for t in ts]
+            vals = [float(w.evaluate(t, x)) for t in ts]
             assert np.all(np.diff(vals) >= -1e-15)
         assert np.all(w.evaluate(7.0, np.arange(-50, 51)) > 0.0)
 
@@ -133,6 +135,10 @@ class TestInitialLattice:
         f = make_initial_lattice(spec, 30)
         direct = gaussian_comb_eval(np.ones(9), 0.0, -4)
         assert f.at(0) == pytest.approx(direct)
+        # outermost center |j| = 4 plus the reach of one truncated Gaussian
+        assert spec.support_radius == pytest.approx(4.0 + np.sqrt(-np.log(COMB_TRUNCATION)))
+        assert InitialData.delta(1.0).support_radius == 0.0
+        assert InitialData.random_phase(1.0, 3).support_radius == 0.0
 
 
 class TestGaussianCombEval:
@@ -156,24 +162,8 @@ class TestGaussianCombEval:
 
 
 class TestSpectral:
-    def test_round_trip_hundred_random_fields(self):
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(100):
-            m = int(rng.choice([64, 128, 256]))
-            vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            grid = GridField(values=vals, box_length=float(rng.uniform(5.0, 50.0)))
-            back = SpectralField.from_grid(grid).to_grid()
-            worst = max(
-                worst,
-                float(np.max(np.abs(back.values - grid.values)) / np.max(np.abs(grid.values))),
-            )
-        assert worst < 1e-12
-
     def test_wavenumbers(self):
-        grid = GridField(values=np.zeros(8, dtype=complex), box_length=4.0)
-        spec = SpectralField.from_grid(grid)
-        got = np.sort(spec.wavenumbers)
+        got = np.sort(grid_wavenumbers(4.0, 8))
         expected = 2 * np.pi * np.arange(-4, 4) / 4.0
         assert np.allclose(got, np.sort(expected))
 
@@ -212,6 +202,77 @@ class TestGridData:
         assert np.array_equal(f1.values, f2.values)
         assert f1.sup_abs() == pytest.approx(0.7, rel=1e-12)
 
-    def test_lattice_only_kind_rejected_on_grid(self):
-        with pytest.raises(ValueError):
-            make_initial_grid(InitialData.delta(1.0), 10.0, 64)
+    @pytest.mark.parametrize(
+        "spec, realize",
+        [
+            (InitialData.delta(1.0), lambda s: make_initial_grid(s, 10.0, 64)),
+            (InitialData.random_phase(1.0, 3), lambda s: make_initial_grid(s, 10.0, 64)),
+            (InitialData.random_gaussian(1.0, 3), lambda s: make_initial_grid(s, 10.0, 64)),
+            (InitialData.random_band(1.0, 1.0, 3), lambda s: make_initial_lattice(s, 16)),
+        ],
+        ids=["delta-grid", "random_phase-grid", "random_gaussian-grid", "random_band-lattice"],
+    )
+    def test_kind_rejected_outside_its_domain(self, spec, realize):
+        with pytest.raises(ValueError, match="not defined on the"):
+            realize(spec)
+
+
+# sha256 of the realized complex128 values on the lattice (extent 16) and the
+# grid (box 32, size 64): any change to a formula's arithmetic shows here
+PINNED_SPECS = {
+    "constant": InitialData.constant(0.8),
+    "delta": InitialData.delta(-1.3),
+    "random_phase": InitialData.random_phase(1.0, 3),
+    "random_gaussian": InitialData.random_gaussian(2.0, 4),
+    "gaussian_comb": InitialData.gaussian_comb([0.5, -0.3j, 1.0, 0.2 + 0.1j, 0.9], -2),
+    "random_comb": InitialData.random_comb(0.5, 8, 5),
+    "periodic": InitialData.periodic([0.5, 0.5j], [0.9, 2.3]),
+    "random_band": InitialData.random_band(0.7, 2.0, 6),
+}
+
+PINNED_REALIZATIONS = [
+    ("lattice", "constant", "c5b129f46e503fdf0db30fd74f7711dbfaaea55b07cb9c2b0950039ebf6f73bf"),
+    ("lattice", "delta", "ecfeb7f1d263ada71a8928fdceedd9ac0be755e31ec830caeb8ddc3886d858d8"),
+    ("lattice", "random_phase", "7fdbe8749849717082cabf0d781d5096a0139581c9bce0c7d4afb2cdc96ac2d6"),
+    ("lattice", "random_gaussian", "4f6516a568891e293a76b1126f1431c7b410a66a168ea741addf79648328a0ca"),
+    ("lattice", "gaussian_comb", "1c350962b9568b192c3a35f1efa8dadb876ed65a3acc05354df6ab0b9e2f1a69"),
+    ("lattice", "random_comb", "2e8f6b504c1f44faf10eedd1eedfa81afe18f0ce237c38f7aa6d4c3267e8949f"),
+    ("lattice", "periodic", "293ff676fd60e133f4f356a57d2c00c88e2f0579373d52c5b5d6b54b3d623c67"),
+    ("grid", "constant", "fd0db955cf2ec1e69a051e13038874243cf86e57fc7c0856bdd8b1590a45e7ce"),
+    ("grid", "gaussian_comb", "40fe813893882bab36d344c7cad409327355536940d3ea45d38560a60820d6b7"),
+    ("grid", "random_comb", "13025b605e741497e09bf4fbf1e90778bacf38fa25ac5000737423dc4bcbce4a"),
+    ("grid", "periodic", "5f3e4c58f73aa63e80786597255a8a5c67ac5a7c33cb146370714541b163baf9"),
+    ("grid", "random_band", "c474570ed825ab880ca7bf4909903e80389e2b0ef8865b2b5aaba67482f88b3b"),
+]
+
+PINNED_TRANSFERS = [
+    (Mollifier.gaussian(1.5), "25febbc5262dc35a679746acbadca524bef659f3849252d9502e7835448396ee"),
+    (Mollifier.fourier_cutoff(3.0), "80772df6cad2bd42ebc86f8d9b8c4b8f48d5acf62e2d2dc74865fe0de166c099"),
+    (Mollifier.fourier_cutoff(np.inf), "9abda4de41e949b1b8710a7d2595024a6ed5f2d52e00ffa8b1ec03a0264ab742"),
+]
+
+
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<c16").tobytes()).hexdigest()
+
+
+class TestPinnedRealizations:
+    @pytest.mark.parametrize(
+        "domain, kind, digest", PINNED_REALIZATIONS,
+        ids=[f"{d}-{k}" for d, k, _ in PINNED_REALIZATIONS],
+    )
+    def test_realization_bitwise(self, domain, kind, digest):
+        spec = PINNED_SPECS[kind]
+        if domain == "lattice":
+            field = make_initial_lattice(spec, 16)
+        else:
+            field = make_initial_grid(spec, 32.0, 64)
+        assert _sha256(field.values) == digest
+
+    @pytest.mark.parametrize(
+        "phi, digest", PINNED_TRANSFERS, ids=[phi.name for phi, _ in PINNED_TRANSFERS]
+    )
+    def test_transfer_bitwise(self, phi, digest):
+        k = np.linspace(-10, 10, 41)
+        got = hashlib.sha256(np.ascontiguousarray(phi.transfer(k)).tobytes()).hexdigest()
+        assert got == digest

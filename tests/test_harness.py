@@ -8,7 +8,8 @@ import pytest
 
 from nlsgrowth.harness.config import ConfigError, parse_config_text
 from nlsgrowth.harness.csvio import format_value, read_csv, write_csv
-from nlsgrowth.harness.fitting import dyadic_subsample, fit_growth, last_decade_window
+from nlsgrowth.harness.acceptance import _DETERMINISM_CONFIG
+from nlsgrowth.harness.fitting import fit_growth
 from nlsgrowth.harness.runner import ENGINE_COLUMNS, execute, run_experiment, sweep_experiment
 from nlsgrowth.harness.svgplot import write_line_plot
 
@@ -89,13 +90,6 @@ class TestFitGrowth:
         v[3] = 0.0
         with pytest.raises(ValueError, match="positive"):
             fit_growth(t, v, (1.0, 10.0))
-
-    def test_window_helpers(self):
-        assert last_decade_window(200.0) == (20.0, 200.0)
-        t = np.linspace(0.0, 100.0, 1001)
-        ts, vs = dyadic_subsample(t, t ** 2)
-        assert len(ts) < 200
-        assert np.all(np.diff(ts) > 0)
 
 
 class TestCsv:
@@ -207,6 +201,21 @@ class TestRunner:
         res = execute(cfg)
         assert any("wrap-margin" in w for w in res.warnings)
 
+    def test_wrap_margin_warning_for_spread_data(self, tmp_path):
+        # random phases fill the ring; the origin's light cone still wraps
+        cfg = parse_config_text(
+            "engine = lattice\nlattice.extent = 16\ndata.kind = random_phase\n"
+            "data.seed = 3\nrun.t_final = 50.0\nrun.record_dt = 5.0\n"
+        )
+        out = run_experiment(cfg, tmp_path / "r")
+        meta = json.loads((out / "metadata.json").read_text())
+        assert any("wrap-margin" in w for w in meta["warnings"])
+
+    def test_no_wrap_margin_warning_within_kernel_reach(self):
+        # c14: extent 128 >= default_half_width(2) = 96
+        res = execute(parse_config_text(_DETERMINISM_CONFIG))
+        assert res.warnings == []
+
 
 class TestSvg:
     def test_writes_svg_and_dat(self, tmp_path):
@@ -274,6 +283,18 @@ class TestCli:
         proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2, proc.stderr
         assert "radius" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_weight_shorter_than_run_exit_2(self, tmp_path):
+        # local diagnostics past weight.t0 would use an undefined weight
+        cfg_path = tmp_path / "w.cfg"
+        cfg_path.write_text(
+            "engine = lattice\nlattice.extent = 16\ndata.kind = random_phase\n"
+            "data.seed = 3\nrun.t_final = 2\nrun.record_dt = 0.5\nweight.t0 = 1\n"
+        )
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert "t0" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_export_kernel(self, tmp_path):

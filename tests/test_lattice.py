@@ -4,9 +4,7 @@ import pytest
 from nlsgrowth.fields import InitialData, LatticeField, WeightProfile, make_initial_lattice
 from nlsgrowth.lattice import (
     LatticeModel,
-    forward_diff,
     global_energy,
-    lattice_laplacian,
     local_energy,
     local_mass,
     require_defocusing,
@@ -24,32 +22,35 @@ def lattice(vals):
 
 
 class TestStencils:
+    # the stencils live inline in the diagnostics; with coupling 0,
+    # global_energy is 1/2 sum |forward difference|^2 and sup_time_derivative
+    # is sup |Laplacian|
+
     def test_forward_diff(self):
-        const = lattice(np.ones(7))
-        assert np.all(forward_diff(const).values == 0)
-        delta = lattice([0, 0, 0, 1, 0, 0, 0])
-        d = forward_diff(delta)
-        assert d.at(0) == -1.0 and d.at(-1) == 1.0
-        assert d.at(1) == 0.0 and d.at(2) == 0.0
-        ramp = lattice(np.arange(-3, 4, dtype=float))
-        interior = forward_diff(ramp).values[:-1]  # wrap hits the last site only
-        assert np.allclose(interior, 1.0)
+        linear = LatticeModel(extent=3, coupling=0.0)
+        assert global_energy(lattice(np.ones(7)), linear) == 0.0
+        assert global_energy(lattice([0, 0, 0, 1, 0, 0, 0]), linear) == 1.0
+        # ramp -3..3: six unit steps plus the wrap step 3 -> -3
+        assert global_energy(lattice(np.arange(-3, 4, dtype=float)), linear) == 0.5 * (6 + 36)
 
     def test_laplacian(self):
-        delta = lattice([0, 0, 0, 1, 0, 0, 0])
-        lap = lattice_laplacian(delta)
-        assert lap.at(0) == -2.0 and lap.at(1) == 1.0 and lap.at(-1) == 1.0
-        assert np.all(lattice_laplacian(lattice(np.ones(9))).values == 0)
+        linear = LatticeModel(extent=4, coupling=0.0)
+        delta = lattice([0, 0, 0, 0, 1, 0, 0, 0, 0])
+        assert sup_time_derivative(delta, linear) == 2.0
+        assert sup_time_derivative(lattice(np.ones(9)), linear) == 0.0
 
     def test_laplacian_plane_wave_symbol(self):
+        # the stencil's eigenvalue is the symbol of the exact linear substep
         n = 50
         period = 2 * n + 1
         kappa = 2 * np.pi * 7 / period  # ring-commensurate mode
         x = np.arange(-n, n + 1)
         wave = LatticeField(values=np.exp(1j * kappa * x), extent=n)
-        lap = lattice_laplacian(wave)
         eig = -4.0 * np.sin(kappa / 2) ** 2
-        assert np.allclose(lap.values, eig * wave.values, atol=1e-12)
+        linear = LatticeModel(extent=n, dt=0.05, coupling=0.0)
+        assert sup_time_derivative(wave, linear) == pytest.approx(-eig, rel=1e-12)
+        _, stepped = run_lattice(linear, wave, 0.05, 0.05)
+        assert np.allclose(stepped.values, np.exp(1j * eig * 0.05) * wave.values, atol=1e-12)
 
 
 class TestSplitStep:
@@ -104,6 +105,30 @@ class TestSplitStep:
     def test_dt_precondition(self):
         with pytest.raises(ValueError):
             LatticeModel(extent=8, dt=0.2)
+
+    def test_weight_shorter_than_run_rejected(self):
+        model = LatticeModel(extent=8, dt=0.05)
+        psi = make_initial_lattice(InitialData.random_phase(1.0, 3), 8)
+        with pytest.raises(ValueError, match="t0"):
+            run_lattice(model, psi, 2.0, 0.5, WeightProfile(0, 1.0, 1.0))
+
+
+class TestTruncation:
+    def test_origin_value_independent_of_extent_beyond_kernel_reach(self):
+        # nonlinear run from delta data: beyond default_half_width(T) the ring
+        # truncation no longer reaches the origin's light cone
+        t = 25.0
+
+        def origin(extent):
+            model = LatticeModel(extent=extent, dt=0.01)
+            psi0 = make_initial_lattice(InitialData.delta(1.0), extent)
+            return run_lattice(model, psi0, t, record_dt=t)[1].at(0)
+
+        reach = default_half_width(t)
+        assert reach == 167
+        ref = origin(2 * reach)
+        assert abs(origin(reach) - ref) < 1e-12  # 2.4e-14 measured
+        assert abs(origin(25) - ref) > 0.1  # a short ring is visibly wrong (0.18)
 
 
 class TestDiagnostics:
