@@ -29,6 +29,7 @@ from .lattice import (
     local_energy,
     local_mass,
     run_lattice,
+    run_lattice_batch,
     sup_time_derivative,
     windowed_mass_avg,
     windowed_quartic_avg,

@@ -224,6 +224,9 @@ class InitialData:
     formula is defined.  ``support_radius`` bounds |x| where the data exceed
     COMB_TRUNCATION for comb data; it is 0 for point data and for spread
     data, whose wrap-margin check concerns only the light cone of the origin.
+    ``ring_exact`` marks data whose realization is periodic with the ring's
+    period (constant data, ring-snapped periodic data): the ring then
+    evolves exactly what Z would, and no wrap margin is needed.
 
     Constructors:
       constant(A)                   psi0 = A everywhere
@@ -247,12 +250,14 @@ class InitialData:
     on_lattice: bool = True
     on_grid: bool = True
     support_radius: float = 0.0
+    ring_exact: bool = False
 
     @classmethod
     def constant(cls, amplitude: float = 1.0) -> "InitialData":
         return cls(
             f"constant({amplitude})",
             lambda x, period: np.full(x.shape, amplitude, dtype=complex),
+            ring_exact=True,
         )
 
     @classmethod
@@ -322,7 +327,7 @@ class InitialData:
                 vals += amp * np.exp(1j * snapped * x)
             return vals
 
-        return cls(f"periodic({len(amps)} modes)", sample)
+        return cls(f"periodic({len(amps)} modes)", sample, ring_exact=True)
 
     @classmethod
     def random_band(cls, amplitude: float, k_band: float, seed: int) -> "InitialData":

@@ -2,7 +2,8 @@
 
 Verbs:
   run            execute one experiment from a config file
-  sweep          expand sweep.* lists and run the case grid
+  sweep          expand sweep.* lists and run the case grid (lattice cases
+                 stepped as one batch, in at most --workers chunks)
   fit            least-squares growth exponent of a CSV column
   accept         run the acceptance suite (quick or full)
   export-kernel  write a propagator kernel table as CSV (n, re, im)

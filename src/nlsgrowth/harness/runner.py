@@ -1,10 +1,15 @@
 """Experiment execution: engine dispatch, run directories, parallel sweeps.
 
 Each run writes ``series.csv`` (schema fixed per engine, see ENGINE_COLUMNS),
-a ``metadata.json`` sidecar (config echo, code version, wall time, warnings),
-and optionally an SVG plot with its ``.dat`` companion.  Identical
-(config, seed) pairs produce byte-identical CSVs regardless of the sweep
-worker count: cases are keyed and written in sorted order.
+a ``metadata.json`` sidecar (config echo, code version, wall time, warnings;
+for lattice runs also ``batch``: rows in the batch, step count, stepping
+wall time), and optionally an SVG plot with its ``.dat`` companion.
+Identical (config, seed) pairs produce byte-identical CSVs regardless of the
+sweep worker count: cases are keyed and written in sorted order.
+
+A lattice sweep steps its cases as one batch (``run_lattice_batch``), split
+into at most ``workers`` contiguous chunks that run concurrently; a batched
+case's ``wall_time_s`` is its chunk's.  Other engines run one case per task.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ import numpy as np
 from .. import __version__
 from ..fields import (
     InitialData,
+    LatticeField,
     Mollifier,
     WeightProfile,
     make_initial_grid,
     make_initial_lattice,
 )
-from ..lattice import LatticeModel, run_lattice
+from ..lattice import LatticeModel, run_lattice_batch
 from ..lattice_linear import (
     adversarial_data,
     default_half_width,
@@ -69,6 +75,8 @@ class EngineResult:
     rows: list[tuple]
     warnings: list[str] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    # lattice runs: rows in the batch, steps, wall time of the batch's stepping
+    batch: dict = field(default_factory=dict)
 
 
 def _initial_data(params: dict) -> InitialData:
@@ -101,38 +109,75 @@ def _nlw_velocity(params: dict) -> InitialData:
     return InitialData.constant(0.0)
 
 
-def _run_lattice_engine(params: dict) -> EngineResult:
-    model = LatticeModel(
+def _lattice_model(params: dict) -> LatticeModel:
+    return LatticeModel(
         sign=params["lattice.sign"],
         p=params["lattice.p"],
         extent=params["lattice.extent"],
         dt=params["lattice.dt"],
         coupling=params["lattice.coupling"],
     )
-    t_final = params["run.t_final"]
-    spec = _initial_data(params)
-    psi0 = make_initial_lattice(spec, model.extent)
-    w_t0 = params["weight.t0"] if params["weight.t0"] is not None else t_final
-    weight = WeightProfile(x0=params["weight.x0"], R=params["weight.R"], t0=w_t0)
-    warnings = []
+
+
+def _wrap_warnings(spec: InitialData, extent: int, t_final: float) -> list[str]:
+    if spec.ring_exact:
+        return []
     # reach of the lattice kernel over [0, T] (group speed <= 2), tail mass < TAIL_MASS_TOL
     needed = spec.support_radius + default_half_width(t_final)
-    if model.extent < needed:
-        warnings.append(
-            f"wrap-margin check: extent {model.extent} < support + default_half_width(T) = "
-            f"{needed:.0f}; wrap-around may contaminate the light cone of the origin"
-        )
-    records, final = run_lattice(model, psi0, t_final, params["run.record_dt"], weight)
-    rows = [
-        (r.t, r.sup_abs, r.global_mass, r.global_energy, r.local_mass, r.local_energy, r.sup_dt)
-        for r in records
+    if extent >= needed:
+        return []
+    return [
+        f"wrap-margin check: extent {extent} < support + default_half_width(T) = "
+        f"{needed:.0f}; wrap-around may contaminate the light cone of the origin"
     ]
-    return EngineResult(
-        columns=list(ENGINE_COLUMNS["lattice"]),
-        rows=rows,
-        warnings=warnings,
-        summary={"final_sup_abs": final.sup_abs(), "final_mass": final.mass()},
-    )
+
+
+def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> list[EngineResult]:
+    """Run lattice cases as one batch: one row per case, one Strang loop.
+
+    The cases share model, run.t_final and run.record_dt; each row keeps its
+    own initial data and weight, and its own records and warnings.
+    """
+    shared = {(_lattice_model(p), p["run.t_final"], p["run.record_dt"]) for p in cases}
+    if len(shared) != 1:
+        raise ValueError("a lattice batch needs one model, run.t_final and run.record_dt")
+    ((model, t_final, record_dt),) = shared
+    specs = [_initial_data(params) for params in cases]
+    values = np.stack([make_initial_lattice(spec, model.extent).values for spec in specs])
+    weights = [
+        WeightProfile(
+            x0=params["weight.x0"],
+            R=params["weight.R"],
+            t0=params["weight.t0"] if params["weight.t0"] is not None else t_final,
+        )
+        for params in cases
+    ]
+    start = time.perf_counter()
+    records, finals = run_lattice_batch(model, values, t_final, record_dt, weights, labels)
+    batch = {
+        "rows": len(cases),
+        "steps": model.n_steps(t_final),
+        "stepping_wall_s": time.perf_counter() - start,
+    }
+    results = []
+    for spec, rows, fin in zip(specs, records, finals):
+        final = LatticeField(values=fin, extent=model.extent)
+        results.append(EngineResult(
+            columns=list(ENGINE_COLUMNS["lattice"]),
+            rows=[
+                (r.t, r.sup_abs, r.global_mass, r.global_energy, r.local_mass,
+                 r.local_energy, r.sup_dt)
+                for r in rows
+            ],
+            warnings=_wrap_warnings(spec, model.extent, t_final),
+            summary={"final_sup_abs": final.sup_abs(), "final_mass": final.mass()},
+            batch=batch,
+        ))
+    return results
+
+
+def _run_lattice_engine(params: dict) -> EngineResult:
+    return _run_lattice_rows([params])[0]
 
 
 def _run_lattice_linear_engine(params: dict) -> EngineResult:
@@ -259,6 +304,8 @@ def _write_outputs(config: ExperimentConfig, result: EngineResult, out_dir: Path
         "summary": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                     for k, v in result.summary.items()},
     }
+    if result.batch:
+        meta["batch"] = result.batch
     (out_dir / "metadata.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -304,8 +351,10 @@ def _case_key(assignment: dict) -> str:
 def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int = 1) -> Path:
     """Expand sweep lists into a deterministic case grid and run them all.
 
-    Cases execute concurrently over immutable configs; the summary is keyed
-    and sorted before writing, so the output is independent of worker count.
+    Cases execute concurrently over immutable configs, lattice cases as
+    batched chunks; the summary is keyed and sorted before writing, and a
+    batch is bitwise equal to its rows run alone, so the output is
+    independent of worker count.
     """
     axes = []
     for sweep_key, targets in _SWEEP_TARGETS.items():
@@ -321,17 +370,39 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
         cases = [dict(c, **{key: v}) for c in cases for v in values]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    keyed = [(_case_key(a), a) for a in cases]
 
-    def one(assignment: dict):
-        cfg = config.with_overrides(**assignment)
-        key = _case_key(assignment)
-        run_experiment(cfg, out / key)
-        return key, assignment
+    def run_chunk(chunk: list) -> None:
+        # lattice cases share model, t_final and record_dt (no sweep axis
+        # touches them), so a chunk is stepped as one batch
+        configs = [config.with_overrides(**a) for _, a in chunk]
+        start = time.perf_counter()
+        results = _run_lattice_rows(
+            [cfg.params for cfg in configs], [f"case {key}" for key, _ in chunk]
+        )
+        wall = time.perf_counter() - start
+        for (key, _), cfg, result in zip(chunk, configs, results):
+            _write_outputs(cfg, result, out / key, wall)
 
+    def run_case(case: tuple) -> None:
+        key, assignment = case
+        run_experiment(config.with_overrides(**assignment), out / key)
+
+    n_jobs = max(1, workers)
+    if config.engine == "lattice":
+        # at most `workers` contiguous chunks, sizes differing by at most one
+        n_chunks = min(n_jobs, len(keyed))
+        size, extra = divmod(len(keyed), n_chunks)
+        bounds = [i * size + min(i, extra) for i in range(n_chunks + 1)]
+        jobs = [keyed[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        run = run_chunk
+    else:
+        jobs = keyed
+        run = run_case
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        done = list(pool.map(one, cases))
-    done.sort(key=lambda kv: kv[0])
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        list(pool.map(run, jobs))
+    done = sorted(keyed, key=lambda kv: kv[0])
     axis_names = sorted({k for _, a in done for k in a})
     rows = [tuple([key] + [a[name] for name in axis_names]) for key, a in done]
     write_csv(out / "sweep_index.csv", ["case"] + axis_names, rows)

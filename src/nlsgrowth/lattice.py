@@ -5,12 +5,19 @@ truncated lattice with periodic wrap, Delta psi(x) = psi(x+1) + psi(x-1)
 - 2 psi(x).  Time stepping is Strang splitting with the linear substep exact
 in the DFT basis (symbol -4 sin^2(kappa/2)); both substeps are l2 isometries,
 so global mass is conserved to roundoff.
+
+One Strang step (``_step_values``) and one driver loop
+(``run_lattice_batch``) serve every run: the driver steps the rows of a
+values[B, M] array together, each row with its own initial data and weight,
+and records each row with the per-row diagnostics below.  ``run_lattice``
+is its one-row call.  A batch is bitwise equal to its rows run alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -29,7 +36,12 @@ __all__ = [
     "global_energy",
     "require_defocusing",
     "run_lattice",
+    "run_lattice_batch",
 ]
+
+# slack, in steps, allowed for roundoff when the last step n_steps*dt is
+# compared with a weight's t0
+_T_ROUNDOFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,10 @@ class LatticeModel:
             raise ValueError("dt must lie in (0, 0.1] (split-step accuracy regime)")
         if self.extent < 1:
             raise ValueError("extent must be >= 1")
+
+    def n_steps(self, t_final: float) -> int:
+        """Number of Strang steps of a run to t_final: round(t_final / dt)."""
+        return int(round(t_final / self.dt))
 
 
 @dataclass(frozen=True)
@@ -115,19 +131,32 @@ def _linear_symbol(period: int, dt: float) -> np.ndarray:
     return np.exp(-4j * dt * np.sin(kappa / 2.0) ** 2) / _fft_pair_scale(period)
 
 
-def _abs_pow(values: np.ndarray, p: float) -> np.ndarray:
+def _abs_pow(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarray:
+    """|values|^p, into out if given (scratch: a second real array for p = 2)."""
     if p == 2.0:
-        return values.real ** 2 + values.imag ** 2
-    return np.abs(values) ** p
+        out = np.square(values.real, out=out)
+        return np.add(out, np.square(values.imag, out=scratch), out=out)
+    out = np.abs(values, out=out)
+    return np.power(out, p, out=out)
 
 
-def _step_values(values: np.ndarray, model: LatticeModel, symbol: np.ndarray) -> np.ndarray:
-    """One Strang step: half nonlinear phase, exact DFT linear step, half phase."""
+def _step_values(v: np.ndarray, model: LatticeModel, symbol: np.ndarray, work) -> None:
+    """One Strang step of every row of v[B, M], written back into v: half
+    nonlinear phase, exact DFT linear step, half phase.
+
+    ``work`` holds scratch arrays shaped like v (two complex, two real), so a
+    step allocates no array.  Every complex multiply writes to an array that
+    is none of its operands: numpy's in-place complex multiply rounds
+    differently from the out-of-place one, and only out-of-place multiplies
+    keep a batch bitwise equal to its rows stepped one at a time.
+    """
+    phase, rot, r, r2 = work
     half = -1j * model.sign * model.coupling * (model.dt / 2.0)
-    v = values * np.exp(half * _abs_pow(values, model.p))
-    v = _fft.ifft(symbol * _fft.fft(v))
-    v = v * np.exp(half * _abs_pow(v, model.p))
-    return v
+    np.exp(np.multiply(half, _abs_pow(v, model.p, r, r2), out=phase), out=phase)
+    v_hat = _fft.fft(np.multiply(v, phase, out=rot), overwrite_x=True)
+    w = _fft.ifft(np.multiply(symbol, v_hat, out=phase), overwrite_x=True)
+    np.exp(np.multiply(half, _abs_pow(w, model.p, r, r2), out=rot), out=rot)
+    np.multiply(w, rot, out=v)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +237,8 @@ def run_lattice(
 ) -> tuple[list[LatticeRunRecord], LatticeField]:
     """Evolve psi0 to t_final, recording diagnostics every record_dt.
 
-    One simulation is one sequential state machine; concurrency happens only
-    across independent runs.  Returns the records and the final field.  The
-    weight defaults to t0 = t_final; a weight with t0 < t_final is rejected
-    (ValueError), since F(t,x) is undefined after t0.
+    The one-row call of ``run_lattice_batch``.  Returns the records and the
+    final field.  The weight defaults to x0 = 0, R = 1, t0 = t_final.
     """
     if psi0.extent != model.extent:
         raise ValueError(
@@ -219,37 +246,82 @@ def run_lattice(
         )
     if weight is None:
         weight = WeightProfile(x0=0, R=1.0, t0=t_final)
-    if weight.t0 < t_final:
-        raise ValueError(
-            f"weight t0 = {weight.t0} < t_final = {t_final}: the weight is defined only up to t0"
-        )
-    n_steps = int(round(t_final / model.dt))
-    every = max(1, int(round(record_dt / model.dt)))
+    records, final = run_lattice_batch(model, psi0.values[None, :], t_final, record_dt, [weight])
+    return records[0], LatticeField(values=final[0], extent=model.extent)
+
+
+def run_lattice_batch(
+    model: LatticeModel,
+    values: np.ndarray,
+    t_final: float,
+    record_dt: float,
+    weights: Sequence[WeightProfile],
+    labels: Sequence[str] | None = None,
+) -> tuple[list[list[LatticeRunRecord]], np.ndarray]:
+    """Evolve every row of values[B, 2*extent+1] to t_final with one Strang loop.
+
+    Rows share the model, the step count round(t_final/dt) and the record
+    cadence; row b records its local diagnostics with weights[b].  A batch
+    is bitwise equal to its rows run one at a time.  Returns one record list
+    per row and the final values [B, 2*extent+1].
+
+    A weight is defined only up to its t0, so a weight with t0 < t_final, or
+    one that the last step n_steps*dt passes by more than roundoff, is
+    rejected (ValueError).  An overflow raises NumericsError naming the
+    first overflowed row by its label (default ``row <b>``).
+    """
     period = 2 * model.extent + 1
-    symbol = _linear_symbol(period, model.dt)
-
-    def make_record(t: float, field: LatticeField) -> LatticeRunRecord:
-        t_w = min(t, weight.t0)  # step * dt may overshoot t_final by roundoff
-        return LatticeRunRecord(
-            t=t,
-            sup_abs=field.sup_abs(),
-            global_mass=field.mass(),
-            global_energy=global_energy(field, model),
-            local_mass=local_mass(field, weight, t_w),
-            local_energy=local_energy(field, weight, t_w),
-            sup_dt=sup_time_derivative(field, model),
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 2 or values.shape[1] != period:
+        raise ValueError(
+            f"batch shape {values.shape} is not [B, 2*extent+1 = {period}]"
         )
+    rows = values.shape[0]
+    if len(weights) != rows:
+        raise ValueError(f"{len(weights)} weights for {rows} rows")
+    n_steps = model.n_steps(t_final)
+    t_end = n_steps * model.dt
+    for weight in weights:
+        if weight.t0 < t_final:
+            raise ValueError(
+                f"weight t0 = {weight.t0} < t_final = {t_final}: "
+                "the weight is defined only up to t0"
+            )
+        if t_end - weight.t0 > _T_ROUNDOFF * model.dt:
+            raise ValueError(
+                f"the last step lands at t = {t_end:.6g}, past weight t0 = {weight.t0}: "
+                f"t_final = {t_final} is not a whole number of steps dt = {model.dt}"
+            )
+    every = max(1, int(round(record_dt / model.dt)))
+    symbol = _linear_symbol(period, model.dt)
+    records: list[list[LatticeRunRecord]] = [[] for _ in range(rows)]
+    vals = values.copy()
+    work = (np.empty_like(vals), np.empty_like(vals), np.empty(vals.shape), np.empty(vals.shape))
 
-    psi = psi0
-    records = [make_record(0.0, psi)]
-    vals = psi.values
+    def record_all(t: float) -> None:
+        for row, weight, out in zip(vals, weights, records):
+            field = LatticeField(values=row, extent=model.extent)
+            t_w = min(t, weight.t0)  # step * dt may overshoot t0 by roundoff
+            out.append(LatticeRunRecord(
+                t=t,
+                sup_abs=field.sup_abs(),
+                global_mass=field.mass(),
+                global_energy=global_energy(field, model),
+                local_mass=local_mass(field, weight, t_w),
+                local_energy=local_energy(field, weight, t_w),
+                sup_dt=sup_time_derivative(field, model),
+            ))
+
+    record_all(0.0)
     for step in range(1, n_steps + 1):
-        vals = _step_values(vals, model, symbol)
+        _step_values(vals, model, symbol, work)
         if step % every == 0 or step == n_steps:
-            if not np.all(np.isfinite(vals.view(float))):
+            finite = np.isfinite(vals.view(float)).all(axis=1)
+            if not finite.all():
+                bad = int(np.argmin(finite))
                 raise NumericsError(
-                    f"lattice run overflowed near t={step * model.dt:.3f}"
+                    f"lattice run overflowed near t={step * model.dt:.3f} "
+                    f"({labels[bad] if labels else f'row {bad}'})"
                 )
-            psi = LatticeField(values=vals, extent=model.extent)
-            records.append(make_record(step * model.dt, psi))
-    return records, psi
+            record_all(step * model.dt)
+    return records, vals

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlsgrowth.errors import NumericsError
 from nlsgrowth.harness.config import ConfigError, parse_config_text
 from nlsgrowth.harness.csvio import format_value, read_csv, write_csv
 from nlsgrowth.harness.acceptance import _DETERMINISM_CONFIG
@@ -121,6 +122,9 @@ class TestRunner:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["config"]["engine"] == "lattice"
         assert "code_version" in meta
+        assert meta["batch"]["rows"] == 1
+        assert meta["batch"]["steps"] == 100
+        assert 0.0 < meta["batch"]["stepping_wall_s"] <= meta["wall_time_s"]
 
     def test_determinism_byte_identical(self, tmp_path):
         text = LATTICE_CFG.replace("constant", "random_phase") + "data.seed = 12\n"
@@ -135,15 +139,42 @@ class TestRunner:
             + "sweep.seeds = 3,1,2\nsweep.R = 1.0,2.0\n"
         )
         cfg = parse_config_text(text)
-        d1 = sweep_experiment(cfg, tmp_path / "s1", workers=1)
-        d2 = sweep_experiment(cfg, tmp_path / "s2", workers=4)
-        assert (d1 / "sweep_index.csv").read_bytes() == (d2 / "sweep_index.csv").read_bytes()
+        dirs = [sweep_experiment(cfg, tmp_path / f"s{w}", workers=w) for w in (1, 2, 4)]
+        d1 = dirs[0]
         cases = sorted(p.name for p in d1.iterdir() if p.is_dir())
         assert len(cases) == 6
-        for case in cases:
-            b1 = (d1 / case / "series.csv").read_bytes()
-            b2 = (d2 / case / "series.csv").read_bytes()
-            assert b1 == b2
+        for d in dirs[1:]:
+            assert (d1 / "sweep_index.csv").read_bytes() == (d / "sweep_index.csv").read_bytes()
+            for case in cases:
+                b1 = (d1 / case / "series.csv").read_bytes()
+                assert b1 == (d / case / "series.csv").read_bytes()
+        # 6 cases stepped as one batch, or in 2 or 4 contiguous chunks
+        for d, chunk_rows in zip(dirs, ({6}, {3}, {1, 2})):
+            rows = {json.loads((d / c / "metadata.json").read_text())["batch"]["rows"] for c in cases}
+            assert rows == chunk_rows
+
+    def test_sweep_case_equals_single_run(self, tmp_path):
+        text = (
+            LATTICE_CFG.replace("constant", "random_phase")
+            + "weight.t0 = 2.0\nsweep.seeds = 5,8\nsweep.x0 = 0,3\n"
+        )
+        cfg = parse_config_text(text)
+        d = sweep_experiment(cfg, tmp_path / "s", workers=1)
+        single = run_experiment(
+            cfg.with_overrides(**{"data.seed": 8, "weight.x0": 3}), tmp_path / "r"
+        )
+        swept = (d / "seed=8_x0=3" / "series.csv").read_bytes()
+        assert swept == (single / "series.csv").read_bytes()
+        meta = json.loads((d / "seed=8_x0=3" / "metadata.json").read_text())
+        assert meta["batch"]["rows"] == 4
+        assert meta["wall_time_s"] >= meta["batch"]["stepping_wall_s"]
+
+    # the sweep's worker thread does not inherit np.errstate
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_overflow_names_the_case(self, tmp_path):
+        cfg = parse_config_text(LATTICE_CFG.replace("1.5", "1e200") + "sweep.x0 = 0,2\n")
+        with pytest.raises(NumericsError, match="case x0=0"):
+            sweep_experiment(cfg, tmp_path / "s", workers=1)
 
     def test_lattice_linear_engine(self):
         cfg = parse_config_text(
@@ -215,6 +246,26 @@ class TestRunner:
         # c14: extent 128 >= default_half_width(2) = 96
         res = execute(parse_config_text(_DETERMINISM_CONFIG))
         assert res.warnings == []
+
+    @pytest.mark.parametrize("data", [
+        "data.kind = constant\ndata.amplitude = 1.5\n",
+        "data.kind = periodic\ndata.amplitudes = 0.5,0.5\ndata.frequencies = 0.9,2.3\n",
+    ])
+    def test_no_wrap_margin_warning_for_ring_exact_data(self, data):
+        # periodic with the ring's period: the ring evolves exactly what Z would
+        # (extent 64 < default_half_width(1) = 90)
+        cfg = parse_config_text(LATTICE_CFG.replace("data.kind = constant\ndata.amplitude = 1.5\n", data))
+        assert cfg.get("data.kind") in data
+        assert execute(cfg).warnings == []
+
+    def test_wrap_margin_warning_in_gronwall_geometry(self):
+        # c04's ring: extent 192, T = 50, random phases; the light cone wraps
+        cfg = parse_config_text(
+            "engine = lattice\nlattice.extent = 192\ndata.kind = random_phase\n"
+            "data.seed = 0\nrun.t_final = 50.0\nrun.record_dt = 50.0\n"
+        )
+        (warning,) = execute(cfg).warnings
+        assert "wrap-margin" in warning and "extent 192 <" in warning
 
 
 class TestSvg:
@@ -295,6 +346,18 @@ class TestCli:
         proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2, proc.stderr
         assert "t0" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_last_step_past_weight_t0_exit_2(self, tmp_path):
+        # 56 steps of 0.01 end at t = 0.56, past weight.t0 = 0.555
+        cfg_path = tmp_path / "w.cfg"
+        cfg_path.write_text(
+            "engine = lattice\nlattice.extent = 16\ndata.kind = random_phase\n"
+            "data.seed = 3\nrun.t_final = 0.555\nrun.record_dt = 0.1\nweight.t0 = 0.555\n"
+        )
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert "last step" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_export_kernel(self, tmp_path):

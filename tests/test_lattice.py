@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from nlsgrowth.errors import NumericsError
 from nlsgrowth.fields import InitialData, LatticeField, WeightProfile, make_initial_lattice
 from nlsgrowth.lattice import (
     LatticeModel,
@@ -9,6 +12,7 @@ from nlsgrowth.lattice import (
     local_mass,
     require_defocusing,
     run_lattice,
+    run_lattice_batch,
     sup_time_derivative,
     windowed_mass_avg,
     windowed_quartic_avg,
@@ -111,6 +115,104 @@ class TestSplitStep:
         psi = make_initial_lattice(InitialData.random_phase(1.0, 3), 8)
         with pytest.raises(ValueError, match="t0"):
             run_lattice(model, psi, 2.0, 0.5, WeightProfile(0, 1.0, 1.0))
+
+    def test_last_step_past_weight_t0_rejected(self):
+        # round(0.555 / 0.01) = 56 steps end at t = 0.56, past t0 = 0.555
+        model = LatticeModel(extent=8, dt=0.01)
+        psi = make_initial_lattice(InitialData.random_phase(1.0, 3), 8)
+        with pytest.raises(ValueError, match="last step"):
+            run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.555))
+        with pytest.raises(ValueError, match="last step"):
+            run_lattice(model, psi, 0.555, 0.1)  # the default weight has t0 = t_final
+        records, _ = run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.56))
+        assert records[-1].t == pytest.approx(0.56)
+
+
+class TestBatch:
+    """A batch is bitwise equal to its rows run one at a time."""
+
+    EXTENT = 192  # ring 385, the Gronwall criterion's ring
+
+    @staticmethod
+    def assert_batch_equals_rows(model, psis, weights, t_final, record_dt):
+        records, finals = run_lattice_batch(
+            model, np.stack([p.values for p in psis]), t_final, record_dt, weights
+        )
+        assert finals.shape == (len(psis), 2 * model.extent + 1)
+        for psi, weight, rows, final in zip(psis, weights, records, finals):
+            ref_rows, ref_final = run_lattice(model, psi, t_final, record_dt, weight)
+            assert rows == ref_rows  # every field of every record, exactly
+            assert final.tobytes() == ref_final.values.tobytes()
+
+    @pytest.mark.parametrize("rows", [8, 100])
+    def test_batch_equals_rows(self, rows):
+        # 100 rows of 385 sites are 616 KB per array, above numpy's 256 KiB
+        # temporary-elision threshold
+        model = LatticeModel(sign=+1, p=2.0, extent=self.EXTENT, dt=0.01)
+        psis = [
+            make_initial_lattice(InitialData.random_phase(1.0, seed), self.EXTENT)
+            for seed in range(rows)
+        ]
+        weight = WeightProfile(0, 1.0, 0.5)
+        self.assert_batch_equals_rows(model, psis, [weight] * rows, 0.5, 0.25)
+
+    @pytest.mark.parametrize("sign,p", [(+1, 2.0), (-1, 4.0), (+1, 1.0)])
+    def test_mixed_weights_and_data(self, sign, p):
+        model = LatticeModel(sign=sign, p=p, extent=self.EXTENT, dt=0.01, coupling=0.7)
+        psis = [
+            make_initial_lattice(InitialData.random_phase(1.0, 4), self.EXTENT),
+            make_initial_lattice(InitialData.random_gaussian(0.8, 5), self.EXTENT),
+            make_initial_lattice(InitialData.constant(1.2), self.EXTENT),
+            make_initial_lattice(InitialData.delta(2.0), self.EXTENT),
+            make_initial_lattice(InitialData.random_comb(0.9, 20, 6), self.EXTENT),
+        ]
+        weights = [
+            WeightProfile(0, 1.0, 1.0),
+            WeightProfile(7, 1.0, 1.0),
+            WeightProfile(0, 2.5, 1.0),
+            WeightProfile(-30, 4.0, 3.0),
+            WeightProfile(12, 1.5, 1.0),
+        ]
+        self.assert_batch_equals_rows(model, psis, weights, 1.0, 0.2)
+
+    def test_overflow_names_the_row(self):
+        model = LatticeModel(extent=8, dt=0.01)
+        values = np.stack([
+            make_initial_lattice(InitialData.random_phase(1.0, 1), 8).values,
+            make_initial_lattice(InitialData.constant(1e200), 8).values,
+        ])
+        weights = [WeightProfile(0, 1.0, 0.1)] * 2
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericsError, match=r"overflowed near t=0\.050 \(case big\)"):
+                run_lattice_batch(model, values, 0.1, 0.05, weights, ["case ok", "case big"])
+            with pytest.raises(NumericsError, match=r"\(row 1\)"):
+                run_lattice_batch(model, values, 0.1, 0.05, weights)
+
+    @pytest.mark.parametrize("sign,p,extent,digest", [
+        (+1, 2.0, 192, "4561d1a8a35935039ac16a1894d55e6860ab1ea2adf8144adfae1e337980b5fb"),
+        (-1, 4.0, 4096, "08a374758e7e6fd361f79d8be02585c3ac61dba362a1ae1527d1b98fd77b52bf"),
+    ])
+    def test_pinned_trajectory(self, sign, p, extent, digest):
+        # sha256 of the final field and the records, computed with the
+        # allocating one-row step that preceded the batch core (numpy 2.4.6,
+        # scipy 1.17.1): the in-place step changes no bit of a run
+        model = LatticeModel(sign=sign, p=p, extent=extent, dt=0.01)
+        psi = make_initial_lattice(InitialData.random_phase(1.0, 7), extent)
+        records, final = run_lattice(model, psi, 0.5, 0.25, WeightProfile(3, 2.0, 1.0))
+        h = hashlib.sha256(final.values.tobytes())
+        h.update(np.array([
+            [r.t, r.sup_abs, r.global_mass, r.global_energy, r.local_mass, r.local_energy, r.sup_dt]
+            for r in records
+        ]).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_shape_and_weight_count_checked(self):
+        model = LatticeModel(extent=8, dt=0.01)
+        w = WeightProfile(0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="batch shape"):
+            run_lattice_batch(model, np.zeros((2, 15), complex), 0.1, 0.05, [w, w])
+        with pytest.raises(ValueError, match="weights"):
+            run_lattice_batch(model, np.zeros((2, 17), complex), 0.1, 0.05, [w])
 
 
 class TestTruncation:
