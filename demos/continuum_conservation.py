@@ -28,13 +28,13 @@ from nlsgrowth import (
     Mollifier,
     bootstrap_monitor,
     comb_oracle,
-    global_energy,
     global_mass,
     linear_propagate,
     make_initial_grid,
     picard_solve,
     run_continuum,
 )
+from nlsgrowth.continuum import global_energy
 from nlsgrowth.harness import write_csv
 from nlsgrowth.harness.svgplot import write_line_plot
 

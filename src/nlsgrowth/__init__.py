@@ -25,7 +25,6 @@ from .fields import (
 from .lattice import (
     LatticeModel,
     LatticeRunRecord,
-    global_energy as lattice_global_energy,
     local_energy,
     local_mass,
     run_lattice,
@@ -36,7 +35,6 @@ from .lattice import (
 )
 from .lattice_linear import (
     KernelTable,
-    StationaryPhaseApprox,
     adversarial_data,
     kernel_integral,
     kernel_table,
@@ -51,11 +49,9 @@ from .continuum import (
     Trajectory,
     bootstrap_monitor,
     comb_oracle,
-    global_energy,
     global_mass,
     linear_propagate,
     local_energy_probe,
-    mollify,
     picard_solve,
     regularized_nonlinearity,
     run_continuum,

@@ -29,7 +29,6 @@ __all__ = [
     "Trajectory",
     "LocalEnergyProbe",
     "BootstrapReport",
-    "mollify",
     "regularized_nonlinearity",
     "linear_propagate",
     "comb_oracle",
@@ -61,10 +60,6 @@ class ContinuumModel:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return grid_wavenumbers(self.box_length, self.grid_size)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -76,13 +71,6 @@ class Trajectory:
 
     def field(self, i: int) -> GridField:
         return GridField(values=self.values[i], box_length=self.box_length)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 @lru_cache(maxsize=64)
@@ -121,13 +109,6 @@ def _check_grid(u: GridField, model: ContinuumModel) -> None:
 # ---------------------------------------------------------------------------
 # elementary operations
 # ---------------------------------------------------------------------------
-
-def mollify(u: GridField, phi: Mollifier) -> GridField:
-    """phi * u by spectral multiplication with the (real, even) transfer."""
-    k, _ = _grid_ctx(u.box_length, u.size)
-    vals = _fft.ifft(phi.transfer(k) * _fft.fft(u.values))
-    return GridField(values=vals, box_length=u.box_length)
-
 
 def regularized_nonlinearity(u: GridField, phi: Mollifier, dealias: bool = True) -> GridField:
     """N(u) = phi * (|phi * u|^2 (phi * u)), cubic product dealiased."""

@@ -70,10 +70,6 @@ class LatticeField:
             raise ValueError("lattice field contains non-finite entries")
 
     @property
-    def origin_index(self) -> int:
-        return self.extent
-
-    @property
     def sites(self) -> np.ndarray:
         return np.arange(-self.extent, self.extent + 1)
 

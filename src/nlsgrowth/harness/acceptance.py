@@ -34,7 +34,6 @@ from ..continuum import (
 from ..fields import GridField, InitialData, Mollifier, WeightProfile, make_initial_grid, make_initial_lattice
 from ..lattice import (
     LatticeModel,
-    require_defocusing,
     run_lattice,
     run_lattice_batch,
     windowed_mass_avg,
@@ -187,37 +186,41 @@ _GROWTH_DATA = {
 }
 
 
-def _growth_run(spec: InitialData, sign: int):
+def _growth_runs(specs: list[InitialData], sign: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Times and sup norms of each spec's run to T = 200, stepped as one batch."""
     extent = 512
     model = LatticeModel(sign=sign, p=2.0, extent=extent, dt=0.01)
-    psi0 = make_initial_lattice(spec, extent)
-    records, _ = run_lattice(model, psi0, 200.0, record_dt=0.5)
-    t = np.array([r.t for r in records])
-    sup = np.array([r.sup_abs for r in records])
-    sup_dt = np.array([r.sup_dt for r in records])
-    return t, sup, sup_dt
+    psi0 = np.stack([make_initial_lattice(spec, extent).values for spec in specs])
+    weights = [WeightProfile(x0=0, R=1.0, t0=200.0)] * len(specs)
+    records, _ = run_lattice_batch(model, psi0, 200.0, record_dt=0.5, weights=weights)
+    return [(np.array([r.t for r in rows]), np.array([r.sup_abs for r in rows])) for rows in records]
+
+
+def _window_chain(window_avg) -> list[float]:
+    """window_avg(psi, 0, t0) along the defocusing random-phase run, t0 in {10,20,50,100}."""
+    extent = 512
+    model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
+    psi = make_initial_lattice(InitialData.random_phase(1.0, 11), extent)
+    averages = []
+    t_done = 0.0
+    for t0 in (10.0, 20.0, 50.0, 100.0):
+        _, psi = run_lattice(model, psi, t0 - t_done, record_dt=t0 - t_done)
+        t_done = t0
+        averages.append(window_avg(psi, 0, t0))
+    return averages
 
 
 def _c05_prop21(level: str, kernel_hook) -> CriterionResult:
     start = time.perf_counter()
-    slopes = {}
-    for kind, spec in _GROWTH_DATA.items():
-        for sign in (+1, -1):
-            t, sup, _ = _growth_run(spec, sign)
-            slopes[f"{kind}/{sign:+d}"] = fit_growth(t, sup, (10.0, 200.0)).slope
+    runs = {sign: _growth_runs(list(_GROWTH_DATA.values()), sign) for sign in (+1, -1)}
+    slopes = {
+        f"{kind}/{sign:+d}": fit_growth(*runs[sign][i], (10.0, 200.0)).slope
+        for i, kind in enumerate(_GROWTH_DATA)
+        for sign in (+1, -1)
+    }
     worst_slope = max(slopes.values())
-
     # windowed mass average stability across t0 on the defocusing random run
-    extent = 512
-    model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
-    psi = make_initial_lattice(InitialData.random_phase(1.0, 11), extent)
-    t0s = (10.0, 20.0, 50.0, 100.0)
-    averages = []
-    t_done = 0.0
-    for t0 in t0s:
-        _, psi = run_lattice(model, psi, t0 - t_done, record_dt=t0 - t_done)
-        t_done = t0
-        averages.append(windowed_mass_avg(psi, 0, t0))
+    averages = _window_chain(windowed_mass_avg)
     stability = max(averages) / min(averages)
     ok = worst_slope <= 0.55 and stability <= 4.0
     elapsed = time.perf_counter() - start
@@ -232,19 +235,9 @@ def _c05_prop21(level: str, kernel_hook) -> CriterionResult:
 
 def _c06_prop22(level: str, kernel_hook) -> CriterionResult:
     start = time.perf_counter()
-    extent = 512
-    model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
-    require_defocusing(model, "Proposition 2.2 diagnostics")
-    psi = make_initial_lattice(InitialData.random_phase(1.0, 11), extent)
-    t0s = (10.0, 20.0, 50.0, 100.0)
-    quartics = []
-    t_done = 0.0
-    for t0 in t0s:
-        _, psi = run_lattice(model, psi, t0 - t_done, record_dt=t0 - t_done)
-        t_done = t0
-        quartics.append(windowed_quartic_avg(psi, 0, t0))
+    quartics = _window_chain(windowed_quartic_avg)
     stability = max(quartics) / min(quartics)
-    t, sup, _ = _growth_run(_GROWTH_DATA["random_phase"], +1)
+    ((t, sup),) = _growth_runs([_GROWTH_DATA["random_phase"]], +1)
     slope = fit_growth(t, sup, (10.0, 200.0)).slope
     ok = stability <= 4.0 and slope <= 0.30
     elapsed = time.perf_counter() - start

@@ -88,10 +88,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.verb == "fit":
             data = read_csv(args.csv)
-            if args.column not in data:
-                raise ConfigError(
-                    f"column {args.column!r} not in {sorted(data)} of {args.csv}"
-                )
+            for column in ("t", args.column):
+                if column not in data:
+                    raise ConfigError(f"column {column!r} not in {sorted(data)} of {args.csv}")
             result = fit_growth(data["t"], data[args.column], (args.t_lo, args.t_hi))
             print(
                 f"slope={result.slope:.6f} intercept={result.intercept:.6f} "

@@ -58,6 +58,11 @@ _DATA_KEYS = {
     "data.frequencies": (_parse_float_list, (1.0,)),
 }
 
+# time-grid keys that a run divides by or steps towards; lattice.dt and
+# continuum.dt are checked by their models
+_POSITIVE_KEYS = ("run.record_dt", "nlw.dt", "newton.dt")
+_NON_NEGATIVE_KEYS = ("run.t_final", "newton.t_final")
+
 ENGINE_SCHEMAS: dict[str, dict] = {
     "lattice": {
         **_COMMON_KEYS,
@@ -130,9 +135,6 @@ class ExperimentConfig:
     engine: str
     params: dict = field(default_factory=dict)
 
-    def get(self, key: str):
-        return self.params[key]
-
     def echo(self) -> dict:
         """Serializable view (config echo for the metadata sidecar)."""
         out = {"engine": self.engine}
@@ -187,6 +189,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
     for key, (_parser, default) in schema.items():
         params.setdefault(key, default)
+    for key, value in params.items():
+        if key in _POSITIVE_KEYS and not value > 0:
+            raise ConfigError(f"{key} must be > 0, got {value}")
+        if key in _NON_NEGATIVE_KEYS and not value >= 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
     return ExperimentConfig(engine=engine, params=params)
 
 

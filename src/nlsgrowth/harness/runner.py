@@ -31,7 +31,7 @@ from ..fields import (
     make_initial_grid,
     make_initial_lattice,
 )
-from ..lattice import LatticeModel, run_lattice_batch
+from ..lattice import LatticeModel, LatticeRunRecord, run_lattice_batch
 from ..lattice_linear import (
     adversarial_data,
     default_half_width,
@@ -57,7 +57,7 @@ from .svgplot import write_line_plot
 __all__ = ["ENGINE_COLUMNS", "EngineResult", "execute", "run_experiment", "sweep_experiment"]
 
 ENGINE_COLUMNS = {
-    "lattice": ["t", "sup_abs", "global_mass", "global_energy", "local_mass", "local_energy", "sup_dt"],
+    "lattice": list(LatticeRunRecord._fields),
     "lattice-linear": ["t0", "adversarial_ratio", "pairing_ok", "ensemble_m2"],
     # continuum appends one local_energy_<i> column per probe
     "continuum": ["t", "sup_abs", "mass", "energy"],
@@ -164,11 +164,7 @@ def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> lis
         final = LatticeField(values=fin, extent=model.extent)
         results.append(EngineResult(
             columns=list(ENGINE_COLUMNS["lattice"]),
-            rows=[
-                (r.t, r.sup_abs, r.global_mass, r.global_energy, r.local_mass,
-                 r.local_energy, r.sup_dt)
-                for r in rows
-            ],
+            rows=rows,
             warnings=_wrap_warnings(spec, model.extent, t_final),
             summary={"final_sup_abs": final.sup_abs(), "final_mass": final.mass()},
             batch=batch,
@@ -354,8 +350,10 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     Cases execute concurrently over immutable configs, lattice cases as
     batched chunks; the summary is keyed and sorted before writing, and a
     batch is bitwise equal to its rows run alone, so the output is
-    independent of worker count.
+    independent of worker count.  Raises ValueError for workers < 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     axes = []
     for sweep_key, targets in _SWEEP_TARGETS.items():
         values = config.params.get(sweep_key) or ()
@@ -388,10 +386,9 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
         key, assignment = case
         run_experiment(config.with_overrides(**assignment), out / key)
 
-    n_jobs = max(1, workers)
     if config.engine == "lattice":
         # at most `workers` contiguous chunks, sizes differing by at most one
-        n_chunks = min(n_jobs, len(keyed))
+        n_chunks = min(workers, len(keyed))
         size, extra = divmod(len(keyed), n_chunks)
         bounds = [i * size + min(i, extra) for i in range(n_chunks + 1)]
         jobs = [keyed[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -400,7 +397,7 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
         jobs = keyed
         run = run_case
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, jobs))
     done = sorted(keyed, key=lambda kv: kv[0])
     axis_names = sorted({k for _, a in done for k in a})

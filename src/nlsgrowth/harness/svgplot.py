@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_line_plot", "write_dat"]
+__all__ = ["write_line_plot"]
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _W, _H = 640, 440
@@ -41,7 +41,7 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def write_dat(path: str | Path, x: np.ndarray, ys: dict[str, np.ndarray]) -> Path:
+def _write_dat(path: str | Path, x: np.ndarray, ys: dict[str, np.ndarray]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     labels = list(ys)
@@ -65,7 +65,7 @@ def write_line_plot(
     path = Path(path)
     x = np.asarray(x, dtype=float)
     series = {label: np.asarray(v, dtype=float) for label, v in ys.items()}
-    write_dat(path.with_suffix(".dat"), x, series)
+    _write_dat(path.with_suffix(".dat"), x, series)
 
     if loglog:
         def good(a):

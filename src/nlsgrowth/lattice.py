@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -34,7 +34,6 @@ __all__ = [
     "windowed_quartic_avg",
     "sup_time_derivative",
     "global_energy",
-    "require_defocusing",
     "run_lattice",
     "run_lattice_batch",
 ]
@@ -74,9 +73,9 @@ class LatticeModel:
         return int(round(t_final / self.dt))
 
 
-@dataclass(frozen=True)
-class LatticeRunRecord:
-    """Per-time diagnostics of a lattice run."""
+class LatticeRunRecord(NamedTuple):
+    """Per-time diagnostics of a lattice run; a record is a row of the lattice
+    ``series.csv``, whose columns are its fields."""
 
     t: float
     sup_abs: float
@@ -85,12 +84,6 @@ class LatticeRunRecord:
     local_mass: float
     local_energy: float
     sup_dt: float
-
-
-def require_defocusing(model: LatticeModel, what: str) -> None:
-    """Guard for diagnostics whose interpretation needs the defocusing sign."""
-    if model.sign != +1:
-        raise ValueError(f"{what} requires the defocusing sign (+1)")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,7 @@ def local_energy(psi: LatticeField, w: WeightProfile, t: float) -> float:
     """E(t) = 1/2 sum |psi(x+1)-psi(x)|^2 e^{-F} + 1/4 sum |psi(x)|^4 e^{-F}.
 
     Positive definite; its Proposition-2.2 interpretation applies only to
-    defocusing runs (see require_defocusing at the diagnostic call sites).
+    defocusing runs.
     """
     weights = np.exp(-w.evaluate(t, psi.sites))
     grad = np.roll(psi.values, -1) - psi.values

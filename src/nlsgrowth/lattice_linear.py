@@ -29,7 +29,6 @@ from .fields import LatticeField
 
 __all__ = [
     "KernelTable",
-    "StationaryPhaseApprox",
     "kernel_integral",
     "kernel_table",
     "default_half_width",
@@ -181,31 +180,21 @@ def linear_evolve(psi0: LatticeField, t: float, kernel: KernelTable | None = Non
     return LatticeField(values=np.roll(out, n), extent=n)
 
 
-@dataclass(frozen=True)
-class StationaryPhaseApprox:
-    """Saddle-point data for F_n(t) in the interior regime |n| <= t/2.
+def _saddle(t: float, n: int) -> tuple[float, float]:
+    """Saddle-point phase and amplitude of F_n(t), interior regime |n| <= t/2.
 
-    ``phi`` stores the phase as printed in the saddle analysis,
-    pi/4 + t cos(theta_s) + n theta_s.  The numerically matching evaluation
-    uses phi - pi/2 (the classical J_0 ~ cos(t - pi/4) convention); see
-    ``stationary_phase_eval``.
+    The phase is the one printed in the saddle analysis,
+    phi = pi/4 + t cos(theta_s) + n theta_s with sin(theta_s) = n/t; the
+    amplitude is sqrt(2/(pi t cos theta_s)).  The numerically matching
+    evaluation uses phi - pi/2 (the classical J_0 ~ cos(t - pi/4)
+    convention); see ``stationary_phase_eval``.
     """
-
-    t: float
-    n: int
-    theta_s: float
-    phi: float
-    amplitude: float
-
-    @classmethod
-    def for_point(cls, t: float, n: int) -> "StationaryPhaseApprox":
-        if abs(n) > t / 2.0:
-            raise ValueError(f"|n|={abs(n)} outside the interior regime t/2={t / 2}")
-        theta_s = float(np.arcsin(n / t))
-        cos_s = float(np.cos(theta_s))
-        phi = np.pi / 4.0 + t * cos_s + n * theta_s
-        amplitude = float(np.sqrt(2.0 / (np.pi * t * cos_s)))
-        return cls(t=t, n=n, theta_s=theta_s, phi=phi, amplitude=amplitude)
+    if abs(n) > t / 2.0:
+        raise ValueError(f"|n|={abs(n)} outside the interior regime t/2={t / 2}")
+    theta_s = float(np.arcsin(n / t))
+    cos_s = float(np.cos(theta_s))
+    phi = np.pi / 4.0 + t * cos_s + n * theta_s
+    return phi, float(np.sqrt(2.0 / (np.pi * t * cos_s)))
 
 
 def stationary_phase_eval(t: float, n: int) -> complex:
@@ -215,16 +204,16 @@ def stationary_phase_eval(t: float, n: int) -> complex:
     n, with amplitude = sqrt(2/(pi t cos theta_s)) and
     zeta = t cos(theta_s) + n theta_s - pi/4.  The -pi/4 is the sign produced
     by carrying out the saddle evaluation (it reproduces the classical
-    J_0(t) ~ sqrt(2/pi t) cos(t - pi/4)); the +pi/4 variant is kept on
-    StationaryPhaseApprox.phi for reference.
+    J_0(t) ~ sqrt(2/pi t) cos(t - pi/4)); the printed +pi/4 phase is the
+    one ``pairing_check`` tests.
     """
     if t < 20.0:
         raise ValueError("stationary phase regime requires t >= 20")
-    ap = StationaryPhaseApprox.for_point(t, n)
-    zeta = ap.phi - np.pi / 2.0
+    phi, amplitude = _saddle(t, n)
+    zeta = phi - np.pi / 2.0
     if n % 2 == 0:
-        return complex(ap.amplitude * np.cos(zeta))
-    return complex(1j * ap.amplitude * np.sin(zeta))
+        return complex(amplitude * np.cos(zeta))
+    return complex(1j * amplitude * np.sin(zeta))
 
 
 def adversarial_data(t0: float, extent: int, kernel: KernelTable | None = None) -> LatticeField:
@@ -261,10 +250,10 @@ def pairing_check(t: float) -> bool:
     for n in range(-half, half + 1):
         if n % 2 != 0:
             continue
-        phi_even = StationaryPhaseApprox.for_point(t, n).phi
+        phi_even, _ = _saddle(t, n)
         best = abs(np.cos(phi_even))
         if abs(n + 1) <= t / 2.0:
-            phi_odd = StationaryPhaseApprox.for_point(t, n + 1).phi
+            phi_odd, _ = _saddle(t, n + 1)
             best = max(best, abs(np.sin(phi_odd)))
         if best < 0.25:
             return False

@@ -29,14 +29,13 @@ import numpy as np
 from scipy import fft as _fft
 
 from .continuum import Trajectory, _lawson_ctx, _lawson_rk4
-from .errors import LinearizedBlowupError, NewtonDivergenceError, NumericsError
+from .errors import LinearizedBlowupError, NewtonDivergenceError
 from .fields import GridField, grid_wavenumbers
 
 __all__ = [
     "AnalyticNormParams",
     "RadiusSchedule",
     "LinearizedSystem",
-    "LinearizedSolution",
     "NewtonIterationRow",
     "NewtonResult",
     "majorant_norm",
@@ -45,7 +44,6 @@ __all__ = [
     "residual",
     "solve_linearized",
     "newton_iterate",
-    "find_working_time",
 ]
 
 MAX_RADIUS_EXPONENT = 700.0  # exp overflow guard for e^{|k| r}
@@ -78,9 +76,6 @@ class RadiusSchedule:
     @property
     def c(self) -> float:
         return 3.0 * self.r1 / np.pi ** 2  # sum 1/n^2 = pi^2/6
-
-    def delta(self, n: int) -> float:
-        return self.c / n ** 2
 
     def radius(self, n: int) -> float:
         if n < 1:
@@ -170,11 +165,6 @@ class LinearizedSystem:
         return 3.0 * float(np.max(np.abs(self.psi.values)) ** 2)
 
 
-@dataclass(frozen=True)
-class LinearizedSolution:
-    xi: Trajectory
-
-
 def _interp(values: np.ndarray, i: int, frac: float) -> np.ndarray:
     if frac == 0.0:
         return values[i]
@@ -183,7 +173,7 @@ def _interp(values: np.ndarray, i: int, frac: float) -> np.ndarray:
     return (1.0 - frac) * values[i] + frac * values[i + 1]
 
 
-def solve_linearized(sys: LinearizedSystem, t_final: float, dt: float) -> LinearizedSolution:
+def solve_linearized(sys: LinearizedSystem, t_final: float, dt: float) -> Trajectory:
     """Integrate the forced linearized equation from zero data with Lawson-RK4.
 
     The free part -Dxx is exact through the integrating factors e^{-i k^2 dt};
@@ -235,7 +225,7 @@ def solve_linearized(sys: LinearizedSystem, t_final: float, dt: float) -> Linear
                     f"bound {growth_bound:.3e}"
                 )
     times = sys.psi.times[: n_steps + 1]
-    return LinearizedSolution(xi=Trajectory(times=times, values=xi_out, box_length=box))
+    return Trajectory(times=times, values=xi_out, box_length=box)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +296,7 @@ def newton_iterate(
         if n >= max_iter:
             rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=np.nan))
             break
-        xi = solve_linearized(LinearizedSystem(psi=psi, forcing=r_traj), t_final, dt).xi
+        xi = solve_linearized(LinearizedSystem(psi=psi, forcing=r_traj), t_final, dt)
         psi_next = Trajectory(
             times=times, values=psi.values + xi.values, box_length=psi.box_length
         )
@@ -333,30 +323,4 @@ def newton_iterate(
         amplitude_scale=scale,
         converged=converged,
         iterations=n,
-    )
-
-
-def find_working_time(
-    psi0: GridField,
-    dt: float,
-    t_start: float = 1.0,
-    max_halvings: int = 12,
-    **kwargs,
-) -> tuple[float, NewtonResult]:
-    """Bisect down from t_start until the Newton loop converges; report T.
-
-    The admissible horizon of the local theory is non-constructive, so it is
-    located empirically.
-    """
-    t = t_start
-    for _ in range(max_halvings):
-        try:
-            result = newton_iterate(psi0, t, dt, **kwargs)
-            if result.converged:
-                return t, result
-        except NumericsError:
-            pass
-        t /= 2.0
-    raise NewtonDivergenceError(
-        f"no working horizon found above {t} (started at {t_start})"
     )

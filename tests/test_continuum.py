@@ -12,7 +12,6 @@ from nlsgrowth.continuum import (
     global_mass,
     linear_propagate,
     local_energy_probe,
-    mollify,
     picard_solve,
     regularized_nonlinearity,
     run_continuum,
@@ -24,6 +23,7 @@ from nlsgrowth.fields import (
     Mollifier,
     chi_eval,
     gaussian_comb_eval,
+    grid_wavenumbers,
     make_initial_grid,
 )
 
@@ -38,30 +38,29 @@ def plane_wave(box, size, mode, amp=1.0):
 
 
 class TestMollify:
+    # phi * u is spectral multiplication by phi.transfer on the grid
+    # wavenumbers, so each property of phi * u is one of the transfer
+
     def test_plane_wave_diagonal(self):
-        u, k = plane_wave(32.0, 256, mode=5)
-        out = mollify(u, GAUSS)
-        assert np.allclose(out.values, np.exp(-k ** 2 / 2) * u.values, atol=1e-13)
+        _, k = plane_wave(32.0, 256, mode=5)
+        assert GAUSS.transfer(np.array([k]))[0] == pytest.approx(np.exp(-k ** 2 / 2), rel=1e-15)
 
     def test_cutoff_identity_on_band(self):
-        u, _ = plane_wave(32.0, 256, mode=3)
-        out = mollify(u, Mollifier.fourier_cutoff(10.0))
-        assert np.allclose(out.values, u.values, atol=1e-13)
+        k = grid_wavenumbers(32.0, 256)
+        tr = Mollifier.fourier_cutoff(10.0).transfer(k)
+        assert np.all(tr[np.abs(k) <= 10.0] == 1.0)
+        assert np.all(tr[np.abs(k) > 10.0] == 0.0)
 
     def test_constant_preserved(self):
-        g = GridField(values=np.full(64, 2.5, dtype=complex), box_length=10.0)
-        out = mollify(g, GAUSS)
-        assert np.allclose(out.values, 2.5, atol=1e-14)
+        assert GAUSS.transfer(grid_wavenumbers(10.0, 64))[0] == 1.0  # k = 0 mode
 
     def test_commutes_with_conjugation(self):
-        rng = np.random.default_rng(3)
-        u = GridField(
-            values=rng.standard_normal(128) + 1j * rng.standard_normal(128),
-            box_length=20.0,
-        )
-        a = mollify(GridField(values=np.conj(u.values), box_length=20.0), GAUSS).values
-        b = np.conj(mollify(u, GAUSS).values)
-        assert np.allclose(a, b, atol=1e-13)
+        # conj(u) has coefficients conj(c_{-k}): a real, even transfer commutes
+        k = grid_wavenumbers(20.0, 128)
+        for phi in (GAUSS, Mollifier.fourier_cutoff(3.0)):
+            tr = phi.transfer(k)
+            assert np.isrealobj(tr)
+            assert np.array_equal(tr, phi.transfer(-k))
 
 
 class TestNonlinearity:

@@ -87,7 +87,6 @@ class TestLatticeField:
         with pytest.raises(ValueError):
             LatticeField(values=np.zeros(4, dtype=complex), extent=2)
         f = LatticeField(values=np.arange(5, dtype=complex), extent=2)
-        assert f.origin_index == 2
         assert f.at(0) == 2.0
         assert list(f.sites) == [-2, -1, 0, 1, 2]
 

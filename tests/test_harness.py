@@ -30,9 +30,9 @@ class TestConfig:
     def test_parse_and_defaults(self):
         cfg = parse_config_text(LATTICE_CFG)
         assert cfg.engine == "lattice"
-        assert cfg.get("lattice.extent") == 64
-        assert cfg.get("data.amplitude") == 1.5
-        assert cfg.get("weight.R") == 1.0  # default filled in
+        assert cfg.params["lattice.extent"] == 64
+        assert cfg.params["data.amplitude"] == 1.5
+        assert cfg.params["weight.R"] == 1.0  # default filled in
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -59,6 +59,18 @@ class TestConfig:
         echo = cfg.echo()
         assert echo["engine"] == "lattice"
         assert echo["data.amplitude"] == "1.5"
+
+    @pytest.mark.parametrize("text, key", [
+        ("engine = nlw\nnlw.dt = 0\n", "nlw.dt"),
+        ("engine = nlw\nnlw.dt = -0.01\n", "nlw.dt"),
+        ("engine = newton\nnewton.dt = 0\n", "newton.dt"),
+        ("engine = newton\nnewton.t_final = -1\n", "newton.t_final"),
+        ("engine = lattice\nrun.t_final = -1\n", "run.t_final"),
+        ("engine = continuum\nrun.record_dt = 0\n", "run.record_dt"),
+    ])
+    def test_time_grid_bounds(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(text)
 
 
 class TestFitGrowth:
@@ -171,6 +183,30 @@ class TestRunner:
 
     # the sweep's worker thread does not inherit np.errstate
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lattice_linear_sweep_equals_single_runs(self, tmp_path):
+        # a non-lattice sweep runs one case per task
+        cfg = parse_config_text(
+            "engine = lattice-linear\nrun.t0_values = 25\nensemble.samples = 100\n"
+            "sweep.seeds = 4,2,9\n"
+        )
+        dirs = [sweep_experiment(cfg, tmp_path / f"s{w}", workers=w) for w in (1, 2)]
+        for seed in (4, 2, 9):
+            single = run_experiment(cfg.with_overrides(**{"ensemble.seed": seed}), tmp_path / f"r{seed}")
+            expected = (single / "series.csv").read_bytes()
+            for d in dirs:
+                assert (d / f"seed={seed}" / "series.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_sweep_rejects_workers_below_one(self, tmp_path, workers):
+        from nlsgrowth.harness import cli
+
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(LATTICE_CFG + "sweep.seeds = 1,2\n")
+        with pytest.raises(ValueError, match="workers"):
+            sweep_experiment(parse_config_text(cfg_path.read_text()), tmp_path / "s", workers=workers)
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "c"), "--workers", str(workers)]
+        assert cli.main(argv) == 2
+
     def test_sweep_overflow_names_the_case(self, tmp_path):
         cfg = parse_config_text(LATTICE_CFG.replace("1.5", "1e200") + "sweep.x0 = 0,2\n")
         with pytest.raises(NumericsError, match="case x0=0"):
@@ -255,7 +291,7 @@ class TestRunner:
         # periodic with the ring's period: the ring evolves exactly what Z would
         # (extent 64 < default_half_width(1) = 90)
         cfg = parse_config_text(LATTICE_CFG.replace("data.kind = constant\ndata.amplitude = 1.5\n", data))
-        assert cfg.get("data.kind") in data
+        assert cfg.params["data.kind"] in data
         assert execute(cfg).warnings == []
 
     def test_wrap_margin_warning_in_gronwall_geometry(self):
@@ -327,6 +363,29 @@ class TestCli:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numerical abort:")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", [
+        "engine = nlw\nnlw.dt = 0\n",
+        "engine = lattice\nrun.record_dt = 0\n",
+    ])
+    def test_time_grid_key_exit_2(self, tmp_path, text):
+        cfg_path = tmp_path / "t.cfg"
+        cfg_path.write_text(text)
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_fit_without_t_column_exit_2(self, tmp_path):
+        # a newton series.csv has the abscissa n, not t
+        csv_path = write_csv(tmp_path / "series.csv", ["n", "eps_n"], [(1, 0.5), (2, 0.1)])
+        proc = self.run_cli(
+            "fit", "--csv", str(csv_path), "--column", "eps_n", "--t-lo", "1", "--t-hi", "2"
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: column 't'")
+        assert "eps_n" in proc.stderr
 
     def test_newton_radius_too_large_exit_2(self, tmp_path):
         cfg_path = tmp_path / "n.cfg"

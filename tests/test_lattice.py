@@ -10,7 +10,6 @@ from nlsgrowth.lattice import (
     global_energy,
     local_energy,
     local_mass,
-    require_defocusing,
     run_lattice,
     run_lattice_batch,
     sup_time_derivative,
@@ -296,11 +295,6 @@ class TestDiagnostics:
         assert sup_time_derivative(const, model) == pytest.approx(1.0)
         delta = make_initial_lattice(InitialData.delta(1.0), 5)
         assert sup_time_derivative(delta, model) == pytest.approx(3.0)
-
-    def test_require_defocusing(self):
-        require_defocusing(LatticeModel(extent=4, dt=0.01, sign=+1), "x")
-        with pytest.raises(ValueError):
-            require_defocusing(LatticeModel(extent=4, dt=0.01, sign=-1), "x")
 
 
 class TestGronwall:

@@ -5,7 +5,7 @@ from scipy import special
 from nlsgrowth.fields import InitialData, make_initial_lattice
 from nlsgrowth.lattice_linear import (
     InsufficientHalfWidthError,
-    StationaryPhaseApprox,
+    _saddle,
     adversarial_data,
     default_half_width,
     kernel_integral,
@@ -115,10 +115,11 @@ class TestStationaryPhase:
             stationary_phase_eval(100.0, 51)
 
     def test_phase_fields(self):
-        ap = StationaryPhaseApprox.for_point(100.0, 50)
-        assert np.sin(ap.theta_s) == pytest.approx(0.5)
-        assert ap.phi == pytest.approx(np.pi / 4 + 100 * np.cos(ap.theta_s) + 50 * ap.theta_s)
-        assert ap.amplitude == pytest.approx(np.sqrt(2 / (np.pi * 100 * np.cos(ap.theta_s))))
+        # printed phase pi/4 + t cos(theta_s) + n theta_s at sin(theta_s) = n/t
+        theta_s = np.pi / 6
+        phi, amplitude = _saddle(100.0, 50)
+        assert phi == pytest.approx(np.pi / 4 + 100 * np.cos(theta_s) + 50 * theta_s)
+        assert amplitude == pytest.approx(np.sqrt(2 / (np.pi * 100 * np.cos(theta_s))))
 
     def test_envelope_vs_quadrature_oracle(self):
         # mean relative envelope error over the interior regime at t = 200

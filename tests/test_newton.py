@@ -8,7 +8,6 @@ from nlsgrowth.newton import (
     AnalyticNormParams,
     LinearizedSystem,
     RadiusSchedule,
-    find_working_time,
     majorant_norm,
     newton_iterate,
     residual,
@@ -139,7 +138,7 @@ class TestSolveLinearized:
         psi = self.make_zero_psi(101, dt)
         forcing = self.make_zero_psi(101, dt)
         sol = solve_linearized(LinearizedSystem(psi, forcing), 0.1, dt)
-        assert np.all(sol.xi.values == 0)
+        assert np.all(sol.values == 0)
 
     def test_constant_forcing_mode_formula(self):
         # V = 0, b constant in t: mode k solves u(t) = -b (1 - e^{-ik^2 t})/k^2,
@@ -163,7 +162,7 @@ class TestSolveLinearized:
             -1j * b_hat * t_final,
             -b_hat * (1.0 - np.exp(-1j * k ** 2 * t_final)) / np.where(k == 0, 1.0, k ** 2),
         )
-        got_hat = np.fft.fft(sol.xi.values[-1]) / SIZE
+        got_hat = np.fft.fft(sol.values[-1]) / SIZE
         assert np.max(np.abs(got_hat - expected_hat)) < 1e-9
 
     def test_zero_initial_condition_exact(self):
@@ -178,7 +177,7 @@ class TestSolveLinearized:
             box_length=BOX,
         )
         sol = solve_linearized(LinearizedSystem(psi, forcing), 0.05, dt)
-        assert np.all(sol.xi.values[0] == 0)
+        assert np.all(sol.values[0] == 0)
 
 
 class TestNewton:
@@ -255,19 +254,6 @@ class TestNewton:
         psi0 = grid(0.9 * np.cos(x_grid()) + 0.9 * np.cos(2 * x_grid()))
         with pytest.raises(NumericsError):
             newton_iterate(psi0, 2.0, 2e-3, smallness=1e9, max_iter=12)
-
-    def test_find_working_time(self):
-        psi0 = grid(0.3 * np.cos(x_grid()))
-        t, res = find_working_time(psi0, 1e-3, t_start=0.4, tol=1e-11)
-        assert res.converged
-        assert t <= 0.4
-
-    def test_find_working_time_propagates_input_errors(self):
-        # only numerical failures trigger a shorter horizon; a radius the grid
-        # cannot weight is an input error and surfaces at once
-        psi0 = grid(0.3 * np.cos(x_grid()))
-        with pytest.raises(ValueError, match="radius"):
-            find_working_time(psi0, 1e-3, t_start=0.4, schedule=RadiusSchedule(r1=100.0))
 
     def test_trajectory_majorant_linear_constant(self):
         psi0 = grid(0.1 * np.cos(x_grid()))
