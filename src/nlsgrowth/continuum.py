@@ -14,6 +14,7 @@ Gaussian-comb oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -22,7 +23,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import GridField, Mollifier, chi_eval, grid_wavenumbers
-from .errors import ContractionError, NumericsError
+from .errors import ContractionError
+from .timegrid import drive, time_grid
 
 __all__ = [
     "ContinuumModel",
@@ -158,20 +160,23 @@ def _lawson_ctx(box_length: float, size: int, dt: float):
     return e_full, e_half
 
 
-def _lawson_rk4(v: np.ndarray, f, e1: np.ndarray, eh: np.ndarray, dt: float) -> np.ndarray:
-    """One integrating-factor (Lawson) RK4 step of v' = L v + f(v, s) in Fourier.
+def _lawson_rk4(v: np.ndarray, f, e1: np.ndarray, eh: np.ndarray, dt: float):
+    """Integrating-factor (Lawson) RK4 steps of v' = L v + f(v, s) in Fourier;
+    yields v after each step.
 
     e1 = e^{L dt} and eh = e^{L dt/2} carry the linear part exactly; f gets
-    the stage time as a fraction s in {0, 1/2, 1} of the step.  With f = 0
-    this is the exact linear propagator over dt.  The stiff linear phase is
-    integrated exactly, so the step constraint comes from f alone (for the
+    the stage time s in steps (n, n + 1/2, n + 1 in the step from n to n + 1).
+    With f = 0 this is the exact linear propagator.  The stiff linear phase
+    is integrated exactly, so the step constraint comes from f alone (for the
     mollified cubic, dt * coupling * sup|phi*u|^2 well below 1).
     """
-    a1 = f(v, 0.0)
-    a2 = f(eh * v + (dt / 2.0) * eh * a1, 0.5)
-    a3 = f(eh * v + (dt / 2.0) * a2, 0.5)
-    a4 = f(e1 * v + dt * eh * a3, 1.0)
-    return e1 * v + (dt / 6.0) * (e1 * a1 + 2.0 * eh * a2 + 2.0 * eh * a3 + a4)
+    for n in itertools.count():
+        a1 = f(v, n)
+        a2 = f(eh * v + (dt / 2.0) * eh * a1, n + 0.5)
+        a3 = f(eh * v + (dt / 2.0) * a2, n + 0.5)
+        a4 = f(e1 * v + dt * eh * a3, n + 1.0)
+        v = e1 * v + (dt / 6.0) * (e1 * a1 + 2.0 * eh * a2 + 2.0 * eh * a3 + a4)
+        yield v
 
 
 def run_continuum(
@@ -182,8 +187,6 @@ def run_continuum(
 ) -> Trajectory:
     """Evolve u0 to t_final by Lawson-RK4, storing snapshots every record_dt."""
     _check_grid(u0, model)
-    n_steps = int(round(t_final / model.dt))
-    every = max(1, int(round(record_dt / model.dt)))
     filt = _cubic_filter(model.mollifier, model.box_length, model.grid_size, model.dealias)
     e1, eh = _lawson_ctx(model.box_length, model.grid_size, model.dt)
     nl_filt = -1j * model.sign * model.coupling * filt
@@ -191,18 +194,21 @@ def run_continuum(
     def nonlinear(v_hat, _s):
         return nl_filt * _cubic_hat(v_hat, filt)
 
-    v = _fft.fft(u0.values)
     times = [0.0]
     snaps = [u0.values.copy()]
-    for step in range(1, n_steps + 1):
-        v = _lawson_rk4(v, nonlinear, e1, eh, model.dt)
-        if step % every == 0 or step == n_steps:
-            vals = _fft.ifft(v)
-            if not np.all(np.isfinite(vals.view(float))):
-                raise NumericsError(f"continuum run overflowed near t={step * model.dt:.4f}")
-            times.append(step * model.dt)
-            snaps.append(vals)
+    lawson = _lawson_rk4(_fft.fft(u0.values), nonlinear, e1, eh, model.dt)
+    for t, v in drive(lawson, t_final, model.dt, record_dt, "continuum run"):
+        times.append(t)
+        snaps.append(_fft.ifft(v))
     return Trajectory(times=np.array(times), values=np.array(snaps), box_length=u0.box_length)
+
+
+def _free_phases(box_length: float, size: int, t_final: float, dt: float):
+    """Time grid 0, dt, ..., t_final and the free-flow factors e^{-i k^2 t}
+    on it, one row per time (the linear trajectory of Picard and Newton)."""
+    k, _ = _grid_ctx(box_length, size)
+    times = dt * np.arange(time_grid(t_final, dt) + 1)
+    return times, np.exp(-1j * np.outer(times, k ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +236,12 @@ def picard_solve(
     ContractionError (choose a smaller horizon).
     """
     _check_grid(u0, model)
-    k, _ = _grid_ctx(u0.box_length, u0.size)
     filt = _cubic_filter(model.mollifier, model.box_length, model.grid_size, model.dealias)
     sc = model.sign * model.coupling
-    n_t = int(round(t_final / model.dt)) + 1
-    times = model.dt * np.arange(n_t)
+    times, phases = _free_phases(u0.box_length, u0.size, t_final, model.dt)
     u0_hat = _fft.fft(u0.values)
-    # linear trajectory (also the initial guess)
-    phases = np.exp(-1j * np.outer(times, k ** 2))
-    linear_hat = phases * u0_hat[None, :]
-    current_hat = linear_hat.copy()
+    # the linear trajectory is the initial guess
+    current_hat = phases * u0_hat[None, :]
     prev_diff = np.inf
     grow_count = 0
     for iteration in range(1, max_iter + 1):

@@ -49,6 +49,7 @@ from ..continuum import (
     run_continuum,
 )
 from ..newton import RadiusSchedule, newton_iterate
+from ..timegrid import time_grid
 from ..wave import WaveState, run_nlw
 from .config import ConfigError, ExperimentConfig
 from .csvio import write_csv
@@ -156,7 +157,7 @@ def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> lis
     records, finals = run_lattice_batch(model, values, t_final, record_dt, weights, labels)
     batch = {
         "rows": len(cases),
-        "steps": model.n_steps(t_final),
+        "steps": time_grid(t_final, model.dt),
         "stepping_wall_s": time.perf_counter() - start,
     }
     results = []
@@ -264,9 +265,13 @@ def _run_newton_engine(params: dict) -> EngineResult:
         tol=params["newton.tol"],
     )
     rows = [(r.n, r.eps, r.sup_residual, r.ratio) for r in result.rows]
+    warnings = [] if result.converged else [
+        f"newton did not converge: sup_residual {rows[-1][2]:.3e} > newton.tol after "
+        f"{result.iterations} iterations (newton.max_iter = {params['newton.max_iter']})"]
     return EngineResult(
         columns=list(ENGINE_COLUMNS["newton"]),
         rows=rows,
+        warnings=warnings,
         summary={
             "converged": result.converged,
             "iterations": result.iterations,
@@ -297,8 +302,7 @@ def _write_outputs(config: ExperimentConfig, result: EngineResult, out_dir: Path
         "code_version": __version__,
         "wall_time_s": wall,
         "warnings": result.warnings,
-        "summary": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                    for k, v in result.summary.items()},
+        "summary": result.summary,
     }
     if result.batch:
         meta["batch"] = result.batch

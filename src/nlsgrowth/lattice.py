@@ -6,15 +6,16 @@ truncated lattice with periodic wrap, Delta psi(x) = psi(x+1) + psi(x-1)
 in the DFT basis (symbol -4 sin^2(kappa/2)); both substeps are l2 isometries,
 so global mass is conserved to roundoff.
 
-One Strang step (``_step_values``) and one driver loop
-(``run_lattice_batch``) serve every run: the driver steps the rows of a
-values[B, M] array together, each row with its own initial data and weight,
-and records each row with the per-row diagnostics below.  ``run_lattice``
-is its one-row call.  A batch is bitwise equal to its rows run alone.
+One Strang step (``_step_values``) serves every run: ``run_lattice_batch``
+drives it (``timegrid.drive``) on the rows of a values[B, M] array together,
+each row with its own initial data and weight and recorded with the per-row
+diagnostics below.  ``run_lattice`` is its one-row call.  A batch is bitwise
+equal to its rows run alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -22,8 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import NumericsError
 from .fields import LatticeField, WeightProfile
+from .timegrid import drive
 
 __all__ = [
     "LatticeModel",
@@ -37,10 +38,6 @@ __all__ = [
     "run_lattice",
     "run_lattice_batch",
 ]
-
-# slack, in steps, allowed for roundoff when the last step n_steps*dt is
-# compared with a weight's t0
-_T_ROUNDOFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,10 +64,6 @@ class LatticeModel:
             raise ValueError("dt must lie in (0, 0.1] (split-step accuracy regime)")
         if self.extent < 1:
             raise ValueError("extent must be >= 1")
-
-    def n_steps(self, t_final: float) -> int:
-        """Number of Strang steps of a run to t_final: round(t_final / dt)."""
-        return int(round(t_final / self.dt))
 
 
 class LatticeRunRecord(NamedTuple):
@@ -133,9 +126,9 @@ def _abs_pow(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarray
     return np.power(out, p, out=out)
 
 
-def _step_values(v: np.ndarray, model: LatticeModel, symbol: np.ndarray, work) -> None:
-    """One Strang step of every row of v[B, M], written back into v: half
-    nonlinear phase, exact DFT linear step, half phase.
+def _step_values(v: np.ndarray, model: LatticeModel, symbol: np.ndarray, work) -> np.ndarray:
+    """One Strang step of every row of v[B, M], written back into v and
+    returned: half nonlinear phase, exact DFT linear step, half phase.
 
     ``work`` holds scratch arrays shaped like v (two complex, two real), so a
     step allocates no array.  Every complex multiply writes to an array that
@@ -149,7 +142,7 @@ def _step_values(v: np.ndarray, model: LatticeModel, symbol: np.ndarray, work) -
     v_hat = _fft.fft(np.multiply(v, phase, out=rot), overwrite_x=True)
     w = _fft.ifft(np.multiply(symbol, v_hat, out=phase), overwrite_x=True)
     np.exp(np.multiply(half, _abs_pow(w, model.p, r, r2), out=rot), out=rot)
-    np.multiply(w, rot, out=v)
+    return np.multiply(w, rot, out=v)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +226,6 @@ def run_lattice(
     The one-row call of ``run_lattice_batch``.  Returns the records and the
     final field.  The weight defaults to x0 = 0, R = 1, t0 = t_final.
     """
-    if psi0.extent != model.extent:
-        raise ValueError(
-            f"field extent {psi0.extent} does not match model extent {model.extent}"
-        )
     if weight is None:
         weight = WeightProfile(x0=0, R=1.0, t0=t_final)
     records, final = run_lattice_batch(model, psi0.values[None, :], t_final, record_dt, [weight])
@@ -253,15 +242,15 @@ def run_lattice_batch(
 ) -> tuple[list[list[LatticeRunRecord]], np.ndarray]:
     """Evolve every row of values[B, 2*extent+1] to t_final with one Strang loop.
 
-    Rows share the model, the step count round(t_final/dt) and the record
+    Rows share the model, the time grid (``time_grid``) and the record
     cadence; row b records its local diagnostics with weights[b].  A batch
     is bitwise equal to its rows run one at a time.  Returns one record list
     per row and the final values [B, 2*extent+1].
 
-    A weight is defined only up to its t0, so a weight with t0 < t_final, or
-    one that the last step n_steps*dt passes by more than roundoff, is
-    rejected (ValueError).  An overflow raises NumericsError naming the
-    first overflowed row by its label (default ``row <b>``).
+    A weight is defined only up to its t0, so a weight with t0 < t_final is
+    rejected (ValueError), as is a t_final that is not a whole number of
+    steps.  An overflow raises NumericsError naming the first overflowed row
+    by its label (default ``row <b>``).
     """
     period = 2 * model.extent + 1
     values = np.asarray(values, dtype=complex)
@@ -272,20 +261,12 @@ def run_lattice_batch(
     rows = values.shape[0]
     if len(weights) != rows:
         raise ValueError(f"{len(weights)} weights for {rows} rows")
-    n_steps = model.n_steps(t_final)
-    t_end = n_steps * model.dt
     for weight in weights:
         if weight.t0 < t_final:
             raise ValueError(
                 f"weight t0 = {weight.t0} < t_final = {t_final}: "
                 "the weight is defined only up to t0"
             )
-        if t_end - weight.t0 > _T_ROUNDOFF * model.dt:
-            raise ValueError(
-                f"the last step lands at t = {t_end:.6g}, past weight t0 = {weight.t0}: "
-                f"t_final = {t_final} is not a whole number of steps dt = {model.dt}"
-            )
-    every = max(1, int(round(record_dt / model.dt)))
     symbol = _linear_symbol(period, model.dt)
     records: list[list[LatticeRunRecord]] = [[] for _ in range(rows)]
     vals = values.copy()
@@ -306,15 +287,7 @@ def run_lattice_batch(
             ))
 
     record_all(0.0)
-    for step in range(1, n_steps + 1):
-        _step_values(vals, model, symbol, work)
-        if step % every == 0 or step == n_steps:
-            finite = np.isfinite(vals.view(float)).all(axis=1)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                raise NumericsError(
-                    f"lattice run overflowed near t={step * model.dt:.3f} "
-                    f"({labels[bad] if labels else f'row {bad}'})"
-                )
-            record_all(step * model.dt)
+    strang = (_step_values(vals, model, symbol, work) for _ in itertools.count())
+    for t, _ in drive(strang, t_final, model.dt, record_dt, "lattice run", labels):
+        record_all(t)
     return records, vals

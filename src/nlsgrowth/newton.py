@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .continuum import Trajectory, _lawson_ctx, _lawson_rk4
+from .continuum import Trajectory, _free_phases, _lawson_ctx, _lawson_rk4
 from .errors import LinearizedBlowupError, NewtonDivergenceError
 from .fields import GridField, grid_wavenumbers
+from .timegrid import drive, time_grid
 
 __all__ = [
     "AnalyticNormParams",
@@ -160,21 +161,19 @@ class LinearizedSystem:
         if self.psi.values.shape != self.forcing.values.shape:
             raise ValueError("potential and forcing must share one time grid")
 
-    def sup_potential(self) -> float:
-        # max row sum of |V|: 2|psi|^2 + |psi|^2
-        return 3.0 * float(np.max(np.abs(self.psi.values)) ** 2)
 
-
-def _interp(values: np.ndarray, i: int, frac: float) -> np.ndarray:
+def _interp(values: np.ndarray, s: float) -> np.ndarray:
+    """values[s] for a fractional row index s, linear between rows."""
+    i = int(s)
+    frac = s - i
     if frac == 0.0:
         return values[i]
-    if frac == 1.0:
-        return values[i + 1]
     return (1.0 - frac) * values[i] + frac * values[i + 1]
 
 
-def solve_linearized(sys: LinearizedSystem, t_final: float, dt: float) -> Trajectory:
-    """Integrate the forced linearized equation from zero data with Lawson-RK4.
+def solve_linearized(sys: LinearizedSystem, dt: float) -> Trajectory:
+    """Integrate the forced linearized equation from zero data with Lawson-RK4
+    over the system's time grid, whose spacing is dt.
 
     The free part -Dxx is exact through the integrating factors e^{-i k^2 dt};
     the potential and forcing are applied pointwise with linear interpolation
@@ -182,50 +181,40 @@ def solve_linearized(sys: LinearizedSystem, t_final: float, dt: float) -> Trajec
     without materializing a time-ordered exponential.  Raises
     LinearizedBlowupError when sup|xi| passes its a-priori growth bound.
     """
-    n_steps = int(round(t_final / dt))
-    if n_steps + 1 > len(sys.psi.times):
-        raise ValueError("system trajectories shorter than the requested horizon")
-    box = sys.psi.box_length
-    size = sys.psi.values.shape[1]
-    e1, eh = _lawson_ctx(box, size, dt)
-
+    times = sys.psi.times
+    t_final = float(times[-1])
+    if time_grid(t_final, dt) != len(times) - 1:
+        raise ValueError(f"the system's time grid is not spaced by dt = {dt}")
     psi = sys.psi.values
+    e1, eh = _lawson_ctx(sys.psi.box_length, psi.shape[1], dt)
     forcing = sys.forcing.values
     two_abs2 = 2.0 * (psi.real ** 2 + psi.imag ** 2)
     psi_sq = psi ** 2
 
-    sup_v = sys.sup_potential()
+    sup_v = 3.0 * float(np.max(np.abs(psi)) ** 2)  # max row sum of |V|: 2|psi|^2 + |psi|^2
     growth_bound = (1.0 + float(np.max(np.abs(forcing))) * t_final) * np.exp(
         min(10.0 * t_final * sup_v, 500.0)
     )
 
-    def rhs(xi_hat: np.ndarray, frac: float) -> np.ndarray:
-        # fft of -i (2|psi|^2 xi + psi^2 conj(xi) + R) at t_i + frac * dt,
-        # i being the step the loop below is taking
+    def rhs(xi_hat: np.ndarray, s: float) -> np.ndarray:
+        # fft of -i (2|psi|^2 xi + psi^2 conj(xi) + R) at t = s * dt
         xi = _fft.ifft(xi_hat)
-        g = -1j * (
-            _interp(two_abs2, i, frac) * xi
-            + _interp(psi_sq, i, frac) * np.conj(xi)
-            + _interp(forcing, i, frac)
-        )
-        return _fft.fft(g)
+        g = _interp(two_abs2, s) * xi + _interp(psi_sq, s) * np.conj(xi) + _interp(forcing, s)
+        return _fft.fft(-1j * g)
 
-    xi_hat = np.zeros(size, dtype=complex)
-    xi_out = np.zeros((n_steps + 1, size), dtype=complex)
-    # overflow is caught by the bound check below, not reported as a warning
+    xi_out = [np.zeros(psi.shape[1], dtype=complex)]
+    lawson = _lawson_rk4(xi_out[0], rhs, e1, eh, dt)
+    # overflow is caught by the finiteness and bound checks, not reported as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            xi_hat = _lawson_rk4(xi_hat, rhs, e1, eh, dt)
-            xi = _fft.ifft(xi_hat)
-            xi_out[i + 1] = xi
-            sup = float(np.max(np.abs(xi)))
-            if not np.isfinite(sup) or sup > growth_bound:
+        for _, xi_hat in drive(lawson, t_final, dt, dt, "linearized solve"):
+            xi_out.append(_fft.ifft(xi_hat))
+            sup = float(np.max(np.abs(xi_out[-1])))
+            if not sup <= growth_bound:
                 raise LinearizedBlowupError(
-                    f"linearized solve unstable at step {i + 1}: sup={sup:.3e} exceeds "
-                    f"bound {growth_bound:.3e}"
+                    f"linearized solve unstable at step {len(xi_out) - 1}: sup={sup:.3e} "
+                    f"exceeds bound {growth_bound:.3e}"
                 )
-    times = sys.psi.times[: n_steps + 1]
-    return Trajectory(times=times, values=xi_out, box_length=box)
+    return Trajectory(times=times, values=np.array(xi_out), box_length=sys.psi.box_length)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +257,10 @@ def newton_iterate(
     """
     if schedule is None:
         schedule = RadiusSchedule()
-    size = psi0.size
-    k = grid_wavenumbers(psi0.box_length, size)
-    n_t = int(round(t_final / dt)) + 1
-    times = dt * np.arange(n_t)
-
+    times, phases = _free_phases(psi0.box_length, psi0.size, t_final, dt)
     eps1_raw = majorant_norm(psi0, AnalyticNormParams(schedule.r1, 0))
     scale = 1.0 if eps1_raw <= smallness else smallness / eps1_raw
     data_hat = _fft.fft(scale * psi0.values)
-
-    phases = np.exp(-1j * np.outer(times, k ** 2))
     psi_vals = _fft.ifft(phases * data_hat[None, :], axis=1)
     psi = Trajectory(times=times, values=psi_vals, box_length=psi0.box_length)
     r_traj = residual_first(psi)
@@ -296,7 +279,7 @@ def newton_iterate(
         if n >= max_iter:
             rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=np.nan))
             break
-        xi = solve_linearized(LinearizedSystem(psi=psi, forcing=r_traj), t_final, dt)
+        xi = solve_linearized(LinearizedSystem(psi=psi, forcing=r_traj), dt)
         psi_next = Trajectory(
             times=times, values=psi.values + xi.values, box_length=psi.box_length
         )

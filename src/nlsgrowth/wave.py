@@ -19,6 +19,7 @@ slightly stricter dt <= 2h/pi, and shipped runs stay at dt <= h/4.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from scipy import fft as _fft
 
 from .fields import GridField, chi_eval
 from .errors import NumericsError
+from .timegrid import drive, time_grid
 
 __all__ = [
     "WaveState",
@@ -60,17 +62,15 @@ def _accel(u: np.ndarray, k2: np.ndarray, p: int, coupling: float) -> np.ndarray
     return lap - coupling * u * (u * u) ** p
 
 
-def _verlet(
-    u: np.ndarray, v: np.ndarray, k2: np.ndarray, dt: float, n_steps: int, p: int, coupling: float
-):
-    """Stormer-Verlet (velocity form) with force reuse; yields (step, u, v)."""
+def _verlet(u: np.ndarray, v: np.ndarray, k2: np.ndarray, dt: float, p: int, coupling: float):
+    """Stormer-Verlet (velocity form) with force reuse; yields (u, v) after each step."""
     a = _accel(u, k2, p, coupling)
-    for step in range(1, n_steps + 1):
+    while True:
         v_half = v + 0.5 * dt * a
         u = u + dt * v_half
         a = _accel(u, k2, p, coupling)
         v = v_half + 0.5 * dt * a
-        yield step, u, v
+        yield u, v
 
 
 def _check_cfl(dt: float, grid: GridField) -> None:
@@ -106,23 +106,14 @@ def run_nlw(
     u = state.u.values.real.copy()
     v = state.v.values.real.copy()
     box = state.u.box_length
-    n_steps = int(round(t_final / dt))
-    every = max(1, int(round(record_dt / dt)))
 
     def snapshot(uv, vv):
-        return WaveState(
-            u=GridField(values=uv.astype(complex), box_length=box),
-            v=GridField(values=vv.astype(complex), box_length=box),
-        )
+        return WaveState(GridField(uv, box), GridField(vv, box))
 
     records = [(0.0, float(np.max(np.abs(u))), nlw_energy(snapshot(u, v), p, coupling))]
-    for step, u, v in _verlet(u, v, k2, dt, n_steps, p, coupling):
-        if step % every == 0 or step == n_steps:
-            if not np.all(np.isfinite(u)):
-                raise NumericsError(f"wave run overflowed near t={step * dt:.3f}")
-            records.append(
-                (step * dt, float(np.max(np.abs(u))), nlw_energy(snapshot(u, v), p, coupling))
-            )
+    verlet = _verlet(u, v, k2, dt, p, coupling)
+    for t, (u, v) in drive(verlet, t_final, dt, record_dt, "wave run", ["u", "u_t"]):
+        records.append((t, float(np.max(np.abs(u))), nlw_energy(snapshot(u, v), p, coupling)))
     return records, snapshot(u, v)
 
 
@@ -149,10 +140,11 @@ def nlw_cone_test(
     u = np.vstack([u0.values.real, cut * u0.values.real])
     v = np.vstack([u1.values.real, cut * u1.values.real])
     i0 = int(np.argmin(np.abs(x - x0)))
-    n_steps = int(round(t_final / dt))
+    # T is the cone's radius, not a run length: take the whole steps t <= T
+    n_steps = time_grid(t_final, dt, whole=False)
 
     worst = abs(u[0, i0] - u[1, i0])
-    for _, u, _ in _verlet(u, v, k2, dt, n_steps, p, coupling):
+    for u, _ in itertools.islice(_verlet(u, v, k2, dt, p, coupling), n_steps):
         worst = max(worst, abs(u[0, i0] - u[1, i0]))
     if not np.all(np.isfinite(u)):
         raise NumericsError("cone test run overflowed")

@@ -248,6 +248,25 @@ class TestRunner:
         assert res.columns == ENGINE_COLUMNS["newton"]
         assert res.summary["converged"]
 
+    @pytest.mark.parametrize("max_iter", [1, 12])
+    def test_newton_summary_types(self, tmp_path, max_iter):
+        # metadata keeps bools and ints; a run that stops short of tol warns
+        cfg = parse_config_text(
+            "engine = newton\n"
+            "data.kind = periodic\ndata.amplitudes = 0.1\ndata.frequencies = 1\n"
+            f"newton.max_iter = {max_iter}\n"
+        )
+        meta = json.loads((run_experiment(cfg, tmp_path / "n") / "metadata.json").read_text())
+        converged = max_iter > 1
+        assert meta["summary"]["converged"] is converged
+        assert type(meta["summary"]["iterations"]) is int
+        assert meta["summary"]["iterations"] == (3 if converged else 1)
+        if converged:
+            assert meta["warnings"] == []
+        else:
+            assert len(meta["warnings"]) == 1
+            assert "did not converge" in meta["warnings"][0]
+
     def test_nlw_engine(self):
         cfg = parse_config_text(
             "engine = nlw\n"
@@ -367,13 +386,23 @@ class TestCli:
     @pytest.mark.parametrize("text", [
         "engine = nlw\nnlw.dt = 0\n",
         "engine = lattice\nrun.record_dt = 0\n",
+        # horizons that are not a whole number of steps
+        "engine = nlw\nrun.t_final = 1\nnlw.dt = 0.15\n",
+        "engine = continuum\nrun.t_final = 0.0025\ncontinuum.dt = 0.001\n",
+        "engine = newton\nnewton.t_final = 0.01\nnewton.dt = 0.3\n",
     ])
     def test_time_grid_key_exit_2(self, tmp_path, text):
         cfg_path = tmp_path / "t.cfg"
         cfg_path.write_text(text)
         proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("config error:")
+        # a key out of range fails in the config parser; a horizon that is
+        # not a whole number of steps fails in the engine's time grid
+        if "t_final" in text:
+            assert proc.stderr.startswith("error: ")
+            assert "not a whole number of steps" in proc.stderr
+        else:
+            assert proc.stderr.startswith("config error:")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 

@@ -116,15 +116,16 @@ class TestSplitStep:
             run_lattice(model, psi, 2.0, 0.5, WeightProfile(0, 1.0, 1.0))
 
     def test_last_step_past_weight_t0_rejected(self):
-        # round(0.555 / 0.01) = 56 steps end at t = 0.56, past t0 = 0.555
+        # 0.555 / 0.01 = 55.5 steps: no last step lands on t_final
         model = LatticeModel(extent=8, dt=0.01)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 3), 8)
         with pytest.raises(ValueError, match="last step"):
             run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.555))
         with pytest.raises(ValueError, match="last step"):
             run_lattice(model, psi, 0.555, 0.1)  # the default weight has t0 = t_final
-        records, _ = run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.56))
-        assert records[-1].t == pytest.approx(0.56)
+        # a weight past the rounded-up step does not make the horizon whole
+        with pytest.raises(ValueError, match="whole number of steps"):
+            run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.56))
 
 
 class TestBatch:

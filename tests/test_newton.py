@@ -137,7 +137,7 @@ class TestSolveLinearized:
         dt = 1e-3
         psi = self.make_zero_psi(101, dt)
         forcing = self.make_zero_psi(101, dt)
-        sol = solve_linearized(LinearizedSystem(psi, forcing), 0.1, dt)
+        sol = solve_linearized(LinearizedSystem(psi, forcing), dt)
         assert np.all(sol.values == 0)
 
     def test_constant_forcing_mode_formula(self):
@@ -154,7 +154,7 @@ class TestSolveLinearized:
             values=np.broadcast_to(b_field, (n_t, SIZE)).copy(),
             box_length=BOX,
         )
-        sol = solve_linearized(LinearizedSystem(psi, forcing), t_final, dt)
+        sol = solve_linearized(LinearizedSystem(psi, forcing), dt)
         b_hat = np.fft.fft(b_field) / SIZE
         k = np.fft.fftfreq(SIZE, d=BOX / SIZE) * 2 * np.pi
         expected_hat = np.where(
@@ -176,7 +176,7 @@ class TestSolveLinearized:
             ).copy(),
             box_length=BOX,
         )
-        sol = solve_linearized(LinearizedSystem(psi, forcing), 0.05, dt)
+        sol = solve_linearized(LinearizedSystem(psi, forcing), dt)
         assert np.all(sol.values[0] == 0)
 
 

@@ -89,6 +89,15 @@ class TestConeTest:
         d = nlw_cone_test(real_grid(bump, box), real_grid(0 * bump, box), T, 0.05)
         assert d == 0.0
 
+    def test_radius_not_a_whole_number_of_steps(self):
+        # T / dt = 156.25: the cone's T bounds the sampled times, so the test
+        # takes the 156 whole steps with t <= T instead of rejecting T
+        box, size = 160.0, 512
+        u0 = make_initial_grid(InitialData.random_band(0.5, 0.5, 11), box, size)
+        u1 = make_initial_grid(InitialData.random_band(0.5, 0.5, 12), box, size)
+        d = nlw_cone_test(real_grid(u0.values.real, box), real_grid(u1.values.real, box), 0.05, 3.2e-4)
+        assert np.isfinite(d)
+
     def test_random_data_small_difference(self):
         # reduced-size smoke of the acceptance cone check
         box, size = 128.0, 2048
