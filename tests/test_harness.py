@@ -483,15 +483,42 @@ class TestCli:
     def test_accept_exit_codes_inprocess(self, monkeypatch):
         # stub the criteria list so the accept verb is cheap to exercise
         from nlsgrowth.harness import acceptance, cli
-        from nlsgrowth.harness.acceptance import CriterionResult
 
-        def good(level, hook):
-            return CriterionResult("stub_ok", True, "1", "1", 0.0)
+        def good(level):
+            return [("one", 1.0, "<=", 1.0, ".1f")]
 
-        def bad(level, hook):
-            return CriterionResult("stub_bad", False, "0", "1", 0.0)
+        def bad(level):
+            return [("zero", 0.0, ">=", 1.0, ".1f")]
 
-        monkeypatch.setattr(acceptance, "CRITERIA", [("stub_ok", good)])
+        monkeypatch.setattr(acceptance, "CRITERIA", [("stub_ok", good, "", None)])
         assert cli.main(["accept", "--level", "quick"]) == 0
-        monkeypatch.setattr(acceptance, "CRITERIA", [("stub_ok", good), ("stub_bad", bad)])
+        monkeypatch.setattr(acceptance, "CRITERIA", [("stub_ok", good, "", None), ("stub_bad", bad, "", None)])
         assert cli.main(["accept", "--level", "quick"]) == 4
+
+    def test_accept_crash_names_exception(self, monkeypatch, capsys):
+        from nlsgrowth.harness import acceptance, cli
+
+        def crash(level):
+            return [("ratio", 1.0 / 0, "<=", 1.0, ".1f")]
+
+        monkeypatch.setattr(acceptance, "CRITERIA", [("stub_crash", crash, "", None)])
+        assert cli.main(["accept", "--level", "quick"]) == 4
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("FAIL stub_crash: ZeroDivisionError: ")
+
+    @pytest.mark.parametrize("text", [
+        "engine = lattice\nlattice.extent = 16\ndata.kind = random_phase\n"
+        "data.amplitude = 1e200\nrun.t_final = 1\n",
+        "engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = 32\n"
+        "data.kind = random_band\ndata.amplitude = 1e200\nrun.t_final = 0.01\n",
+        "engine = nlw\nnlw.grid_size = 64\nnlw.box_length = 32\n"
+        "data.kind = random_band\ndata.amplitude = 1e200\nrun.t_final = 0.125\n",
+    ], ids=["lattice", "continuum", "nlw"])
+    def test_overflow_one_stderr_line(self, tmp_path, text):
+        # an overflow is the numerical abort line alone, no numpy warnings
+        cfg_path = tmp_path / "o.cfg"
+        cfg_path.write_text(text)
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical abort:")
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
