@@ -53,16 +53,13 @@ from .continuum import (
     linear_propagate,
     local_energy_probe,
     picard_solve,
-    regularized_nonlinearity,
     run_continuum,
 )
 from .newton import (
     AnalyticNormParams,
-    RadiusSchedule,
     majorant_norm,
     newton_iterate,
     residual,
-    residual_first,
     solve_linearized,
 )
 from .wave import WaveState, nlw_cone_test, nlw_energy, run_nlw

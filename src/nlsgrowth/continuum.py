@@ -31,7 +31,6 @@ __all__ = [
     "Trajectory",
     "LocalEnergyProbe",
     "BootstrapReport",
-    "regularized_nonlinearity",
     "linear_propagate",
     "comb_oracle",
     "run_continuum",
@@ -111,13 +110,6 @@ def _check_grid(u: GridField, model: ContinuumModel) -> None:
 # ---------------------------------------------------------------------------
 # elementary operations
 # ---------------------------------------------------------------------------
-
-def regularized_nonlinearity(u: GridField, phi: Mollifier, dealias: bool = True) -> GridField:
-    """N(u) = phi * (|phi * u|^2 (phi * u)), cubic product dealiased."""
-    filt = _cubic_filter(phi, u.box_length, u.size, dealias)
-    vals = _fft.ifft(filt * _cubic_hat(_fft.fft(u.values), filt))
-    return GridField(values=vals, box_length=u.box_length)
-
 
 def linear_propagate(u0: GridField, t: float) -> GridField:
     """e^{i t d_xx} u0: multiply mode k by e^{-i k^2 t}."""

@@ -255,7 +255,7 @@ def _c07_lemma_a(level: str) -> list[tuple]:
     for t0 in (25.0, 100.0, 400.0) if level == "full" else (25.0, 100.0):
         tab = kernel_table(t0)
         data = adversarial_data(t0, tab.half_width, tab)
-        evolved = linear_evolve(data, t0, kernel_table(t0, tab.half_width))
+        evolved = linear_evolve(data, t0, tab)
         ratio = abs(evolved.at(0)) / np.sqrt(t0)
         checks += [(f"ratio_t{int(t0)}", ratio, op, bound, ".3f") for op, bound in ((">=", 0.3), ("<=", 2.0))]
         pairing = pairing and pairing_check(t0)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import LatticeField, WeightProfile
-from .timegrid import drive
+from .timegrid import _check_row, drive
 
 __all__ = [
     "LatticeModel",
@@ -249,8 +249,9 @@ def run_lattice_batch(
 
     A weight is defined only up to its t0, so a weight with t0 < t_final is
     rejected (ValueError), as is a t_final that is not a whole number of
-    steps.  An overflow raises NumericsError naming the first overflowed row
-    by its label (default ``row <b>``).
+    steps.  An overflow of the state or of a recorded diagnostic raises
+    NumericsError naming the first overflowed row by its label (default
+    ``row <b>``).
     """
     period = 2 * model.extent + 1
     values = np.asarray(values, dtype=complex)
@@ -273,10 +274,10 @@ def run_lattice_batch(
     work = (np.empty_like(vals), np.empty_like(vals), np.empty(vals.shape), np.empty(vals.shape))
 
     def record_all(t: float) -> None:
-        for row, weight, out in zip(vals, weights, records):
+        for b, (row, weight, out) in enumerate(zip(vals, weights, records)):
             field = LatticeField(values=row, extent=model.extent)
             t_w = min(t, weight.t0)  # step * dt may overshoot t0 by roundoff
-            out.append(LatticeRunRecord(
+            record = LatticeRunRecord(
                 t=t,
                 sup_abs=field.sup_abs(),
                 global_mass=field.mass(),
@@ -284,9 +285,12 @@ def run_lattice_batch(
                 local_mass=local_mass(field, weight, t_w),
                 local_energy=local_energy(field, weight, t_w),
                 sup_dt=sup_time_derivative(field, model),
-            ))
+            )
+            _check_row(record, record._fields, "lattice run", labels[b] if labels else f"row {b}")
+            out.append(record)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # drive() reports an overflow
+    # drive() reports an overflowed state, record_all() an overflowed diagnostic
+    with np.errstate(over="ignore", invalid="ignore"):
         record_all(0.0)
         strang = (_step_values(vals, model, symbol, work) for _ in itertools.count())
         for t, _ in drive(strang, t_final, model.dt, record_dt, "lattice run", labels):

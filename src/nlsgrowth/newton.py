@@ -10,7 +10,8 @@ conj(psi_{n-1}) + |xi_n|^2 xi_n (R_1 = |psi_1|^2 psi_1), which drives
 quadratic convergence.  The linearized flow is realized by direct Lawson-RK4
 integration of xi alone rather than a time-ordered exponential: the
 conjugate component is conj(xi) by construction, so the right-hand side is
-R-linear in xi and each stage costs one FFT pair.
+R-linear in xi and each stage costs one FFT pair.  Iterates, residuals and
+corrections are [n_times, M] arrays whose row n holds t = n dt.
 
 Convergence is tracked in a computable Fourier majorant of the analytic
 derivative-series norm: for band-limited f with coefficients c_k,
@@ -31,17 +32,13 @@ from scipy import fft as _fft
 from .continuum import Trajectory, _free_phases, _lawson_ctx, _lawson_rk4
 from .errors import LinearizedBlowupError, NewtonDivergenceError
 from .fields import GridField, grid_wavenumbers
-from .timegrid import drive, time_grid
+from .timegrid import drive
 
 __all__ = [
     "AnalyticNormParams",
-    "RadiusSchedule",
-    "LinearizedSystem",
     "NewtonIterationRow",
     "NewtonResult",
     "majorant_norm",
-    "trajectory_majorant",
-    "residual_first",
     "residual",
     "solve_linearized",
     "newton_iterate",
@@ -64,26 +61,11 @@ class AnalyticNormParams:
             raise ValueError("derivative count must be >= 0")
 
 
-@dataclass(frozen=True)
-class RadiusSchedule:
-    """Shrinking radii r_{n+1} = r_n - delta_n with delta_n = c n^-2.
-
-    c is fixed so that sum_n delta_n = r1/2; the radii stay above r1/2
-    along the whole iteration.
-    """
-
-    r1: float = 1.0
-
-    @property
-    def c(self) -> float:
-        return 3.0 * self.r1 / np.pi ** 2  # sum 1/n^2 = pi^2/6
-
-    def radius(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("iteration index starts at 1")
-        # r_n = r1 - sum_{m<n} delta_m
-        m = np.arange(1, n)
-        return float(self.r1 - self.c * np.sum(1.0 / m ** 2))
+def _radius(r1: float, n: int) -> float:
+    """r_n = r1 - sum_{m<n} delta_m with delta_m = c m^-2, where c = 3 r1 / pi^2
+    makes sum_m delta_m = r1/2: the radii stay above r1/2."""
+    m = np.arange(1, n)
+    return float(r1 - 3.0 * r1 / np.pi ** 2 * np.sum(1.0 / m ** 2))
 
 
 def majorant_norm(f: GridField, params: AnalyticNormParams) -> float:
@@ -112,55 +94,19 @@ def majorant_norm(f: GridField, params: AnalyticNormParams) -> float:
     return float(np.sum(c_abs * poly * np.exp(ka * params.radius)))
 
 
-def trajectory_majorant(traj: Trajectory, radius: float) -> float:
-    """sup over snapshots of the order-0 majorant norm."""
-    params = AnalyticNormParams(radius=radius, derivative_count=0)
-    return max(
-        majorant_norm(traj.field(i), params) for i in range(len(traj.times))
-    )
-
-
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
 
-def residual_first(psi1: Trajectory) -> Trajectory:
-    """R_1 = |psi_1|^2 psi_1 (the defect of the free evolution)."""
-    vals = (psi1.values.real ** 2 + psi1.values.imag ** 2) * psi1.values
-    return Trajectory(times=psi1.times, values=vals, box_length=psi1.box_length)
-
-
-def residual(psi_prev: Trajectory, xi: Trajectory) -> Trajectory:
+def residual(psi_prev: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """R = 2|xi|^2 psi_prev + xi^2 conj(psi_prev) + |xi|^2 xi (quadratic in xi)."""
-    if psi_prev.values.shape != xi.values.shape:
-        raise ValueError("trajectories must share one time grid")
-    xi2 = xi.values.real ** 2 + xi.values.imag ** 2
-    vals = (
-        2.0 * xi2 * psi_prev.values
-        + xi.values ** 2 * np.conj(psi_prev.values)
-        + xi2 * xi.values
-    )
-    return Trajectory(times=xi.times, values=vals, box_length=xi.box_length)
+    xi2 = xi.real ** 2 + xi.imag ** 2
+    return 2.0 * xi2 * psi_prev + xi ** 2 * np.conj(psi_prev) + xi2 * xi
 
 
 # ---------------------------------------------------------------------------
 # linearized flow
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearizedSystem:
-    """Potential (from the current iterate) and forcing of Newton's linear step.
-
-    xi solves i xi_t = -Dxx xi + 2|psi|^2 xi + psi^2 conj(xi) + R.
-    """
-
-    psi: Trajectory
-    forcing: Trajectory
-
-    def __post_init__(self):
-        if self.psi.values.shape != self.forcing.values.shape:
-            raise ValueError("potential and forcing must share one time grid")
-
 
 def _interp(values: np.ndarray, s: float) -> np.ndarray:
     """values[s] for a fractional row index s, linear between rows."""
@@ -171,23 +117,24 @@ def _interp(values: np.ndarray, s: float) -> np.ndarray:
     return (1.0 - frac) * values[i] + frac * values[i + 1]
 
 
-def solve_linearized(sys: LinearizedSystem, dt: float) -> Trajectory:
-    """Integrate the forced linearized equation from zero data with Lawson-RK4
-    over the system's time grid, whose spacing is dt.
+def solve_linearized(
+    psi: np.ndarray, forcing: np.ndarray, box_length: float, dt: float
+) -> np.ndarray:
+    """Rows of xi, from zero data, for the potential of psi and the forcing
+    R, both [n_times, M] arrays with row n at t = n dt.
 
-    The free part -Dxx is exact through the integrating factors e^{-i k^2 dt};
-    the potential and forcing are applied pointwise with linear interpolation
-    to the half-step times.  This realizes the fundamental-solution action
-    without materializing a time-ordered exponential.  Raises
-    LinearizedBlowupError when sup|xi| passes its a-priori growth bound.
+    xi solves i xi_t = -Dxx xi + 2|psi|^2 xi + psi^2 conj(xi) + R by
+    Lawson-RK4: the free part -Dxx is exact through the integrating factors
+    e^{-i k^2 dt}; the potential and forcing are applied pointwise with linear
+    interpolation to the half-step times.  This realizes the
+    fundamental-solution action without materializing a time-ordered
+    exponential.  Raises LinearizedBlowupError when sup|xi| passes its
+    a-priori growth bound.
     """
-    times = sys.psi.times
-    t_final = float(times[-1])
-    if time_grid(t_final, dt) != len(times) - 1:
-        raise ValueError(f"the system's time grid is not spaced by dt = {dt}")
-    psi = sys.psi.values
-    e1, eh = _lawson_ctx(sys.psi.box_length, psi.shape[1], dt)
-    forcing = sys.forcing.values
+    if forcing.shape != psi.shape:
+        raise ValueError(f"forcing shape {forcing.shape} is not the potential's {psi.shape}")
+    t_final = (psi.shape[0] - 1) * dt
+    e1, eh = _lawson_ctx(box_length, psi.shape[1], dt)
     two_abs2 = 2.0 * (psi.real ** 2 + psi.imag ** 2)
     psi_sq = psi ** 2
 
@@ -214,7 +161,7 @@ def solve_linearized(sys: LinearizedSystem, dt: float) -> Trajectory:
                     f"linearized solve unstable at step {len(xi_out) - 1}: sup={sup:.3e} "
                     f"exceeds bound {growth_bound:.3e}"
                 )
-    return Trajectory(times=times, values=np.array(xi_out), box_length=sys.psi.box_length)
+    return np.array(xi_out)
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +189,26 @@ def newton_iterate(
     psi0: GridField,
     t_final: float,
     dt: float,
-    schedule: RadiusSchedule | None = None,
+    r1: float = 1.0,
     max_iter: int = 12,
     tol: float = 1e-12,
     smallness: float = 0.5,
 ) -> NewtonResult:
     """Run the Newton scheme from psi_1 = e^{it Dxx} psi0.
 
-    If the initial majorant norm exceeds ``smallness`` the data is multiplied
-    by a recorded amplitude scale first (the returned trajectory then solves
-    the problem for the scaled data).  Stops when sup|R_n| <= tol or after
-    max_iter corrections; raises NewtonDivergenceError when the correction
-    norms grow twice in a row.
+    The n-th correction is measured at the radius r_n, which shrinks from r1
+    and stays above r1/2.  If the initial majorant norm exceeds ``smallness``
+    the data is multiplied by a recorded amplitude scale first (the returned
+    trajectory then solves the problem for the scaled data).  Stops when
+    sup|R_n| <= tol or after max_iter corrections; raises
+    NewtonDivergenceError when the correction norms grow twice in a row.
     """
-    if schedule is None:
-        schedule = RadiusSchedule()
     times, phases = _free_phases(psi0.box_length, psi0.size, t_final, dt)
-    eps1_raw = majorant_norm(psi0, AnalyticNormParams(schedule.r1, 0))
+    eps1_raw = majorant_norm(psi0, AnalyticNormParams(r1, 0))
     scale = 1.0 if eps1_raw <= smallness else smallness / eps1_raw
     data_hat = _fft.fft(scale * psi0.values)
-    psi_vals = _fft.ifft(phases * data_hat[None, :], axis=1)
-    psi = Trajectory(times=times, values=psi_vals, box_length=psi0.box_length)
-    r_traj = residual_first(psi)
+    psi = _fft.ifft(phases * data_hat[None, :], axis=1)
+    r = (psi.real ** 2 + psi.imag ** 2) * psi  # R_1 = |psi_1|^2 psi_1
 
     eps_prev = eps1_raw * scale  # linear evolution preserves |c_k|
     rows: list[NewtonIterationRow] = []
@@ -271,7 +216,7 @@ def newton_iterate(
     grow_count = 0
     n = 1
     while True:
-        sup_r = float(np.max(np.abs(r_traj.values)))
+        sup_r = float(np.max(np.abs(r)))
         if sup_r <= tol:
             rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=np.nan))
             converged = True
@@ -279,12 +224,11 @@ def newton_iterate(
         if n >= max_iter:
             rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=np.nan))
             break
-        xi = solve_linearized(LinearizedSystem(psi=psi, forcing=r_traj), dt)
-        psi_next = Trajectory(
-            times=times, values=psi.values + xi.values, box_length=psi.box_length
-        )
-        r_traj = residual(psi, xi)
-        eps_next = trajectory_majorant(xi, schedule.radius(n + 1))
+        xi = solve_linearized(psi, r, psi0.box_length, dt)
+        r = residual(psi, xi)
+        # sup over the rows of the order-0 majorant at r_{n+1}
+        params = AnalyticNormParams(_radius(r1, n + 1), 0)
+        eps_next = max(majorant_norm(GridField(row, psi0.box_length), params) for row in xi)
         ratio = eps_next / eps_prev ** 2 if eps_prev > 0 else np.nan
         rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=ratio))
         if eps_next > eps_prev:
@@ -296,12 +240,12 @@ def newton_iterate(
                 )
         else:
             grow_count = 0
-        psi = psi_next
+        psi = psi + xi
         eps_prev = eps_next
         n += 1
 
     return NewtonResult(
-        trajectory=psi,
+        trajectory=Trajectory(times=times, values=psi, box_length=psi0.box_length),
         rows=tuple(rows),
         amplitude_scale=scale,
         converged=converged,

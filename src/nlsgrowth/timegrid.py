@@ -1,5 +1,6 @@
 """The one time grid and run loop of the lattice, continuum, wave and
-Newton engines: every run takes whole steps and ends exactly at t_final."""
+Newton engines: every run takes whole steps and ends exactly at t_final,
+and every stepped state and recorded diagnostics row is finite."""
 
 import math
 
@@ -42,3 +43,14 @@ def drive(states, t_final, dt, record_dt, what, labels=None):
                 where = f" ({labels[row] if labels else f'row {row}'})" if finite.ndim else ""
                 raise NumericsError(f"{what} overflowed near t={n * dt:.3f}{where}")
             yield n * dt, state
+
+
+def _check_row(row, columns, what, label=None):
+    """Raise NumericsError naming the first non-finite entry of a recorded
+    diagnostics row (entries named by ``columns``; the first is t), the run
+    ``what`` and the row's label."""
+    if all(map(math.isfinite, row)):
+        return
+    name, value = next((c, v) for c, v in zip(columns, row) if not math.isfinite(v))
+    where = f" ({label})" if label else ""
+    raise NumericsError(f"{what} recorded {name} = {value} at t={row[0]:.3f}{where}")

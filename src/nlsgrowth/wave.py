@@ -27,7 +27,7 @@ from scipy import fft as _fft
 
 from .fields import GridField, chi_eval
 from .errors import NumericsError
-from .timegrid import drive, time_grid
+from .timegrid import _check_row, drive, time_grid
 
 __all__ = [
     "WaveState",
@@ -100,7 +100,9 @@ def run_nlw(
     p: int = 1,
     coupling: float = 1.0,
 ) -> tuple[list[tuple[float, float, float]], WaveState]:
-    """Leapfrog to t_final with force reuse; records (t, sup|u|, energy)."""
+    """Leapfrog to t_final with force reuse; records (t, sup|u|, energy).
+
+    An overflow of u, u_t or a recorded value raises NumericsError."""
     _check_cfl(dt, state.u)
     k2 = _k2_real(state.u.box_length, state.u.size)
     u = state.u.values.real.copy()
@@ -110,11 +112,16 @@ def run_nlw(
     def snapshot(uv, vv):
         return WaveState(GridField(uv, box), GridField(vv, box))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # drive() reports an overflow
-        records = [(0.0, float(np.max(np.abs(u))), nlw_energy(snapshot(u, v), p, coupling))]
+    def record(t, uv, vv):
+        rec = (t, float(np.max(np.abs(uv))), nlw_energy(snapshot(uv, vv), p, coupling))
+        _check_row(rec, ("t", "sup_abs", "energy"), "wave run")
+        return rec
+
+    with np.errstate(over="ignore", invalid="ignore"):  # drive() reports an overflowed state
+        records = [record(0.0, u, v)]
         verlet = _verlet(u, v, k2, dt, p, coupling)
         for t, (u, v) in drive(verlet, t_final, dt, record_dt, "wave run", ["u", "u_t"]):
-            records.append((t, float(np.max(np.abs(u))), nlw_energy(snapshot(u, v), p, coupling)))
+            records.append(record(t, u, v))
     return records, snapshot(u, v)
 
 

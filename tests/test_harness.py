@@ -212,6 +212,15 @@ class TestRunner:
         with pytest.raises(NumericsError, match="case x0=0"):
             sweep_experiment(cfg, tmp_path / "s", workers=1)
 
+    def test_overflowed_diagnostic_named(self):
+        # the abort names the run, the column, t and the row label
+        cfg = parse_config_text(
+            "engine = lattice\nlattice.extent = 16\ndata.kind = random_phase\n"
+            "data.amplitude = 1e200\nrun.t_final = 0\nweight.t0 = 0\n"
+        )
+        with pytest.raises(NumericsError, match=r"^lattice run recorded global_mass = inf at t=0\.000 \(row 0\)$"):
+            execute(cfg)
+
     def test_lattice_linear_engine(self):
         cfg = parse_config_text(
             "engine = lattice-linear\nrun.t0_values = 25\nensemble.samples = 200\n"
@@ -513,12 +522,23 @@ class TestCli:
         "data.kind = random_band\ndata.amplitude = 1e200\nrun.t_final = 0.01\n",
         "engine = nlw\nnlw.grid_size = 64\nnlw.box_length = 32\n"
         "data.kind = random_band\ndata.amplitude = 1e200\nrun.t_final = 0.125\n",
-    ], ids=["lattice", "continuum", "nlw"])
+        # finite states whose recorded diagnostics overflow
+        "engine = lattice\nlattice.extent = 16\ndata.kind = random_phase\n"
+        "data.amplitude = 1e200\nrun.t_final = 0\nweight.t0 = 0\n",
+        "engine = lattice\ndata.amplitude = 1e100\nrun.t_final = 0.1\n",
+        "engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = 32\n"
+        "data.kind = random_band\ndata.amplitude = 1e100\nrun.t_final = 0\n",
+        "engine = nlw\nnlw.grid_size = 64\nnlw.box_length = 32\n"
+        "data.kind = random_band\ndata.amplitude = 1e100\nrun.t_final = 0\n",
+    ], ids=["lattice", "continuum", "nlw",
+            "lattice_mass_t0", "lattice_energy", "continuum_energy", "nlw_energy"])
     def test_overflow_one_stderr_line(self, tmp_path, text):
-        # an overflow is the numerical abort line alone, no numpy warnings
+        # an overflow is the numerical abort line alone, no numpy warnings,
+        # and no run directory with inf or nan in it
         cfg_path = tmp_path / "o.cfg"
         cfg_path.write_text(text)
         proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numerical abort:")
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "o").exists()

@@ -1,19 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from nlsgrowth.continuum import ContinuumModel, Trajectory, run_continuum
+from nlsgrowth.continuum import ContinuumModel, run_continuum
 from nlsgrowth.fields import GridField, InitialData, Mollifier, make_initial_grid
 from nlsgrowth.errors import NumericsError
 from nlsgrowth.newton import (
     AnalyticNormParams,
-    LinearizedSystem,
-    RadiusSchedule,
+    _radius,
     majorant_norm,
     newton_iterate,
     residual,
-    residual_first,
     solve_linearized,
-    trajectory_majorant,
 )
 
 BOX = 2 * np.pi
@@ -81,64 +80,57 @@ class TestMajorantNorm:
 
 class TestSchedule:
     def test_radii_sum_to_half(self):
-        s = RadiusSchedule(r1=1.0)
-        assert s.radius(1) == 1.0
+        assert _radius(1.0, 1) == 1.0
         # radii decrease and stay above r1/2
         prev = 1.0
         for n in range(2, 200):
-            r = s.radius(n)
+            r = _radius(1.0, n)
             assert r < prev
             assert r > 0.5
             prev = r
-        assert s.radius(2) == pytest.approx(1.0 - 3.0 / np.pi ** 2)
+        assert _radius(1.0, 2) == pytest.approx(1.0 - 3.0 / np.pi ** 2)
 
 
 class TestResidual:
-    def make_traj(self, field_vals, n_t=5):
-        times = 0.01 * np.arange(n_t)
-        vals = np.broadcast_to(field_vals, (n_t, SIZE)).copy()
-        return Trajectory(times=times, values=vals, box_length=BOX)
+    def make_rows(self, field_vals, n_t=5):
+        return np.broadcast_to(field_vals, (n_t, SIZE)).astype(complex)
 
     def test_zero_correction(self):
-        psi = self.make_traj(np.full(SIZE, 0.5 + 0.1j))
-        xi = self.make_traj(np.zeros(SIZE))
-        assert np.all(residual(psi, xi).values == 0)
+        psi = self.make_rows(np.full(SIZE, 0.5 + 0.1j))
+        xi = self.make_rows(np.zeros(SIZE))
+        assert np.all(residual(psi, xi) == 0)
 
     def test_first_residual_single_mode(self):
-        amp = 0.3 + 0.1j
-        k = 2.0
-        x = x_grid()
-        times = 0.05 * np.arange(4)
-        vals = amp * np.exp(1j * (k * x[None, :] - k ** 2 * times[:, None]))
-        psi1 = Trajectory(times=times, values=vals, box_length=BOX)
-        r1 = residual_first(psi1)
-        assert np.allclose(r1.values, abs(amp) ** 2 * vals, atol=1e-14)
+        # psi_1 is the free plane wave, so R_1 = |psi_1|^2 psi_1 has sup |amp|^3
+        amp = 0.03 + 0.01j
+        psi0 = grid(amp * np.exp(2j * x_grid()))
+        res = newton_iterate(psi0, 0.15, 0.05, max_iter=1)
+        assert res.amplitude_scale == 1.0
+        assert res.rows[0].sup_residual == pytest.approx(abs(amp) ** 3, rel=1e-12)
+        assert np.allclose(
+            res.trajectory.values,
+            amp * np.exp(1j * (2 * x_grid()[None, :] - 4 * res.trajectory.times[:, None])),
+            atol=1e-14,
+        )
 
     def test_homogeneity_in_xi(self):
         rng = np.random.default_rng(1)
         psi_v = rng.standard_normal(SIZE) + 1j * rng.standard_normal(SIZE)
         xi_v = rng.standard_normal(SIZE) + 1j * rng.standard_normal(SIZE)
-        psi = self.make_traj(psi_v)
+        psi = self.make_rows(psi_v)
         lam = 0.37
-        r_lam = residual(psi, self.make_traj(lam * xi_v)).values[0]
+        r_lam = residual(psi, self.make_rows(lam * xi_v))[0]
         quad = 2 * np.abs(xi_v) ** 2 * psi_v + xi_v ** 2 * np.conj(psi_v)
         cubic = np.abs(xi_v) ** 2 * xi_v
         assert np.allclose(r_lam, lam ** 2 * quad + lam ** 3 * cubic, atol=1e-13)
 
 
 class TestSolveLinearized:
-    def make_zero_psi(self, n_t, dt):
-        times = dt * np.arange(n_t)
-        return Trajectory(
-            times=times, values=np.zeros((n_t, SIZE), dtype=complex), box_length=BOX
-        )
-
     def test_zero_forcing_zero_solution(self):
-        dt = 1e-3
-        psi = self.make_zero_psi(101, dt)
-        forcing = self.make_zero_psi(101, dt)
-        sol = solve_linearized(LinearizedSystem(psi, forcing), dt)
-        assert np.all(sol.values == 0)
+        zeros = np.zeros((101, SIZE), dtype=complex)
+        sol = solve_linearized(zeros, zeros, BOX, 1e-3)
+        assert sol.shape == (101, SIZE)
+        assert np.all(sol == 0)
 
     def test_constant_forcing_mode_formula(self):
         # V = 0, b constant in t: mode k solves u(t) = -b (1 - e^{-ik^2 t})/k^2,
@@ -146,15 +138,11 @@ class TestSolveLinearized:
         dt = 1e-3
         n_t = 101
         t_final = 0.1
-        psi = self.make_zero_psi(n_t, dt)
+        psi = np.zeros((n_t, SIZE), dtype=complex)
         x = x_grid()
         b_field = 0.2 + 0.3 * np.exp(1j * 2 * x) + 0.1 * np.exp(-1j * 3 * x)
-        forcing = Trajectory(
-            times=dt * np.arange(n_t),
-            values=np.broadcast_to(b_field, (n_t, SIZE)).copy(),
-            box_length=BOX,
-        )
-        sol = solve_linearized(LinearizedSystem(psi, forcing), dt)
+        forcing = np.broadcast_to(b_field, (n_t, SIZE)).copy()
+        sol = solve_linearized(psi, forcing, BOX, dt)
         b_hat = np.fft.fft(b_field) / SIZE
         k = np.fft.fftfreq(SIZE, d=BOX / SIZE) * 2 * np.pi
         expected_hat = np.where(
@@ -162,22 +150,22 @@ class TestSolveLinearized:
             -1j * b_hat * t_final,
             -b_hat * (1.0 - np.exp(-1j * k ** 2 * t_final)) / np.where(k == 0, 1.0, k ** 2),
         )
-        got_hat = np.fft.fft(sol.values[-1]) / SIZE
+        got_hat = np.fft.fft(sol[-1]) / SIZE
         assert np.max(np.abs(got_hat - expected_hat)) < 1e-9
 
     def test_zero_initial_condition_exact(self):
-        dt = 1e-3
-        psi = self.make_zero_psi(51, dt)
+        psi = np.zeros((51, SIZE), dtype=complex)
         rng = np.random.default_rng(3)
-        forcing = Trajectory(
-            times=dt * np.arange(51),
-            values=np.broadcast_to(
-                rng.standard_normal(SIZE) + 1j * rng.standard_normal(SIZE), (51, SIZE)
-            ).copy(),
-            box_length=BOX,
-        )
-        sol = solve_linearized(LinearizedSystem(psi, forcing), dt)
-        assert np.all(sol.values[0] == 0)
+        forcing = np.broadcast_to(
+            rng.standard_normal(SIZE) + 1j * rng.standard_normal(SIZE), (51, SIZE)
+        ).copy()
+        sol = solve_linearized(psi, forcing, BOX, 1e-3)
+        assert np.all(sol[0] == 0)
+
+    def test_forcing_shape_checked(self):
+        psi = np.zeros((51, SIZE), dtype=complex)
+        with pytest.raises(ValueError, match="forcing shape"):
+            solve_linearized(psi, psi[:50], BOX, 1e-3)
 
 
 class TestNewton:
@@ -255,7 +243,26 @@ class TestNewton:
         with pytest.raises(NumericsError):
             newton_iterate(psi0, 2.0, 2e-3, smallness=1e9, max_iter=12)
 
-    def test_trajectory_majorant_linear_constant(self):
+    def test_first_eps_is_data_majorant(self):
         psi0 = grid(0.1 * np.cos(x_grid()))
         res = newton_iterate(psi0, 0.1, 1e-3, max_iter=2, tol=1e-16)
         assert res.rows[0].eps == pytest.approx(0.1 * np.e, rel=1e-12)
+
+
+class TestPinned:
+    # sha256 of the trajectory values, then of the rows (n, eps, sup_residual,
+    # ratio) as float64, computed with the Trajectory-wrapping iteration that
+    # preceded the array one (numpy 2.4.6, scipy 1.17.1): no bit moved
+    @pytest.mark.parametrize("amp,t_final,kw,values_digest,rows_digest", [
+        (0.1, 0.3, {"tol": 1e-13, "max_iter": 8},
+         "93207eeda91f63a79e4b94549ddd5676cc36113dbb1930e5793f044c69aff4c8",
+         "7f122df22b96f282c9f3e9bcc7330007d3ccbf91a85903c3d415bb98a5483fb6"),
+        (2.0, 0.05, {"tol": 1e-12},
+         "5ee5c8979af898ed8346b5a48b08d2c0fabe24cdca5f9944578e68b5bb668407",
+         "8d389722ae111db516eabd90f93ac99f9e6e85e7f81c2407ad726b379471bd61"),
+    ], ids=["c13_ladder", "rescaled_2cos"])
+    def test_pinned_run(self, amp, t_final, kw, values_digest, rows_digest):
+        res = newton_iterate(grid(amp * np.cos(x_grid())), t_final, 1e-3, **kw)
+        rows = np.array([(r.n, r.eps, r.sup_residual, r.ratio) for r in res.rows], dtype=float)
+        assert hashlib.sha256(res.trajectory.values.tobytes()).hexdigest() == values_digest
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == rows_digest
