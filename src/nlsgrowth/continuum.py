@@ -10,6 +10,10 @@ an integrating-factor (Lawson) RK4.  Cubic products are dealiased with the
 The periodic box stands in for the real line: boxes are sized so that no
 signal wraps into a probe window during a run, monitored via the closed-form
 Gaussian-comb oracle.
+
+Stepper contract (``_lawson_rk4``, here and in Newton): the stepper copies
+its initial state once, steps its own buffers in place and yields the same
+array after every step; a stage f(v, s, out) writes into out (README).
 """
 
 from __future__ import annotations
@@ -89,14 +93,15 @@ def _cubic_filter(phi: Mollifier, box_length: float, size: int, dealias: bool) -
     return g * mask if dealias else g
 
 
-def _cubic_hat(v_hat: np.ndarray, filt: np.ndarray) -> np.ndarray:
+def _cubic_hat(v_hat: np.ndarray, filt: np.ndarray, work=None) -> np.ndarray:
     """fft of |w|^2 w for w = ifft(filt * v_hat), along the last axis.
 
     N(u) is ifft(filt * _cubic_hat(fft(u), filt)); the outer filter is left
     to the caller so a Lawson stage can fold its -i*sign*coupling into it.
+    Both FFTs run in place; ``work`` (shaped like v_hat) holds filt * v_hat.
     """
-    w = _fft.ifft(filt * v_hat)
-    return _fft.fft((w.real ** 2 + w.imag ** 2) * w)
+    w = _fft.ifft(np.multiply(filt, v_hat, out=work), overwrite_x=True)
+    return _fft.fft((w.real ** 2 + w.imag ** 2) * w, overwrite_x=True)
 
 
 def _check_grid(u: GridField, model: ContinuumModel) -> None:
@@ -147,27 +152,36 @@ def comb_oracle(coeffs: Sequence[complex], t: float, x, comb_origin: int = 0):
 @lru_cache(maxsize=64)
 def _lawson_ctx(box_length: float, size: int, dt: float):
     k, _ = _grid_ctx(box_length, size)
-    e_full = np.exp(-1j * k ** 2 * dt)
-    e_half = np.exp(-1j * k ** 2 * dt / 2.0)
-    return e_full, e_half
+    return np.exp(-1j * k ** 2 * dt), np.exp(-1j * k ** 2 * dt / 2.0)  # e1, eh
 
 
 def _lawson_rk4(v: np.ndarray, f, e1: np.ndarray, eh: np.ndarray, dt: float):
     """Integrating-factor (Lawson) RK4 steps of v' = L v + f(v, s) in Fourier;
     yields v after each step.
 
-    e1 = e^{L dt} and eh = e^{L dt/2} carry the linear part exactly; f gets
-    the stage time s in steps (n, n + 1/2, n + 1 in the step from n to n + 1).
-    With f = 0 this is the exact linear propagator.  The stiff linear phase
-    is integrated exactly, so the step constraint comes from f alone (for the
-    mollified cubic, dt * coupling * sup|phi*u|^2 well below 1).
+    e1 = e^{L dt} and eh = e^{L dt/2} carry the linear part exactly; f(v, s,
+    out) writes into out, given the stage time s in steps (n, n + 1/2, n + 1
+    in the step from n to n + 1).  With f = 0 this is the exact linear
+    propagator.  The stiff linear phase is integrated exactly, so the step
+    constraint comes from f alone (for the mollified cubic, dt * coupling *
+    sup|phi*u|^2 well below 1).
     """
+    v = v.copy()
+    a1, a2, a3, a4, ehv, e1v, arg, tmp = (np.empty_like(v) for _ in range(8))
+    half_eh, dt_eh, two_eh = (dt / 2.0) * eh, dt * eh, 2.0 * eh
     for n in itertools.count():
-        a1 = f(v, n)
-        a2 = f(eh * v + (dt / 2.0) * eh * a1, n + 0.5)
-        a3 = f(eh * v + (dt / 2.0) * a2, n + 0.5)
-        a4 = f(e1 * v + dt * eh * a3, n + 1.0)
-        v = e1 * v + (dt / 6.0) * (e1 * a1 + 2.0 * eh * a2 + 2.0 * eh * a3 + a4)
+        np.multiply(eh, v, out=ehv)
+        np.multiply(e1, v, out=e1v)
+        f(v, n, a1)
+        f(np.add(ehv, np.multiply(half_eh, a1, out=arg), out=arg), n + 0.5, a2)
+        f(np.add(ehv, np.multiply(dt / 2.0, a2, out=arg), out=arg), n + 0.5, a3)
+        f(np.add(e1v, np.multiply(dt_eh, a3, out=arg), out=arg), n + 1.0, a4)
+        # v = e1 v + (dt/6) (e1 a1 + 2 eh a2 + 2 eh a3 + a4), summed in that order
+        np.multiply(e1, a1, out=arg)
+        arg += np.multiply(two_eh, a2, out=tmp)
+        arg += np.multiply(two_eh, a3, out=tmp)
+        arg += a4
+        np.add(e1v, np.multiply(dt / 6.0, arg, out=v), out=v)
         yield v
 
 
@@ -183,8 +197,8 @@ def run_continuum(
     e1, eh = _lawson_ctx(model.box_length, model.grid_size, model.dt)
     nl_filt = -1j * model.sign * model.coupling * filt
 
-    def nonlinear(v_hat, _s):
-        return nl_filt * _cubic_hat(v_hat, filt)
+    def nonlinear(v_hat, _s, out):
+        np.multiply(nl_filt, _cubic_hat(v_hat, filt, out), out=out)
 
     times = [0.0]
     snaps = [u0.values.copy()]

@@ -29,16 +29,9 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_float_list(s: str) -> tuple:
-    return tuple(float(p) for p in s.split(",") if p.strip())
-
-
-def _parse_int_list(s: str) -> tuple:
-    return tuple(int(p) for p in s.split(",") if p.strip())
-
-
-def _parse_complex_list(s: str) -> tuple:
-    return tuple(complex(p) for p in s.split(",") if p.strip())
+def _parse_list(cast):
+    """Parser of comma-separated ``cast`` values into a tuple (empty items skipped)."""
+    return lambda s: tuple(cast(p) for p in s.split(",") if p.strip())
 
 
 # key -> (parser, default); defaults of None mean "required if used"
@@ -54,8 +47,8 @@ _DATA_KEYS = {
     "data.seed": (int, 0),
     "data.comb_half_extent": (int, 20),
     "data.k_band": (float, 1.0),
-    "data.amplitudes": (_parse_complex_list, (1.0 + 0j,)),
-    "data.frequencies": (_parse_float_list, (1.0,)),
+    "data.amplitudes": (_parse_list(complex), (1.0 + 0j,)),
+    "data.frequencies": (_parse_list(float), (1.0,)),
 }
 
 # time-grid keys that a run divides by or steps towards; lattice.dt and
@@ -75,18 +68,18 @@ ENGINE_SCHEMAS: dict[str, dict] = {
         "weight.x0": (int, 0),
         "weight.R": (float, 1.0),
         "weight.t0": (float, None),  # defaults to t_final at build time
-        "sweep.seeds": (_parse_int_list, ()),
-        "sweep.R": (_parse_float_list, ()),
-        "sweep.x0": (_parse_int_list, ()),
+        "sweep.seeds": (_parse_list(int), ()),
+        "sweep.R": (_parse_list(float), ()),
+        "sweep.x0": (_parse_list(int), ()),
     },
     "lattice-linear": {
-        "run.t0_values": (_parse_float_list, (25.0, 100.0)),
+        "run.t0_values": (_parse_list(float), (25.0, 100.0)),
         "run.extent": (int, 0),  # 0 = auto from kernel width
         "ensemble.samples": (int, 200),
         "ensemble.amplitude": (float, 1.0),
         "ensemble.seed": (int, 0),
         "output.svg": (_parse_bool, False),
-        "sweep.seeds": (_parse_int_list, ()),
+        "sweep.seeds": (_parse_list(int), ()),
     },
     "continuum": {
         **_COMMON_KEYS,
@@ -100,10 +93,10 @@ ENGINE_SCHEMAS: dict[str, dict] = {
         "mollifier.kind": (str, "gaussian"),
         "mollifier.sigma": (float, 1.0),
         "mollifier.cutoff": (float, 1.0),
-        "probe.x0_values": (_parse_float_list, (0.0,)),
+        "probe.x0_values": (_parse_list(float), (0.0,)),
         "probe.R": (float, 1.0),
-        "sweep.seeds": (_parse_int_list, ()),
-        "sweep.R": (_parse_float_list, ()),
+        "sweep.seeds": (_parse_list(int), ()),
+        "sweep.R": (_parse_list(float), ()),
     },
     "nlw": {
         **_COMMON_KEYS,
@@ -112,7 +105,7 @@ ENGINE_SCHEMAS: dict[str, dict] = {
         "nlw.grid_size": (int, 512),
         "nlw.dt": (float, 0.0625),
         "nlw.p": (int, 1),
-        "sweep.seeds": (_parse_int_list, ()),
+        "sweep.seeds": (_parse_list(int), ()),
     },
     "newton": {
         **_DATA_KEYS,

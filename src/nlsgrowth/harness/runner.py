@@ -5,7 +5,9 @@ a ``metadata.json`` sidecar (config echo, code version, wall time, warnings;
 for lattice runs also ``batch``: rows in the batch, step count, stepping
 wall time), and optionally an SVG plot with its ``.dat`` companion.
 Identical (config, seed) pairs produce byte-identical CSVs regardless of the
-sweep worker count: cases are keyed and written in sorted order.
+sweep worker count: cases are keyed and written in sorted order.  A sweep's
+numerical abort names its case; the sweep directory is made by its cases'
+runs, so an aborted sweep leaves no empty one.
 
 A lattice sweep steps its cases as one batch (``run_lattice_batch``), split
 into at most ``workers`` contiguous chunks that run concurrently; a batched
@@ -48,6 +50,7 @@ from ..continuum import (
     run_continuum,
 )
 from ..newton import newton_iterate
+from ..errors import NumericsError
 from ..timegrid import _check_row, time_grid
 from ..wave import WaveState, run_nlw
 from .config import ConfigError, ExperimentConfig
@@ -373,7 +376,6 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     for key, values in axes:
         cases = [dict(c, **{key: v}) for c in cases for v in values]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     keyed = [(_case_key(a), a) for a in cases]
 
     def run_chunk(chunk: list) -> None:
@@ -390,7 +392,10 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
 
     def run_case(case: tuple) -> None:
         key, assignment = case
-        run_experiment(config.with_overrides(**assignment), out / key)
+        try:
+            run_experiment(config.with_overrides(**assignment), out / key)
+        except NumericsError as exc:
+            raise type(exc)(f"{exc} (case {key})") from exc
 
     if config.engine == "lattice":
         # at most `workers` contiguous chunks, sizes differing by at most one

@@ -11,7 +11,8 @@ quadratic convergence.  The linearized flow is realized by direct Lawson-RK4
 integration of xi alone rather than a time-ordered exponential: the
 conjugate component is conj(xi) by construction, so the right-hand side is
 R-linear in xi and each stage costs one FFT pair.  Iterates, residuals and
-corrections are [n_times, M] arrays whose row n holds t = n dt.
+corrections are [n_times, M] arrays whose row n holds t = n dt.  The solve
+keeps the stepper contract of ``continuum._lawson_rk4``.
 
 Convergence is tracked in a computable Fourier majorant of the analytic
 derivative-series norm: for band-limited f with coefficients c_k,
@@ -68,30 +69,33 @@ def _radius(r1: float, n: int) -> float:
     return float(r1 - 3.0 * r1 / np.pi ** 2 * np.sum(1.0 / m ** 2))
 
 
-def majorant_norm(f: GridField, params: AnalyticNormParams) -> float:
-    """Fourier majorant sum_k |c_k| (sum_{q<=p} |k|^q) e^{|k| r}.
-
-    Raises ValueError when r * k_max would overflow the exponential weight.
-    """
-    k = grid_wavenumbers(f.box_length, f.size)
+def _majorant_rows(values: np.ndarray, box_length: float, params: AnalyticNormParams) -> np.ndarray:
+    """majorant_norm of each row of values[B, M] on a box of box_length."""
+    size = values.shape[-1]
+    k = grid_wavenumbers(box_length, size)
     k_max = float(np.max(np.abs(k)))
     if params.radius * k_max > MAX_RADIUS_EXPONENT:
         raise ValueError(
             f"r*k_max = {params.radius * k_max:.1f} overflows the exponential "
             "weight; use a smaller radius"
         )
-    c_abs = np.abs(_fft.fft(f.values)) / f.size
+    c_abs = np.abs(_fft.fft(values, axis=-1)) / size
     # modes at the sampling roundoff floor are artifacts, not content; the
     # e^{|k| r} weight would amplify that noise past the genuine terms
-    floor = 32.0 * np.finfo(float).eps * float(np.max(c_abs, initial=0.0))
+    floor = 32.0 * np.finfo(float).eps * np.max(c_abs, axis=-1, initial=0.0, keepdims=True)
     c_abs = np.where(c_abs > floor, c_abs, 0.0)
     ka = np.abs(k)
-    poly = np.ones_like(ka)
-    term = np.ones_like(ka)
+    poly, term = np.ones_like(ka), np.ones_like(ka)
     for _ in range(params.derivative_count):
         term = term * ka
         poly = poly + term
-    return float(np.sum(c_abs * poly * np.exp(ka * params.radius)))
+    return np.sum(c_abs * poly * np.exp(ka * params.radius), axis=-1)
+
+
+def majorant_norm(f: GridField, params: AnalyticNormParams) -> float:
+    """Fourier majorant sum_k |c_k| (sum_{q<=p} |k|^q) e^{|k| r}; raises
+    ValueError when r * k_max would overflow the exponential weight."""
+    return float(_majorant_rows(f.values[None, :], f.box_length, params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +112,6 @@ def residual(psi_prev: np.ndarray, xi: np.ndarray) -> np.ndarray:
 # linearized flow
 # ---------------------------------------------------------------------------
 
-def _interp(values: np.ndarray, s: float) -> np.ndarray:
-    """values[s] for a fractional row index s, linear between rows."""
-    i = int(s)
-    frac = s - i
-    if frac == 0.0:
-        return values[i]
-    return (1.0 - frac) * values[i] + frac * values[i + 1]
-
-
 def solve_linearized(
     psi: np.ndarray, forcing: np.ndarray, box_length: float, dt: float
 ) -> np.ndarray:
@@ -125,29 +120,36 @@ def solve_linearized(
 
     xi solves i xi_t = -Dxx xi + 2|psi|^2 xi + psi^2 conj(xi) + R by
     Lawson-RK4: the free part -Dxx is exact through the integrating factors
-    e^{-i k^2 dt}; the potential and forcing are applied pointwise with linear
-    interpolation to the half-step times.  This realizes the
-    fundamental-solution action without materializing a time-ordered
-    exponential.  Raises LinearizedBlowupError when sup|xi| passes its
-    a-priori growth bound.
+    e^{-i k^2 dt}; the potential and forcing are applied pointwise, at the
+    half-step times as the mean of their two neighbouring rows.  This
+    realizes the fundamental-solution action without materializing a
+    time-ordered exponential.  Raises LinearizedBlowupError when sup|xi|
+    passes its a-priori growth bound.
     """
     if forcing.shape != psi.shape:
         raise ValueError(f"forcing shape {forcing.shape} is not the potential's {psi.shape}")
     t_final = (psi.shape[0] - 1) * dt
     e1, eh = _lawson_ctx(box_length, psi.shape[1], dt)
-    two_abs2 = 2.0 * (psi.real ** 2 + psi.imag ** 2)
-    psi_sq = psi ** 2
 
     sup_v = 3.0 * float(np.max(np.abs(psi)) ** 2)  # max row sum of |V|: 2|psi|^2 + |psi|^2
     growth_bound = (1.0 + float(np.max(np.abs(forcing))) * t_final) * np.exp(
         min(10.0 * t_final * sup_v, 500.0)
     )
 
-    def rhs(xi_hat: np.ndarray, s: float) -> np.ndarray:
+    # rows at t = n dt, and their means at the half steps (n + 1/2) dt
+    tables = (2.0 * (psi.real ** 2 + psi.imag ** 2), psi ** 2, forcing)
+    halves = [0.5 * a[:-1] + 0.5 * a[1:] for a in tables]
+    g, tmp = np.empty(psi.shape[1], dtype=complex), np.empty(psi.shape[1], dtype=complex)
+
+    def rhs(xi_hat: np.ndarray, s: float, out: np.ndarray) -> None:
         # fft of -i (2|psi|^2 xi + psi^2 conj(xi) + R) at t = s * dt
-        xi = _fft.ifft(xi_hat)
-        g = _interp(two_abs2, s) * xi + _interp(psi_sq, s) * np.conj(xi) + _interp(forcing, s)
-        return _fft.fft(-1j * g)
+        i = int(s)
+        pot, sq, force = (a[i] for a in (tables if s == i else halves))
+        x = _fft.ifft(xi_hat)
+        np.multiply(pot, x, out=g)
+        np.add(g, np.multiply(sq, np.conj(x, out=tmp), out=out), out=g)
+        np.add(g, force, out=g)
+        out[...] = _fft.fft(np.multiply(-1j, g, out=tmp), overwrite_x=True)
 
     xi_out = [np.zeros(psi.shape[1], dtype=complex)]
     lawson = _lawson_rk4(xi_out[0], rhs, e1, eh, dt)
@@ -212,34 +214,27 @@ def newton_iterate(
 
     eps_prev = eps1_raw * scale  # linear evolution preserves |c_k|
     rows: list[NewtonIterationRow] = []
-    converged = False
     grow_count = 0
     n = 1
     while True:
         sup_r = float(np.max(np.abs(r)))
-        if sup_r <= tol:
-            rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=np.nan))
-            converged = True
-            break
-        if n >= max_iter:
+        converged = sup_r <= tol
+        if converged or n >= max_iter:
             rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=np.nan))
             break
         xi = solve_linearized(psi, r, psi0.box_length, dt)
         r = residual(psi, xi)
         # sup over the rows of the order-0 majorant at r_{n+1}
         params = AnalyticNormParams(_radius(r1, n + 1), 0)
-        eps_next = max(majorant_norm(GridField(row, psi0.box_length), params) for row in xi)
+        eps_next = float(np.max(_majorant_rows(xi, psi0.box_length, params)))
         ratio = eps_next / eps_prev ** 2 if eps_prev > 0 else np.nan
         rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=ratio))
-        if eps_next > eps_prev:
-            grow_count += 1
-            if grow_count >= 2:
-                raise NewtonDivergenceError(
-                    f"correction norms grew twice in a row (eps={eps_next:.3e}); "
-                    "reduce T or the data amplitude"
-                )
-        else:
-            grow_count = 0
+        grow_count = grow_count + 1 if eps_next > eps_prev else 0
+        if grow_count >= 2:
+            raise NewtonDivergenceError(
+                f"correction norms grew twice in a row (eps={eps_next:.3e}); "
+                "reduce T or the data amplitude"
+            )
         psi = psi + xi
         eps_prev = eps_next
         n += 1

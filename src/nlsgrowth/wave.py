@@ -4,7 +4,9 @@ u_tt - u_xx + u^(2p+1) = 0 with real data (u0, u1); p = 1 is the cubic case.
 Time stepping is Stormer-Verlet (velocity form) with the spatial derivative
 taken spectrally on the periodic grid (real FFT).  One Verlet loop serves
 ``run_nlw`` (one field) and ``nlw_cone_test`` (a two-row batch of the full
-and the truncated data, along the last axis).  The conserved energy is
+and the truncated data, along the last axis); it copies u and v once, steps
+them in place and yields the same two arrays after every step (the stepper
+contract of the continuum module).  The conserved energy is
 
     E = 1/2 int u_x^2 + 1/2 int u_t^2 + 1/(2p+2) int u^(2p+2).
 
@@ -54,22 +56,28 @@ def _k2_real(box_length: float, size: int) -> np.ndarray:
     return k ** 2
 
 
-def _accel(u: np.ndarray, k2: np.ndarray, p: int, coupling: float) -> np.ndarray:
-    """u_xx - coupling * u^(2p+1) along the last axis (one row per field)."""
-    lap = _fft.irfft(-k2 * _fft.rfft(u), n=u.shape[-1])
-    # u * (u*u)**p, not u**(2p+1): numpy's general float power is far slower
-    # than multiplies and an integer square
-    return lap - coupling * u * (u * u) ** p
+def _accel(u: np.ndarray, neg_k2: np.ndarray, p: int, coupling: float, out: np.ndarray, work) -> None:
+    """out = u_xx - (coupling*u) * (u*u)**p along the last axis, work = (an array
+    like rfft(u), one like u); u**(2p+1) would take numpy's slow float power."""
+    u_hat, r = work
+    lap = _fft.irfft(np.multiply(neg_k2, _fft.rfft(u), out=u_hat), n=u.shape[-1], overwrite_x=True)
+    np.multiply(u, u, out=r)
+    r **= p
+    np.multiply(np.multiply(coupling, u, out=out), r, out=out)
+    np.subtract(lap, out, out=out)
 
 
 def _verlet(u: np.ndarray, v: np.ndarray, k2: np.ndarray, dt: float, p: int, coupling: float):
     """Stormer-Verlet (velocity form) with force reuse; yields (u, v) after each step."""
-    a = _accel(u, k2, p, coupling)
+    u, v = u.copy(), v.copy()
+    neg_k2, a, tmp = -k2, np.empty_like(u), np.empty_like(u)
+    work = (np.empty(u.shape[:-1] + k2.shape, dtype=complex), np.empty_like(u))
+    _accel(u, neg_k2, p, coupling, a, work)
     while True:
-        v_half = v + 0.5 * dt * a
-        u = u + dt * v_half
-        a = _accel(u, k2, p, coupling)
-        v = v_half + 0.5 * dt * a
+        v += np.multiply(0.5 * dt, a, out=tmp)  # v at the half step
+        u += np.multiply(dt, v, out=tmp)
+        _accel(u, neg_k2, p, coupling, a, work)
+        v += np.multiply(0.5 * dt, a, out=tmp)
         yield u, v
 
 
@@ -105,8 +113,7 @@ def run_nlw(
     An overflow of u, u_t or a recorded value raises NumericsError."""
     _check_cfl(dt, state.u)
     k2 = _k2_real(state.u.box_length, state.u.size)
-    u = state.u.values.real.copy()
-    v = state.v.values.real.copy()
+    u, v = state.u.values.real, state.v.values.real
     box = state.u.box_length
 
     def snapshot(uv, vv):

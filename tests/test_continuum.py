@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import fft, integrate
@@ -16,6 +18,8 @@ from nlsgrowth.continuum import (
     run_continuum,
     _cubic_filter,
     _cubic_hat,
+    _lawson_ctx,
+    _lawson_rk4,
 )
 from nlsgrowth.errors import ContractionError
 from nlsgrowth.fields import (
@@ -330,3 +334,56 @@ class TestDispersiveEnvelope:
             for t in np.linspace(0.0, 20.0, 21)
         )
         assert ratio <= 10.0 * norms
+
+
+def pinned_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestPinned:
+    # sha256 of the times and values of a run, computed with the allocating
+    # Lawson-RK4 stages that preceded the scratch-buffer ones (numpy 2.4.6,
+    # scipy 1.17.1): the in-place step changes no bit.  The 32768 grid lies
+    # above numpy's 256 KiB temporary-elision size.
+    @pytest.mark.parametrize("phi,box,size,half,dt,sign,coupling,dealias,t_final,record_dt,digest", [
+        (GAUSS, 128.0, 1024, 40, 1e-3, +1, 1.0, True, 0.05, 0.025,
+         "6ec71257d8f9dc82a0509b8ab05d6308408373a22b7b577e5e0d96ecbc8f6661"),
+        (Mollifier.gaussian(0.5), 128.0, 1024, 40, 1e-3, -1, 0.7, False, 0.05, 0.025,
+         "91f979f1d47b1a1ae1bb0fcff3523a9957b20e133290b3c7c7e11d5deb3806d6"),
+        (GAUSS, 4096.0, 32768, 1500, 2e-3, +1, 1.0, True, 0.01, 0.01,
+         "8495664ddab0593131228a51ff3c7634d15cf5417706a8c7ae69709126b17e6b"),
+    ], ids=["defocusing_dealiased", "focusing_0.7", "grid_32768"])
+    def test_pinned_run(self, phi, box, size, half, dt, sign, coupling, dealias, t_final,
+                        record_dt, digest):
+        u0 = make_initial_grid(InitialData.random_comb(1.0, half, 5), box, size)
+        model = ContinuumModel(phi, box, size, dt, sign=sign, coupling=coupling, dealias=dealias)
+        traj = run_continuum(u0, model, t_final, record_dt)
+        assert pinned_digest(traj.times, traj.values) == digest
+
+    def test_pinned_picard(self):
+        u0 = make_initial_grid(InitialData.random_comb(0.5, 8, 3), 64.0, 512)
+        res = picard_solve(u0, 0.05, ContinuumModel(GAUSS, 64.0, 512, 1e-3), tol=1e-8)
+        assert res.iterations == 4
+        assert pinned_digest(res.trajectory.times, res.trajectory.values) == (
+            "9a090b96bb52ed13f6d1f8cf55a51c333baedf4ac739ee63c2de1fe544797c31")
+
+
+class TestStepperContract:
+    def test_lawson_leaves_input_unchanged(self):
+        u0 = make_initial_grid(InitialData.random_band(0.5, 2.0, 3), 32.0, 256)
+        filt = _cubic_filter(GAUSS, 32.0, 256, True)
+        e1, eh = _lawson_ctx(32.0, 256, 0.01)
+
+        def stage(v, _s, out):
+            np.multiply(-1j * filt, _cubic_hat(v, filt), out=out)
+
+        v = fft.fft(u0.values)
+        kept = v.copy()
+        stepper = _lawson_rk4(v, stage, e1, eh, 0.01)
+        for _ in range(3):
+            stepped = next(stepper)
+        assert stepped is not v
+        assert np.array_equal(v, kept)

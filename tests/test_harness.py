@@ -489,6 +489,26 @@ class TestCli:
         assert (out / "sweep_index.csv").exists()
         assert (out / "seed=1" / "series.csv").exists()
 
+    @pytest.mark.parametrize("text", [
+        "engine = nlw\nnlw.grid_size = 64\nnlw.box_length = 32\n"
+        "data.kind = random_band\ndata.amplitude = 1e100\nrun.t_final = 0\n",
+        "engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = 32\n"
+        "data.kind = random_band\ndata.amplitude = 1e100\nrun.t_final = 0\n",
+        "engine = lattice\nlattice.extent = 16\ndata.kind = random_phase\n"
+        "data.amplitude = 1e200\nrun.t_final = 0\nweight.t0 = 0\n",
+    ], ids=["nlw", "continuum", "lattice"])
+    def test_sweep_overflow_names_case_and_leaves_no_directory(self, tmp_path, text):
+        # every engine's aborted sweep names the case, as single runs leave
+        # no run directory
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(text + "sweep.seeds = 1, 2\n")
+        proc = self.run_cli("sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical abort:")
+        assert proc.stderr.strip().endswith("(case seed=1)"), proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_accept_exit_codes_inprocess(self, monkeypatch):
         # stub the criteria list so the accept verb is cheap to exercise
         from nlsgrowth.harness import acceptance, cli

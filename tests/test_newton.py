@@ -266,3 +266,30 @@ class TestPinned:
         rows = np.array([(r.n, r.eps, r.sup_residual, r.ratio) for r in res.rows], dtype=float)
         assert hashlib.sha256(res.trajectory.values.tobytes()).hexdigest() == values_digest
         assert hashlib.sha256(rows.tobytes()).hexdigest() == rows_digest
+
+
+def majorant_fields():
+    """A low mode pair, a random band-limited field and a comb on a box of 40."""
+    rng = np.random.default_rng(17)
+    coeffs = np.zeros(SIZE, dtype=complex)
+    coeffs[:9] = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    coeffs[-8:] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    comb = make_initial_grid(InitialData.random_comb(1.0, 6, 2), 40.0, 128)
+    return [
+        grid(0.1 * np.cos(x_grid()) + 0.05j * np.sin(2 * x_grid())),
+        grid(np.fft.ifft(coeffs * SIZE)),
+        comb,
+    ]
+
+
+class TestPinnedMajorant:
+    # sha256 of the norms at p = 0, then p = 2 (radius 0.8 on the 2 pi box,
+    # 0.3 on the box of 40), computed with the one-row majorant that preceded
+    # the batched one (numpy 2.4.6, scipy 1.17.1)
+    def test_pinned_norms(self):
+        norms = np.array([
+            majorant_norm(f, AnalyticNormParams(0.8 if f.box_length == BOX else 0.3, p))
+            for p in (0, 2) for f in majorant_fields()
+        ])
+        assert hashlib.sha256(norms.tobytes()).hexdigest() == (
+            "44c1b0088d83fdeaf0e53f9fda5b7a3edbcb9ab08daf2ac1b1f2fae7ffde5158")

@@ -1,0 +1,79 @@
+"""Per-step cost of the integrator kernels at the sizes the criteria use.
+
+Each benchmark round is one step of a stepping core: the continuum
+Lawson-RK4 step with the mollified cubic (c09/c11 at 1024 and 8192, c13's
+cross-check at 64), the wave equation's Stormer-Verlet step (c12's energy run
+at 512, its cone test's 2 x 8192 batch) and the lattice Strang step (c01's
+ring of 8193 sites, a c04 batch of 8 rings of 385).  The Newton round is one
+whole linearized solve of c13's shape (64 points, 300 steps).  Tier-1 runs
+each kernel once (``--benchmark-disable``); to time them:
+
+    PYTHONPATH=src python -m pytest tests/test_step_kernels.py --benchmark-enable \
+        --benchmark-only --benchmark-time-unit=us --benchmark-columns=median,iqr,rounds
+"""
+
+import numpy as np
+import pytest
+from scipy import fft
+
+from nlsgrowth.continuum import _cubic_filter, _cubic_hat, _lawson_ctx, _lawson_rk4
+from nlsgrowth.fields import InitialData, Mollifier, make_initial_grid
+from nlsgrowth.lattice import LatticeModel, _linear_symbol, _step_values
+from nlsgrowth.newton import solve_linearized
+from nlsgrowth.wave import _k2_real, _verlet
+
+
+@pytest.mark.parametrize("box,size,dt", [
+    (2048.0, 8192, 2e-3),
+    (128.0, 1024, 1e-3),
+    (2.0 * np.pi, 64, 1e-4),
+])
+def test_lawson_step(benchmark, box, size, dt):
+    # run_continuum's stage: -i sign coupling phi * (|phi * u|^2 phi * u)
+    phi = Mollifier.gaussian(1.0)
+    filt = _cubic_filter(phi, box, size, True)
+    nl_filt = -1j * filt
+    u0 = make_initial_grid(InitialData.random_band(1.0, 2.0, 1), box, size)
+
+    def stage(v, _s, out):
+        np.multiply(nl_filt, _cubic_hat(v, filt, out), out=out)
+
+    stepper = _lawson_rk4(fft.fft(u0.values), stage, *_lawson_ctx(box, size, dt), dt)
+    assert np.all(np.isfinite(benchmark(next, stepper)))
+
+
+def test_newton_linearized_solve(benchmark):
+    # c13's shape: psi_1 = 0.1 cos x freely evolved, forcing R_1 = |psi_1|^2 psi_1
+    size, dt, steps = 64, 1e-3, 300
+    k = 2.0 * np.pi * fft.fftfreq(size, d=1.0 / size)
+    x = -np.pi + (2.0 * np.pi / size) * np.arange(size)
+    times = dt * np.arange(steps + 1)
+    psi = fft.ifft(np.exp(-1j * np.outer(times, k ** 2)) * fft.fft(0.1 * np.cos(x)), axis=1)
+    forcing = (psi.real ** 2 + psi.imag ** 2) * psi
+    xi = benchmark(solve_linearized, psi, forcing, 2.0 * np.pi, dt)
+    assert xi.shape == psi.shape and np.all(np.isfinite(xi))
+
+
+@pytest.mark.parametrize("rows,box,size,dt", [
+    (1, 128.0, 512, 2.5e-4),
+    (2, 160.0, 8192, 3.2e-4),
+])
+def test_verlet_step(benchmark, rows, box, size, dt):
+    u = np.vstack([make_initial_grid(InitialData.random_band(0.5, 0.5, s), box, size).values.real
+                   for s in range(rows)])
+    v = np.vstack([make_initial_grid(InitialData.random_band(0.5, 0.5, s + 7), box, size).values.real
+                   for s in range(rows)])
+    stepper = _verlet(u, v, _k2_real(box, size), dt, 1, 1.0)
+    u1, v1 = benchmark(next, stepper)
+    assert np.all(np.isfinite(u1)) and np.all(np.isfinite(v1))
+
+
+@pytest.mark.parametrize("rows,extent", [(1, 4096), (8, 192)])
+def test_strang_step(benchmark, rows, extent):
+    model = LatticeModel(extent=extent, dt=0.01)
+    rng = np.random.default_rng(3)
+    v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(rows, 2 * extent + 1)))
+    work = (np.empty_like(v), np.empty_like(v), np.empty(v.shape), np.empty(v.shape))
+    symbol = _linear_symbol(v.shape[1], model.dt)
+    stepped = benchmark(_step_values, v, model, symbol, work)
+    assert np.all(np.isfinite(stepped))

@@ -151,8 +151,11 @@ def lawson_step(u: np.ndarray, setup) -> np.ndarray:
     box = 8.0
     filt = _cubic_filter(phi, box, size, dealias)
     e1, eh = _lawson_ctx(box, size, dt)
-    stepper = _lawson_rk4(fft.fft(u), lambda v, _s: -1j * sc * filt * _cubic_hat(v, filt), e1, eh, dt)
-    return fft.ifft(next(stepper))
+
+    def stage(v, _s, out):
+        np.multiply(-1j * sc * filt, _cubic_hat(v, filt), out=out)
+
+    return fft.ifft(next(_lawson_rk4(fft.fft(u), stage, e1, eh, dt)))
 
 
 def grid_data(setup, seed: int, amplitude: float) -> np.ndarray:

@@ -1,8 +1,11 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from nlsgrowth.fields import GridField, InitialData, chi_eval, make_initial_grid
-from nlsgrowth.wave import WaveState, nlw_cone_test, nlw_energy, run_nlw
+from nlsgrowth.wave import WaveState, _k2_real, _verlet, nlw_cone_test, nlw_energy, run_nlw
 
 
 def real_grid(vals, box):
@@ -110,3 +113,57 @@ class TestConeTest:
         # spectral-tail floor of the coarse grid; the acceptance suite runs
         # the full-resolution T=20 check at 1e-10
         assert d < 1e-8
+
+
+def band_state(box, size, seed):
+    u = make_initial_grid(InitialData.random_band(1.0, 2.0, seed), box, size)
+    v = make_initial_grid(InitialData.random_band(1.0, 2.0, seed + 1), box, size)
+    return WaveState(u=real_grid(u.values.real, box), v=real_grid(v.values.real, box))
+
+
+class TestPinned:
+    # sha256 of the records and the final state, and the cone difference as
+    # a hex float, computed with the allocating Verlet force that preceded
+    # the scratch-buffer one (numpy 2.4.6, scipy 1.17.1): no bit moved
+    @pytest.mark.parametrize("p,digest", [
+        (1, "da5eb0e83d11e79786140d8e29260685e3615b0610c7b53c0b2f5eb297ee812f"),
+        (2, "50c076e5278ef9f22037b8d1198fe3d7ee9a912c4b379f0f32e53a1a482379fe"),
+    ])
+    def test_pinned_run(self, p, digest):
+        records, final = run_nlw(band_state(64.0, 256, 21), 1.0, 2.0 ** -6, 0.25, p=p)
+        h = hashlib.sha256(np.array(records).tobytes())
+        h.update(final.u.values.tobytes())
+        h.update(final.v.values.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_pinned_cone(self):
+        state = band_state(160.0, 1024, 31)
+        assert nlw_cone_test(state.u, state.v, 1.0, 1e-2).hex() == "0x1.27f95cd85f140p-14"
+
+
+class TestStepperContract:
+    def test_verlet_leaves_input_unchanged(self):
+        state = band_state(64.0, 256, 21)
+        u, v = state.u.values.real.copy(), state.v.values.real.copy()
+        kept = u.copy(), v.copy()
+        stepper = _verlet(u, v, _k2_real(64.0, 256), 2.0 ** -6, 1, 1.0)
+        for _ in range(3):
+            u1, v1 = next(stepper)
+        assert u1 is not u and v1 is not v
+        assert np.array_equal(u, kept[0]) and np.array_equal(v, kept[1])
+
+    def test_batch_equals_rows_alone(self):
+        # nlw_cone_test relies on this: the truncated row of its [2, M] batch
+        # agrees bitwise with the full row wherever the data agree
+        box, size = 160.0, 8192
+        k2 = _k2_real(box, size)
+
+        def step_200(u, v):
+            return next(itertools.islice(_verlet(u, v, k2, 3.2e-4, 1, 1.0), 199, None))
+
+        rows = [band_state(box, size, seed) for seed in (41, 43)]
+        ub, vb = step_200(np.vstack([s.u.values.real for s in rows]),
+                          np.vstack([s.v.values.real for s in rows]))
+        for i, s in enumerate(rows):
+            ur, vr = step_200(s.u.values.real, s.v.values.real)
+            assert np.array_equal(ub[i], ur) and np.array_equal(vb[i], vr)
