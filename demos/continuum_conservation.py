@@ -21,21 +21,19 @@ from pathlib import Path
 
 import numpy as np
 
-from nlsgrowth import (
+from nlsgrowth.continuum import (
     ContinuumModel,
-    InitialData,
     LocalEnergyProbe,
-    Mollifier,
     bootstrap_monitor,
     comb_oracle,
+    global_energy,
     global_mass,
     linear_propagate,
-    make_initial_grid,
     picard_solve,
     run_continuum,
 )
-from nlsgrowth.continuum import global_energy
-from nlsgrowth.harness import write_csv
+from nlsgrowth.fields import InitialData, Mollifier, make_initial_grid
+from nlsgrowth.harness.csvio import write_csv
 from nlsgrowth.harness.svgplot import write_line_plot
 
 OUT = Path(__file__).parent / "output"

@@ -16,18 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from nlsgrowth import (
-    InitialData,
+from nlsgrowth.fields import InitialData, WeightProfile, make_initial_lattice
+from nlsgrowth.harness.csvio import write_csv
+from nlsgrowth.harness.fitting import fit_growth
+from nlsgrowth.harness.svgplot import write_line_plot
+from nlsgrowth.lattice import (
     LatticeModel,
-    WeightProfile,
-    make_initial_lattice,
     run_lattice,
     run_lattice_batch,
     windowed_mass_avg,
     windowed_quartic_avg,
 )
-from nlsgrowth.harness import fit_growth, write_csv
-from nlsgrowth.harness.svgplot import write_line_plot
 
 OUT = Path(__file__).parent / "output"
 

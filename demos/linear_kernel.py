@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from nlsgrowth import (
+from nlsgrowth.harness.csvio import write_csv
+from nlsgrowth.harness.svgplot import write_line_plot
+from nlsgrowth.lattice_linear import (
     adversarial_data,
     kernel_integral,
     kernel_table,
@@ -26,8 +28,6 @@ from nlsgrowth import (
     random_ensemble_second_moment,
     stationary_phase_eval,
 )
-from nlsgrowth.harness import write_csv
-from nlsgrowth.harness.svgplot import write_line_plot
 
 OUT = Path(__file__).parent / "output"
 

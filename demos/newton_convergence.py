@@ -19,17 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from nlsgrowth import (
-    ContinuumModel,
-    GridField,
-    InitialData,
-    Mollifier,
-    make_initial_grid,
-    newton_iterate,
-    run_continuum,
-)
-from nlsgrowth.harness import write_csv
+from nlsgrowth.continuum import ContinuumModel, run_continuum
+from nlsgrowth.fields import GridField, InitialData, Mollifier, make_initial_grid
+from nlsgrowth.harness.csvio import write_csv
 from nlsgrowth.harness.svgplot import write_line_plot
+from nlsgrowth.newton import newton_iterate
 
 OUT = Path(__file__).parent / "output"
 

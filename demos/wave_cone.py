@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from nlsgrowth import GridField, InitialData, WaveState, make_initial_grid, nlw_cone_test, run_nlw
-from nlsgrowth.harness import fit_growth, write_csv
+from nlsgrowth.fields import GridField, InitialData, make_initial_grid
+from nlsgrowth.harness.csvio import write_csv
+from nlsgrowth.harness.fitting import fit_growth
+from nlsgrowth.wave import WaveState, nlw_cone_test, run_nlw
 
 OUT = Path(__file__).parent / "output"
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy import fft as _fft
 
 from .fields import GridField, Mollifier, chi_eval, grid_wavenumbers
-from .errors import ContractionError
+from .errors import NumericsError
 from .timegrid import drive, time_grid
 
 __all__ = [
@@ -78,19 +77,14 @@ class Trajectory:
         return GridField(values=self.values[i], box_length=self.box_length)
 
 
-@lru_cache(maxsize=64)
-def _grid_ctx(box_length: float, size: int):
-    k = grid_wavenumbers(box_length, size)
-    k_max = np.pi * size / box_length
-    dealias_mask = (np.abs(k) <= (2.0 / 3.0) * k_max).astype(float)
-    return k, dealias_mask
-
-
 def _cubic_filter(phi: Mollifier, box_length: float, size: int, dealias: bool) -> np.ndarray:
     """Mollifier transfer on the grid, 2/3-rule masked when dealiasing."""
-    k, mask = _grid_ctx(box_length, size)
+    k = grid_wavenumbers(box_length, size)
     g = phi.transfer(k)
-    return g * mask if dealias else g
+    if not dealias:
+        return g
+    k_max = np.pi * size / box_length
+    return g * (np.abs(k) <= (2.0 / 3.0) * k_max).astype(float)
 
 
 def _cubic_hat(v_hat: np.ndarray, filt: np.ndarray, work=None) -> np.ndarray:
@@ -118,7 +112,7 @@ def _check_grid(u: GridField, model: ContinuumModel) -> None:
 
 def linear_propagate(u0: GridField, t: float) -> GridField:
     """e^{i t d_xx} u0: multiply mode k by e^{-i k^2 t}."""
-    k, _ = _grid_ctx(u0.box_length, u0.size)
+    k = grid_wavenumbers(u0.box_length, u0.size)
     vals = _fft.ifft(np.exp(-1j * k ** 2 * t) * _fft.fft(u0.values))
     return GridField(values=vals, box_length=u0.box_length)
 
@@ -149,9 +143,8 @@ def comb_oracle(coeffs: Sequence[complex], t: float, x, comb_origin: int = 0):
 # time stepping
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def _lawson_ctx(box_length: float, size: int, dt: float):
-    k, _ = _grid_ctx(box_length, size)
+    k = grid_wavenumbers(box_length, size)
     return np.exp(-1j * k ** 2 * dt), np.exp(-1j * k ** 2 * dt / 2.0)  # e1, eh
 
 
@@ -213,7 +206,7 @@ def run_continuum(
 def _free_phases(box_length: float, size: int, t_final: float, dt: float):
     """Time grid 0, dt, ..., t_final and the free-flow factors e^{-i k^2 t}
     on it, one row per time (the linear trajectory of Picard and Newton)."""
-    k, _ = _grid_ctx(box_length, size)
+    k = grid_wavenumbers(box_length, size)
     times = dt * np.arange(time_grid(t_final, dt) + 1)
     return times, np.exp(-1j * np.outer(times, k ** 2))
 
@@ -240,7 +233,7 @@ def picard_solve(
     u <- e^{it Dxx} u0 - i int_0^t e^{i(t-s) Dxx} N(u(s)) ds, the time integral
     by trapezoid on the model's dt grid, iterated until successive sweep
     differences fall below tol in sup norm.  Diverging iterates raise
-    ContractionError (choose a smaller horizon).
+    NumericsError (choose a smaller horizon).
     """
     _check_grid(u0, model)
     filt = _cubic_filter(model.mollifier, model.box_length, model.grid_size, model.dealias)
@@ -272,14 +265,14 @@ def picard_solve(
         if diff > prev_diff:
             grow_count += 1
             if grow_count >= 2 or not np.isfinite(diff):
-                raise ContractionError(
+                raise NumericsError(
                     f"Picard iterates diverging (sweep diff {diff:.3e}); "
                     f"reduce the horizon below T={t_final}"
                 )
         else:
             grow_count = 0
         prev_diff = diff
-    raise ContractionError(
+    raise NumericsError(
         f"Picard did not reach tol={tol} within {max_iter} sweeps (last diff {prev_diff:.3e})"
     )
 
@@ -295,7 +288,7 @@ def global_mass(u: GridField) -> float:
 
 def global_energy(u: GridField, phi: Mollifier) -> float:
     """(1/2) int |u_x|^2 + (1/4) int |phi*u|^4, derivative taken spectrally."""
-    k, _ = _grid_ctx(u.box_length, u.size)
+    k = grid_wavenumbers(u.box_length, u.size)
     v = _fft.fft(u.values)
     ux = _fft.ifft(1j * k * v)
     w = _fft.ifft(phi.transfer(k) * v)
@@ -330,7 +323,7 @@ class LocalEnergyProbe:
 def local_energy_probe(u: GridField, probe: LocalEnergyProbe, phi: Mollifier) -> float:
     """int chi((x-x0)/R)^2 [ 1/2 |u_x|^2 + 1/4 |phi*u|^4 + 1/2 |u|^2 ] dx."""
     probe.check_inside(u.box_length)
-    k, _ = _grid_ctx(u.box_length, u.size)
+    k = grid_wavenumbers(u.box_length, u.size)
     v = _fft.fft(u.values)
     ux = _fft.ifft(1j * k * v)
     w = _fft.ifft(phi.transfer(k) * v)
@@ -348,11 +341,7 @@ class BootstrapReport:
     """Local-energy excursion summary over a bootstrap window."""
 
     max_ratio: float
-    worst_probe: int
-    worst_time: float
-    reference: float
     flagged: bool
-    note: str = ""
 
 
 def bootstrap_monitor(
@@ -363,25 +352,17 @@ def bootstrap_monitor(
 ) -> BootstrapReport:
     """Track sup over probes and times of E(x0, t) / max_x0 E(x0, 0).
 
-    Flags any excursion above flag_factor.  Zero initial data degenerates to
-    ratio 0/0; that is reported as an unflagged pass with a note.
+    Flags any excursion above flag_factor.  Zero initial local energy (or no
+    probe) leaves the ratio undefined: ValueError.
     """
     e0 = [local_energy_probe(trajectory.field(0), p, phi) for p in probes]
-    ref = max(e0) if e0 else 0.0
+    ref = max(e0, default=0.0)
     if ref == 0.0:
-        return BootstrapReport(
-            max_ratio=0.0, worst_probe=-1, worst_time=0.0, reference=0.0,
-            flagged=False, note="zero initial local energy; ratio undefined, treated as pass",
-        )
-    worst = (0.0, -1, 0.0)
-    for i, t in enumerate(trajectory.times):
+        raise ValueError("zero initial local energy in every probe: bootstrap ratio undefined")
+    max_ratio = 0.0
+    for i in range(len(trajectory.times)):
         fld = trajectory.field(i)
-        for ip, p in enumerate(probes):
-            ratio = local_energy_probe(fld, p, phi) / ref
-            if ratio > worst[0]:
-                worst = (ratio, ip, float(t))
-    return BootstrapReport(
-        max_ratio=worst[0], worst_probe=worst[1], worst_time=worst[2],
-        reference=ref, flagged=worst[0] > flag_factor,
-    )
-
+        for p in probes:
+            # builtin max keeps max_ratio unless the ratio is strictly larger
+            max_ratio = max(max_ratio, local_energy_probe(fld, p, phi) / ref)
+    return BootstrapReport(max_ratio=max_ratio, flagged=max_ratio > flag_factor)

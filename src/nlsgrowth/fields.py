@@ -330,6 +330,11 @@ class InitialData:
         def sample(x, period):
             rng = np.random.default_rng(seed)
             n_modes = int(np.floor(k_band * period / (2.0 * np.pi)))
+            if n_modes < 1:
+                raise ValueError(
+                    f"k_band = {k_band} holds no mode of the box: the smallest band "
+                    f"is 2*pi/L = {2.0 * np.pi / period:.6g}"
+                )
             vals = np.zeros(x.shape, dtype=complex)
             for m in range(1, n_modes + 1):
                 k = 2.0 * np.pi * m / period

@@ -9,9 +9,9 @@ Verbs:
   export-kernel  write a propagator kernel table as CSV (n, re, im)
 
 Exit codes: 0 success, 2 config error or invalid input (``ConfigError``,
-``ValueError``, ``OSError``), 3 numerical abort (any ``NumericsError``, see
-``nlsgrowth.errors``), 4 acceptance failure.  Each failure prints one line on
-stderr.
+``ValueError``, ``OSError``), 3 numerical abort (``NumericsError``, whose
+message names the run and what failed), 4 acceptance failure.  Each failure
+prints one line on stderr.
 """
 
 from __future__ import annotations

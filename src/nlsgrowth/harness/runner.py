@@ -359,7 +359,9 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     Cases execute concurrently over immutable configs, lattice cases as
     batched chunks; the summary is keyed and sorted before writing, and a
     batch is bitwise equal to its rows run alone, so the output is
-    independent of worker count.  Raises ValueError for workers < 1.
+    independent of worker count.  Raises ValueError for workers < 1 and
+    ConfigError for a sweep list that repeats a value (two cases would write
+    one directory).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -369,6 +371,8 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
         if values:
             if config.engine not in targets:
                 raise ConfigError(f"{sweep_key} is not applicable to engine {config.engine!r}")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{sweep_key} repeats a value: {', '.join(map(str, values))}")
             axes.append((targets[config.engine], list(values)))
     if not axes:
         raise ConfigError("sweep requested but no sweep.* lists are set")
@@ -395,7 +399,7 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
         try:
             run_experiment(config.with_overrides(**assignment), out / key)
         except NumericsError as exc:
-            raise type(exc)(f"{exc} (case {key})") from exc
+            raise NumericsError(f"{exc} (case {key})") from exc
 
     if config.engine == "lattice":
         # at most `workers` contiguous chunks, sizes differing by at most one

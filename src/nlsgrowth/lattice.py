@@ -106,7 +106,6 @@ def _fft_pair_scale(period: int) -> float:
     return float(np.mean(estimates))
 
 
-@lru_cache(maxsize=32)
 def _linear_symbol(period: int, dt: float) -> np.ndarray:
     """exp(i dt Delta) in the DFT basis of the ring Z/(period).
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import QuadratureError
+from .errors import NumericsError
 from .fields import LatticeField
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "adversarial_data",
     "pairing_check",
     "random_ensemble_second_moment",
-    "InsufficientHalfWidthError",
 ]
 
 # kernel amplitudes below this are treated as exactly 0 when extracting phases
@@ -45,10 +44,6 @@ PHASE_FLOOR = 1e-300
 
 # tolerated unitarity deficit of a truncated kernel table
 TAIL_MASS_TOL = 1e-14
-
-
-class InsufficientHalfWidthError(ValueError):
-    """Kernel table too narrow: truncated tail mass exceeds TAIL_MASS_TOL."""
 
 
 def kernel_integral(t: float, n: int, tol: float = 1e-13) -> complex:
@@ -74,7 +69,7 @@ def kernel_integral(t: float, n: int, tol: float = 1e-13) -> complex:
             return val
         prev = val
         m *= 2
-    raise QuadratureError(
+    raise NumericsError(
         f"kernel_integral(t={t}, n={n}) did not converge to {tol}"
     )
 
@@ -134,8 +129,8 @@ class KernelTable:
 def kernel_table(t: float, half_width: int | None = None) -> KernelTable:
     """Tabulate K_n(t) = e^{-2it} i^n J_n(2t) by backward recurrence.
 
-    Raises InsufficientHalfWidthError when the requested half-width truncates
-    more than TAIL_MASS_TOL of the kernel's l2 mass.
+    Raises ValueError when the requested half-width truncates more than
+    TAIL_MASS_TOL of the kernel's l2 mass.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -150,7 +145,7 @@ def kernel_table(t: float, half_width: int | None = None) -> KernelTable:
     jn = _bessel_jn_table(x, j_top)
     tail = 2.0 * float(np.sum(jn[half_width + 1:] ** 2))
     if tail > TAIL_MASS_TOL:
-        raise InsufficientHalfWidthError(
+        raise ValueError(
             f"half_width={half_width} leaves tail mass {tail:.3e} > {TAIL_MASS_TOL}"
             f" for t={t}; need roughly {default_half_width(t)}"
         )

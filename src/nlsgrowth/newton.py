@@ -31,7 +31,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .continuum import Trajectory, _free_phases, _lawson_ctx, _lawson_rk4
-from .errors import LinearizedBlowupError, NewtonDivergenceError
+from .errors import NumericsError
 from .fields import GridField, grid_wavenumbers
 from .timegrid import drive
 
@@ -123,7 +123,7 @@ def solve_linearized(
     e^{-i k^2 dt}; the potential and forcing are applied pointwise, at the
     half-step times as the mean of their two neighbouring rows.  This
     realizes the fundamental-solution action without materializing a
-    time-ordered exponential.  Raises LinearizedBlowupError when sup|xi|
+    time-ordered exponential.  Raises NumericsError when sup|xi|
     passes its a-priori growth bound.
     """
     if forcing.shape != psi.shape:
@@ -159,7 +159,7 @@ def solve_linearized(
             xi_out.append(_fft.ifft(xi_hat))
             sup = float(np.max(np.abs(xi_out[-1])))
             if not sup <= growth_bound:
-                raise LinearizedBlowupError(
+                raise NumericsError(
                     f"linearized solve unstable at step {len(xi_out) - 1}: sup={sup:.3e} "
                     f"exceeds bound {growth_bound:.3e}"
                 )
@@ -203,7 +203,7 @@ def newton_iterate(
     the data is multiplied by a recorded amplitude scale first (the returned
     trajectory then solves the problem for the scaled data).  Stops when
     sup|R_n| <= tol or after max_iter corrections; raises
-    NewtonDivergenceError when the correction norms grow twice in a row.
+    NumericsError when the correction norms grow twice in a row.
     """
     times, phases = _free_phases(psi0.box_length, psi0.size, t_final, dt)
     eps1_raw = majorant_norm(psi0, AnalyticNormParams(r1, 0))
@@ -231,7 +231,7 @@ def newton_iterate(
         rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=ratio))
         grow_count = grow_count + 1 if eps_next > eps_prev else 0
         if grow_count >= 2:
-            raise NewtonDivergenceError(
+            raise NumericsError(
                 f"correction norms grew twice in a row (eps={eps_next:.3e}); "
                 "reduce T or the data amplitude"
             )

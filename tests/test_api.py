@@ -1,11 +1,16 @@
-"""Every name a module exports through ``__all__`` must exist."""
+"""The public surface: every name a module exports through ``__all__``
+exists, the packages re-export nothing, and every raise follows the error
+policy."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import nlsgrowth
+from nlsgrowth import errors
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(nlsgrowth.__path__, "nlsgrowth.")
@@ -23,3 +28,49 @@ def test_all_names_resolve(module_name):
 def test_modules_discovered():
     assert "nlsgrowth.errors" in MODULES
     assert "nlsgrowth.harness.cli" in MODULES
+
+
+SRC = Path(nlsgrowth.__file__).parent
+
+# the raises outside the error policy: (file, enclosing function, exception)
+RAISE_ALLOWLIST = {
+    ("fields.py", "at", "IndexError"),               # LatticeField.at: no such site
+    ("harness/acceptance.py", "run_criterion", "KeyError"),  # unknown criterion name
+    ("harness/cli.py", "main", "AssertionError"),    # unreachable verb
+    ("harness/cli.py", "<module>", "SystemExit"),
+    ("__main__.py", "<module>", "SystemExit"),
+}
+
+
+def _raises(tree, func="<module>"):
+    """(enclosing function, raised name) of every raise statement in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield func, exc.id if isinstance(exc, ast.Name) else ast.unparse(node)
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _raises(node, inner)
+
+
+def test_error_policy():
+    # invalid input is a ValueError (ConfigError for config keys), a numerical
+    # abort is a NumericsError; the CLI maps them to exit codes 2 and 3
+    policy = {"ValueError", "ConfigError", "NumericsError"}
+    stray = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for func, name in _raises(ast.parse(path.read_text(encoding="utf-8"))):
+            if name not in policy and (rel, func, name) not in RAISE_ALLOWLIST:
+                stray.append((rel, func, name))
+    assert not stray
+
+
+def test_one_public_surface():
+    # the package modules hold the API; the packages re-export nothing
+    for init in (SRC / "__init__.py", SRC / "harness" / "__init__.py"):
+        body = ast.parse(init.read_text(encoding="utf-8")).body
+        assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+        assigned = [t.id for node in body[1:] if isinstance(node, ast.Assign) for t in node.targets]
+        assert len(assigned) == len(body) - 1
+        assert assigned == (["__version__"] if init.parent == SRC else [])
+    assert errors.__all__ == ["NumericsError"]

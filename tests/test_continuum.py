@@ -21,7 +21,7 @@ from nlsgrowth.continuum import (
     _lawson_ctx,
     _lawson_rk4,
 )
-from nlsgrowth.errors import ContractionError
+from nlsgrowth.errors import NumericsError
 from nlsgrowth.fields import (
     GridField,
     InitialData,
@@ -230,7 +230,7 @@ class TestPicard:
             InitialData.periodic([3.0], [1.0]), box, size
         )
         model = ContinuumModel(IDENT, box, size, 5e-2)
-        with pytest.raises(ContractionError):
+        with pytest.raises(NumericsError, match="Picard iterates diverging"):
             picard_solve(u0, 4.0, model, tol=1e-10, max_iter=40)
 
 
@@ -297,15 +297,15 @@ class TestLocalEnergyProbe:
 
 
 class TestBootstrap:
-    def test_zero_data_degenerate_pass(self):
+    def test_zero_data_raises(self):
+        # the ratio to a zero initial local energy is undefined
         traj = Trajectory(
             times=np.array([0.0, 1.0]),
             values=np.zeros((2, 256), dtype=complex),
             box_length=64.0,
         )
-        rep = bootstrap_monitor(traj, [LocalEnergyProbe(0.0, 2.0)], GAUSS)
-        assert not rep.flagged
-        assert "zero" in rep.note
+        with pytest.raises(ValueError, match="zero initial local energy"):
+            bootstrap_monitor(traj, [LocalEnergyProbe(0.0, 2.0)], GAUSS)
 
     def test_linear_run_ratio_bounded(self):
         box, size = 256.0, 2048

@@ -207,6 +207,21 @@ class TestRunner:
         argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "c"), "--workers", str(workers)]
         assert cli.main(argv) == 2
 
+    @pytest.mark.parametrize("entry", ["sweep.seeds = 1, 1, 2", "sweep.R = 1, 1.0"])
+    def test_sweep_rejects_repeated_value(self, tmp_path, entry):
+        # two equal cases would write one directory and list it twice
+        cfg = parse_config_text(LATTICE_CFG + entry + "\n")
+        with pytest.raises(ConfigError, match=entry.split(" =")[0] + " repeats a value"):
+            sweep_experiment(cfg, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    def test_repeated_value_outside_sweep_lists_allowed(self, tmp_path):
+        text = LATTICE_CFG.replace("constant", "periodic") + (
+            "data.amplitudes = 0.5, 0.5\ndata.frequencies = 1, 1\nsweep.seeds = 1, 2\n"
+        )
+        out = sweep_experiment(parse_config_text(text), tmp_path / "s")
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["seed=1", "seed=2"]
+
     def test_sweep_overflow_names_the_case(self, tmp_path):
         cfg = parse_config_text(LATTICE_CFG.replace("1.5", "1e200") + "sweep.x0 = 0,2\n")
         with pytest.raises(NumericsError, match="case x0=0"):
@@ -456,6 +471,20 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "last step" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_random_band_without_modes_exit_2(self, tmp_path):
+        # k_band = 0.1 is below the smallest band 2*pi/32 of the box: no mode
+        cfg_path = tmp_path / "b.cfg"
+        cfg_path.write_text(
+            "engine = nlw\nnlw.grid_size = 64\nnlw.box_length = 32\n"
+            "data.kind = random_band\ndata.k_band = 0.1\n"
+        )
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: k_band = 0.1 holds no mode"), proc.stderr
+        assert "2*pi/L = 0.19635" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_export_kernel(self, tmp_path):
         out = tmp_path / "k.csv"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+from nlsgrowth.errors import NumericsError
 from nlsgrowth.fields import InitialData, make_initial_lattice
 from nlsgrowth.lattice_linear import (
-    InsufficientHalfWidthError,
     _saddle,
     adversarial_data,
     default_half_width,
@@ -32,6 +32,11 @@ class TestKernelIntegral:
         got = kernel_integral(7.0, -3)
         ref = (1j) ** 3 * special.jv(3, 7.0)  # F_{-n} = i^n J_n for odd n sign flip cancels
         assert abs(abs(got) - abs(ref)) < 1e-12
+
+    def test_no_convergence_raises(self):
+        # tol = 0: successive levels never agree exactly up to 2^22 points
+        with pytest.raises(NumericsError, match="did not converge"):
+            kernel_integral(37.0, 5, tol=0.0)
 
 
 class TestKernelTable:
@@ -66,7 +71,7 @@ class TestKernelTable:
         assert abs(tab.value(10) - expected) < 1e-13
 
     def test_insufficient_half_width_raises(self):
-        with pytest.raises(InsufficientHalfWidthError):
+        with pytest.raises(ValueError, match="half_width=60 leaves tail mass"):
             kernel_table(50.0, half_width=60)
 
     def test_scipy_cross_check_dense(self):
