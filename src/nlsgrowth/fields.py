@@ -31,15 +31,11 @@ __all__ = [
     "chi_eval",
     "make_initial_lattice",
     "make_initial_grid",
-    "gaussian_comb_eval",
-    "COMB_TRUNCATION",
 ]
 
-# e^{-(x-j)^2} below this threshold is dropped from comb sums; exact to double
-# precision.
-COMB_TRUNCATION = 1e-18
-# distance |x - j| beyond which a comb term falls below COMB_TRUNCATION
-_COMB_REACH = float(np.sqrt(-np.log(COMB_TRUNCATION)))
+# distance |x - j| beyond which a comb term e^{-(x-j)^2} falls below 1e-18 and
+# is dropped from comb sums; exact to double precision
+_COMB_REACH = float(np.sqrt(-np.log(1e-18)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +214,7 @@ class InitialData:
     length ``period``: the lattice passes sites -N..N with period 2N+1, the
     grid passes x_j with period L.  ``on_lattice``/``on_grid`` say where the
     formula is defined.  ``support_radius`` bounds |x| where the data exceed
-    COMB_TRUNCATION for comb data; it is 0 for point data and for spread
+    1e-18 for comb data; it is 0 for point data and for spread
     data, whose wrap-margin check concerns only the light cone of the origin.
     ``ring_exact`` marks data whose realization is periodic with the ring's
     period (constant data, ring-snapped periodic data): the ring then
@@ -231,7 +227,8 @@ class InitialData:
                                     (lattice)
       random_gaussian(A, seed)      complex Gaussians with E|psi0|^2 = A^2
                                     (lattice; not sup-bounded)
-      gaussian_comb(coeffs, j0)     sum_j a_j exp(-(x - j)^2), j = j0, j0+1, ...
+      gaussian_comb(coeffs, j0)     sum_j a_j exp(-(x - j)^2), j = j0, j0+1, ...;
+                                    |a_j| <= 1
       random_comb(A, J, seed)       comb on j = -J..J with random-phase a_j, |a_j| = A
       periodic(amps, freqs)         sum_m amp_m exp(i freq_m x); frequencies
                                     are snapped to the ring's reciprocal
@@ -289,11 +286,23 @@ class InitialData:
             raise ValueError("comb coefficients must satisfy |a_j| <= 1")
         if comb_origin is None:
             comb_origin = -(len(arr) // 2)
+        j = comb_origin + np.arange(len(arr), dtype=float)
         live = comb_origin + np.flatnonzero(np.abs(arr) > 0)
         support = float(np.max(np.abs(live))) + _COMB_REACH if len(live) else 0.0
+
+        def sample(x, period):
+            # each point sums only the centers within _COMB_REACH of it
+            lo = np.searchsorted(j, x - _COMB_REACH, side="left")
+            hi = np.searchsorted(j, x + _COMB_REACH, side="right")
+            out = np.zeros(x.shape, dtype=complex)
+            for idx in range(x.shape[0]):
+                jj = j[lo[idx]:hi[idx]]
+                out[idx] = np.sum(arr[lo[idx]:hi[idx]] * np.exp(-(x[idx] - jj) ** 2))
+            return out
+
         return cls(
             f"gaussian_comb({len(arr)} centers from j={comb_origin})",
-            lambda x, period: gaussian_comb_eval(arr, x, comb_origin),
+            sample,
             support_radius=support,
         )
 
@@ -349,29 +358,6 @@ class InitialData:
         return cls(
             f"random_band({amplitude}, k_band={k_band}, seed={seed})", sample, on_lattice=False
         )
-
-
-def gaussian_comb_eval(coeffs: Sequence[complex], x, comb_origin: int = 0):
-    """Pointwise sum_j a_j exp(-(x-j)^2), j = comb_origin + index.
-
-    Terms with exp(-(x-j)^2) < COMB_TRUNCATION are dropped (exact to double
-    precision); coefficients must satisfy |a_j| <= 1.
-    """
-    a = np.asarray(coeffs, dtype=complex)
-    if np.any(np.abs(a) > 1.0 + 1e-12):
-        raise ValueError("comb coefficients must satisfy |a_j| <= 1")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    j = comb_origin + np.arange(len(a), dtype=float)
-    out = np.zeros(xv.shape, dtype=complex)
-    if len(a):
-        lo = np.searchsorted(j, xv - _COMB_REACH, side="left")
-        hi = np.searchsorted(j, xv + _COMB_REACH, side="right")
-        for idx in range(xv.shape[0]):
-            jj = j[lo[idx]:hi[idx]]
-            out[idx] = np.sum(a[lo[idx]:hi[idx]] * np.exp(-(xv[idx] - jj) ** 2))
-    if np.ndim(x) == 0:
-        return complex(out[0])
-    return out
 
 
 def make_initial_lattice(spec: InitialData, extent: int) -> LatticeField:

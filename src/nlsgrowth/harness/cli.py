@@ -41,16 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    run_p = sub.add_parser("run", help="execute one experiment")
-    run_p.add_argument("--config", type=Path, required=True)
-    run_p.add_argument("--out", type=Path, required=True)
-    run_p.add_argument("--seed", type=int, default=None, help="override data.seed")
-
-    sweep_p = sub.add_parser("sweep", help="run a sweep over config lists")
-    sweep_p.add_argument("--config", type=Path, required=True)
-    sweep_p.add_argument("--out", type=Path, required=True)
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", type=Path, required=True)
+    experiment.add_argument("--out", type=Path, required=True)
+    experiment.add_argument("--seed", type=int, default=None, help="override data.seed")
+    sub.add_parser("run", parents=[experiment], help="execute one experiment")
+    sweep_p = sub.add_parser("sweep", parents=[experiment], help="run a sweep over config lists")
     sweep_p.add_argument("--workers", type=int, default=1)
-    sweep_p.add_argument("--seed", type=int, default=None, help="override data.seed")
 
     fit_p = sub.add_parser("fit", help="fit a growth exponent from a series CSV")
     fit_p.add_argument("--csv", type=Path, required=True)
@@ -72,19 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "run":
+        if args.verb in ("run", "sweep"):
             config = parse_config(args.config)
             if args.seed is not None:
                 config = config.with_overrides(**{"data.seed": args.seed})
-            out = run_experiment(config, args.out)
-            print(f"run written to {out}")
-            return EXIT_OK
-        if args.verb == "sweep":
-            config = parse_config(args.config)
-            if args.seed is not None:
-                config = config.with_overrides(**{"data.seed": args.seed})
-            out = sweep_experiment(config, args.out, workers=args.workers)
-            print(f"sweep written to {out}")
+            if args.verb == "run":
+                out = run_experiment(config, args.out)
+            else:
+                out = sweep_experiment(config, args.out, workers=args.workers)
+            print(f"{args.verb} written to {out}")
             return EXIT_OK
         if args.verb == "fit":
             data = read_csv(args.csv)

@@ -4,6 +4,11 @@ Config files are plain text: one ``section.key = value`` per line, ``#``
 comments, blank lines ignored.  Every key must belong to the schema of the
 selected engine; unknown keys are rejected so runs stay auditable.  A run is
 a pure function of (config, code version).
+
+The engines are the keys of ``ENGINE_SCHEMAS``; the data and mollifier kinds
+are the keys of ``DATA_KINDS`` and ``MOLLIFIER_KINDS``, which map each kind
+to its constructor and the config keys of the constructor's arguments.  An
+engine or kind outside its table is rejected at parse time.
 """
 
 from __future__ import annotations
@@ -11,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text"]
+from ..fields import InitialData, Mollifier
 
-ENGINES = ("lattice", "lattice-linear", "continuum", "nlw", "newton")
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text"]
 
 
 class ConfigError(ValueError):
@@ -34,6 +39,32 @@ def _parse_list(cast):
     return lambda s: tuple(cast(p) for p in s.split(",") if p.strip())
 
 
+def _parse_choice(table: dict):
+    """Parser that accepts only the keys of ``table``."""
+    def parse(s: str) -> str:
+        if s not in table:
+            raise ValueError(f"choose from {', '.join(table)}")
+        return s
+    return parse
+
+
+# kind -> (constructor, config keys of its arguments)
+DATA_KINDS = {
+    "constant": (InitialData.constant, ("data.amplitude",)),
+    "delta": (InitialData.delta, ("data.amplitude",)),
+    "random_phase": (InitialData.random_phase, ("data.amplitude", "data.seed")),
+    "random_gaussian": (InitialData.random_gaussian, ("data.amplitude", "data.seed")),
+    "gaussian_comb": (
+        InitialData.random_comb, ("data.amplitude", "data.comb_half_extent", "data.seed")
+    ),
+    "periodic": (InitialData.periodic, ("data.amplitudes", "data.frequencies")),
+    "random_band": (InitialData.random_band, ("data.amplitude", "data.k_band", "data.seed")),
+}
+MOLLIFIER_KINDS = {
+    "gaussian": (Mollifier.gaussian, ("mollifier.sigma",)),
+    "fourier_cutoff": (Mollifier.fourier_cutoff, ("mollifier.cutoff",)),
+}
+
 # key -> (parser, default); defaults of None mean "required if used"
 _COMMON_KEYS = {
     "run.t_final": (float, 10.0),
@@ -42,7 +73,7 @@ _COMMON_KEYS = {
 }
 
 _DATA_KEYS = {
-    "data.kind": (str, "constant"),
+    "data.kind": (_parse_choice(DATA_KINDS), "constant"),
     "data.amplitude": (float, 1.0),
     "data.seed": (int, 0),
     "data.comb_half_extent": (int, 20),
@@ -90,7 +121,7 @@ ENGINE_SCHEMAS: dict[str, dict] = {
         "continuum.sign": (int, 1),
         "continuum.coupling": (float, 1.0),
         "continuum.dealias": (_parse_bool, True),
-        "mollifier.kind": (str, "gaussian"),
+        "mollifier.kind": (_parse_choice(MOLLIFIER_KINDS), "gaussian"),
         "mollifier.sigma": (float, 1.0),
         "mollifier.cutoff": (float, 1.0),
         "probe.x0_values": (_parse_list(float), (0.0,)),
@@ -166,10 +197,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     engine = raw.pop("engine", None)
     if engine is None:
         raise ConfigError("missing required key: engine")
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"invalid value for field 'engine': {engine!r} (choose from {', '.join(ENGINES)})"
-        )
+    if engine not in ENGINE_SCHEMAS:
+        raise ConfigError(f"invalid value for field 'engine': {engine!r} "
+                          f"(choose from {', '.join(ENGINE_SCHEMAS)})")
     schema = ENGINE_SCHEMAS[engine]
     params = {}
     for key, value in raw.items():

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_value", "write_csv", "read_csv"]
+__all__ = ["write_csv", "read_csv"]
 
 
-def format_value(v) -> str:
+def _format_value(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -30,15 +30,25 @@ def write_csv(path: str | Path, columns: list[str], rows) -> Path:
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row width {len(row)} != header width {len(columns)}")
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(_format_value(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Columns as float arrays keyed by header name."""
+    """Columns as float arrays keyed by header name.
+
+    Raises ValueError naming a column whose first entry is not a number (the
+    ``case`` column of a ``sweep_index.csv``, say).
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        first = fh.readline().strip().split(",")
+    for name, cell in zip(header, first):
+        try:
+            float(cell)
+        except ValueError:
+            raise ValueError(f"column {name!r} of {path} holds {cell!r}, not a number") from None
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return {name: data[:, i] for i, name in enumerate(header)}

@@ -1,9 +1,10 @@
 """Experiment execution: engine dispatch, run directories, parallel sweeps.
 
-Each run writes ``series.csv`` (schema fixed per engine, see ENGINE_COLUMNS),
-a ``metadata.json`` sidecar (config echo, code version, wall time, warnings;
+Each run writes ``series.csv`` (columns fixed per engine), a
+``metadata.json`` sidecar (config echo, code version, wall time, warnings;
 for lattice runs also ``batch``: rows in the batch, step count, stepping
-wall time), and optionally an SVG plot with its ``.dat`` companion.
+wall time), and optionally an SVG plot with its ``.dat`` companion, log-log
+when the first column is ``t``.
 Identical (config, seed) pairs produce byte-identical CSVs regardless of the
 sweep worker count: cases are keyed and written in sorted order.  A sweep's
 numerical abort names its case; the sweep directory is made by its cases'
@@ -25,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..fields import (
-    InitialData,
-    Mollifier,
-    WeightProfile,
-    make_initial_grid,
-    make_initial_lattice,
-)
+from ..fields import InitialData, WeightProfile, make_initial_grid, make_initial_lattice
 from ..lattice import LatticeModel, LatticeRunRecord, run_lattice_batch
 from ..lattice_linear import (
     adversarial_data,
@@ -53,20 +48,11 @@ from ..newton import newton_iterate
 from ..errors import NumericsError
 from ..timegrid import _check_row, time_grid
 from ..wave import WaveState, run_nlw
-from .config import ConfigError, ExperimentConfig
+from .config import DATA_KINDS, MOLLIFIER_KINDS, ConfigError, ExperimentConfig
 from .csvio import write_csv
 from .svgplot import write_line_plot
 
-__all__ = ["ENGINE_COLUMNS", "EngineResult", "execute", "run_experiment", "sweep_experiment"]
-
-ENGINE_COLUMNS = {
-    "lattice": list(LatticeRunRecord._fields),
-    "lattice-linear": ["t0", "adversarial_ratio", "pairing_ok", "ensemble_m2"],
-    # continuum appends one local_energy_<i> column per probe
-    "continuum": ["t", "sup_abs", "mass", "energy"],
-    "nlw": ["t", "sup_abs", "energy"],
-    "newton": ["n", "eps_n", "sup_residual", "ratio"],
-}
+__all__ = ["EngineResult", "execute", "run_experiment", "sweep_experiment"]
 
 # seed offset for the independent velocity stream of wave data
 _NLW_VELOCITY_SEED_OFFSET = 1000003
@@ -82,33 +68,17 @@ class EngineResult:
     batch: dict = field(default_factory=dict)
 
 
-def _initial_data(params: dict) -> InitialData:
-    kind = params["data.kind"]
-    amp = params["data.amplitude"]
-    seed = params["data.seed"]
-    if kind == "constant":
-        return InitialData.constant(amp)
-    if kind == "delta":
-        return InitialData.delta(amp)
-    if kind == "random_phase":
-        return InitialData.random_phase(amp, seed)
-    if kind == "random_gaussian":
-        return InitialData.random_gaussian(amp, seed)
-    if kind == "gaussian_comb":
-        return InitialData.random_comb(amp, params["data.comb_half_extent"], seed)
-    if kind == "periodic":
-        return InitialData.periodic(params["data.amplitudes"], params["data.frequencies"])
-    if kind == "random_band":
-        return InitialData.random_band(amp, params["data.k_band"], seed)
-    raise ConfigError(f"invalid value for field 'data.kind': {kind!r}")
+def _build(table: dict, kind_key: str, params: dict):
+    """The object of kind ``params[kind_key]``, made from its config keys."""
+    make, keys = table[params[kind_key]]
+    return make(*(params[key] for key in keys))
 
 
 def _nlw_velocity(params: dict) -> InitialData:
     """Wave velocity: an independent draw for random_band data, else rest."""
     if params["data.kind"] == "random_band":
-        return _initial_data(
-            dict(params, **{"data.seed": params["data.seed"] + _NLW_VELOCITY_SEED_OFFSET})
-        )
+        seed = params["data.seed"] + _NLW_VELOCITY_SEED_OFFSET
+        return _build(DATA_KINDS, "data.kind", dict(params, **{"data.seed": seed}))
     return InitialData.constant(0.0)
 
 
@@ -145,7 +115,7 @@ def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> lis
     if len(shared) != 1:
         raise ValueError("a lattice batch needs one model, run.t_final and run.record_dt")
     ((model, t_final, record_dt),) = shared
-    specs = [_initial_data(params) for params in cases]
+    specs = [_build(DATA_KINDS, "data.kind", params) for params in cases]
     values = np.stack([make_initial_lattice(spec, model.extent).values for spec in specs])
     weights = [
         WeightProfile(
@@ -166,7 +136,7 @@ def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> lis
     for spec, rows in zip(specs, records):
         # the last record holds the diagnostics of the final values
         results.append(EngineResult(
-            columns=list(ENGINE_COLUMNS["lattice"]),
+            columns=list(LatticeRunRecord._fields),
             rows=rows,
             warnings=_wrap_warnings(spec, model.extent, t_final),
             summary={"final_sup_abs": rows[-1].sup_abs, "final_mass": rows[-1].global_mass},
@@ -198,20 +168,12 @@ def _run_lattice_linear_engine(params: dict) -> EngineResult:
             kern,
         )
         rows.append((float(t0), float(ratio), bool(ok), float(m2)))
-    return EngineResult(columns=list(ENGINE_COLUMNS["lattice-linear"]), rows=rows)
-
-
-def _mollifier(params: dict) -> Mollifier:
-    kind = params["mollifier.kind"]
-    if kind == "gaussian":
-        return Mollifier.gaussian(params["mollifier.sigma"])
-    if kind == "fourier_cutoff":
-        return Mollifier.fourier_cutoff(params["mollifier.cutoff"])
-    raise ConfigError(f"invalid value for field 'mollifier.kind': {kind!r}")
+    columns = ["t0", "adversarial_ratio", "pairing_ok", "ensemble_m2"]
+    return EngineResult(columns=columns, rows=rows)
 
 
 def _run_continuum_engine(params: dict) -> EngineResult:
-    phi = _mollifier(params)
+    phi = _build(MOLLIFIER_KINDS, "mollifier.kind", params)
     model = ContinuumModel(
         mollifier=phi,
         box_length=params["continuum.box_length"],
@@ -221,15 +183,13 @@ def _run_continuum_engine(params: dict) -> EngineResult:
         coupling=params["continuum.coupling"],
         dealias=params["continuum.dealias"],
     )
-    spec = _initial_data(params)
+    spec = _build(DATA_KINDS, "data.kind", params)
     u0 = make_initial_grid(spec, model.box_length, model.grid_size)
     probes = [LocalEnergyProbe(x0=x0, R=params["probe.R"]) for x0 in params["probe.x0_values"]]
     for probe in probes:
         probe.check_inside(model.box_length)
     traj = run_continuum(u0, model, params["run.t_final"], params["run.record_dt"])
-    columns = list(ENGINE_COLUMNS["continuum"]) + [
-        f"local_energy_{i}" for i in range(len(probes))
-    ]
+    columns = ["t", "sup_abs", "mass", "energy"] + [f"local_energy_{i}" for i in range(len(probes))]
     rows = []
     # an overflowed diagnostic is reported by _check_row, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,20 +206,17 @@ def _run_nlw_engine(params: dict) -> EngineResult:
     box = params["nlw.box_length"]
     size = params["nlw.grid_size"]
     state = WaveState(
-        u=make_initial_grid(_initial_data(params), box, size),
+        u=make_initial_grid(_build(DATA_KINDS, "data.kind", params), box, size),
         v=make_initial_grid(_nlw_velocity(params), box, size),
     )
     records, _final = run_nlw(
         state, params["run.t_final"], params["nlw.dt"], params["run.record_dt"], params["nlw.p"]
     )
-    return EngineResult(
-        columns=list(ENGINE_COLUMNS["nlw"]),
-        rows=[tuple(r) for r in records],
-    )
+    return EngineResult(columns=["t", "sup_abs", "energy"], rows=[tuple(r) for r in records])
 
 
 def _run_newton_engine(params: dict) -> EngineResult:
-    spec = _initial_data(params)
+    spec = _build(DATA_KINDS, "data.kind", params)
     psi0 = make_initial_grid(spec, params["newton.box_length"], params["newton.grid_size"])
     result = newton_iterate(
         psi0,
@@ -274,7 +231,7 @@ def _run_newton_engine(params: dict) -> EngineResult:
         f"newton did not converge: sup_residual {rows[-1][2]:.3e} > newton.tol after "
         f"{result.iterations} iterations (newton.max_iter = {params['newton.max_iter']})"]
     return EngineResult(
-        columns=list(ENGINE_COLUMNS["newton"]),
+        columns=["n", "eps_n", "sup_residual", "ratio"],
         rows=rows,
         warnings=warnings,
         summary={
@@ -319,7 +276,7 @@ def _write_outputs(config: ExperimentConfig, result: EngineResult, out_dir: Path
         if len(data):
             x = data[:, 0]
             ys = {result.columns[1]: data[:, 1]}
-            loglog = config.engine in ("lattice", "continuum", "nlw") and np.all(x[1:] > 0)
+            loglog = result.columns[0] == "t" and np.all(x[1:] > 0)
             write_line_plot(
                 out_dir / "plot.svg",
                 x[1:] if loglog else x,
@@ -340,12 +297,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Path:
     return out
 
 
-# sweep key -> (target config key per engine)
+# sweep key -> the config keys it may set; a schema that holds the sweep key
+# holds exactly one of them
 _SWEEP_TARGETS = {
-    "sweep.seeds": {"lattice": "data.seed", "continuum": "data.seed", "nlw": "data.seed",
-                    "lattice-linear": "ensemble.seed"},
-    "sweep.R": {"lattice": "weight.R", "continuum": "probe.R"},
-    "sweep.x0": {"lattice": "weight.x0"},
+    "sweep.seeds": ("data.seed", "ensemble.seed"),
+    "sweep.R": ("weight.R", "probe.R"),
+    "sweep.x0": ("weight.x0",),
 }
 
 
@@ -369,11 +326,10 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     for sweep_key, targets in _SWEEP_TARGETS.items():
         values = config.params.get(sweep_key) or ()
         if values:
-            if config.engine not in targets:
-                raise ConfigError(f"{sweep_key} is not applicable to engine {config.engine!r}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{sweep_key} repeats a value: {', '.join(map(str, values))}")
-            axes.append((targets[config.engine], list(values)))
+            (target,) = (key for key in targets if key in config.params)
+            axes.append((target, list(values)))
     if not axes:
         raise ConfigError("sweep requested but no sweep.* lists are set")
     cases: list[dict] = [{}]

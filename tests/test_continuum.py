@@ -27,7 +27,6 @@ from nlsgrowth.fields import (
     InitialData,
     Mollifier,
     chi_eval,
-    gaussian_comb_eval,
     grid_wavenumbers,
     make_initial_grid,
 )
@@ -130,7 +129,7 @@ class TestCombOracle:
         coeffs = np.exp(1j * np.linspace(0, 3, 11))
         xs = np.linspace(-4, 4, 17)
         a = comb_oracle(coeffs, 0.0, xs, -5)
-        b = gaussian_comb_eval(coeffs, xs, -5)
+        b = InitialData.gaussian_comb(coeffs, -5).sample(xs, 1.0)
         assert np.allclose(a, b, atol=1e-14)
 
     def test_single_gaussian_modulus(self):

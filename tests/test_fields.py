@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from nlsgrowth.fields import (
-    COMB_TRUNCATION,
     GridField,
     InitialData,
     LatticeField,
     Mollifier,
     WeightProfile,
     chi_eval,
-    gaussian_comb_eval,
     grid_wavenumbers,
     make_initial_grid,
     make_initial_lattice,
@@ -132,32 +130,35 @@ class TestInitialLattice:
     def test_comb_on_lattice(self):
         spec = InitialData.gaussian_comb(np.ones(9), -4)
         f = make_initial_lattice(spec, 30)
-        direct = gaussian_comb_eval(np.ones(9), 0.0, -4)
+        direct = spec.sample(np.array([0.0]), 61)[0]
         assert f.at(0) == pytest.approx(direct)
-        # outermost center |j| = 4 plus the reach of one truncated Gaussian
-        assert spec.support_radius == pytest.approx(4.0 + np.sqrt(-np.log(COMB_TRUNCATION)))
+        # outermost center |j| = 4 plus the reach of one Gaussian truncated at 1e-18
+        assert spec.support_radius == pytest.approx(4.0 + np.sqrt(-np.log(1e-18)))
         assert InitialData.delta(1.0).support_radius == 0.0
         assert InitialData.random_phase(1.0, 3).support_radius == 0.0
 
 
 class TestGaussianCombEval:
     def test_zero_and_single(self):
-        assert gaussian_comb_eval(np.zeros(5), 1.3, -2) == 0.0
+        # a comb's sample ignores the ring period
+        zero = InitialData.gaussian_comb(np.zeros(5), -2)
+        assert zero.sample(np.array([1.3]), 1.0)[0] == 0.0
         a = np.zeros(5)
         a[2] = 1.0
-        assert gaussian_comb_eval(a, 0.0, -2) == pytest.approx(1.0)
+        single = InitialData.gaussian_comb(a, -2)
+        assert single.sample(np.array([0.0]), 1.0)[0] == pytest.approx(1.0)
 
     def test_all_ones_against_wide_sum_oracle(self):
         # independent oracle: naive sum over a very wide window
         j = np.arange(-40, 41, dtype=float)
         oracle = complex(np.sum(np.exp(-(0.0 - j) ** 2)))
-        got = gaussian_comb_eval(np.ones(41), 0.0, -20)
+        got = InitialData.gaussian_comb(np.ones(41), -20).sample(np.array([0.0]), 1.0)[0]
         assert got == pytest.approx(oracle, abs=1e-15)
         assert abs(oracle - 1.7726372048266521) < 1e-12
 
     def test_rejects_large_coefficients(self):
-        with pytest.raises(ValueError):
-            gaussian_comb_eval(np.array([2.0]), 0.0)
+        with pytest.raises(ValueError, match=r"\|a_j\| <= 1"):
+            InitialData.gaussian_comb(np.array([2.0]))
 
 
 class TestSpectral:

@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 from nlsgrowth.errors import NumericsError
-from nlsgrowth.harness.config import ConfigError, parse_config_text
-from nlsgrowth.harness.csvio import format_value, read_csv, write_csv
+from nlsgrowth.harness import cli
+from nlsgrowth.harness.config import (
+    DATA_KINDS,
+    ENGINE_SCHEMAS,
+    MOLLIFIER_KINDS,
+    ConfigError,
+    parse_config_text,
+)
+from nlsgrowth.harness.csvio import read_csv, write_csv
 from nlsgrowth.harness.acceptance import _DETERMINISM_CONFIG
 from nlsgrowth.harness.fitting import fit_growth
-from nlsgrowth.harness.runner import ENGINE_COLUMNS, execute, run_experiment, sweep_experiment
+from nlsgrowth.harness.runner import execute, run_experiment, sweep_experiment
 from nlsgrowth.harness.svgplot import write_line_plot
+from nlsgrowth.lattice import LatticeRunRecord
 
 LATTICE_CFG = """
 # minimal lattice run
@@ -38,9 +46,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text(LATTICE_CFG + "\nlattice.bogus = 3\n")
 
-    def test_invalid_engine_names_field(self):
-        with pytest.raises(ConfigError, match="engine"):
-            parse_config_text("engine = warp-drive\n")
+    @pytest.mark.parametrize("text, key, table", [
+        ("engine = warp-drive\n", "engine", ENGINE_SCHEMAS),
+        ("engine = lattice\ndata.kind = constnat\n", "data.kind", DATA_KINDS),
+        ("engine = continuum\nmollifier.kind = gauss\n", "mollifier.kind", MOLLIFIER_KINDS),
+    ], ids=["engine", "data.kind", "mollifier.kind"])
+    def test_invalid_choice_names_field_and_choices(self, tmp_path, capsys, text, key, table):
+        # the parser names the field and its choices, so no run or sweep starts
+        text += "sweep.seeds = 1, 2\n"
+        with pytest.raises(ConfigError, match=key) as info:
+            parse_config_text(text)
+        assert f"(choose from {', '.join(table)})" in str(info.value)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        for verb in ("run", "sweep"):
+            assert cli.main([verb, "--config", str(cfg_path), "--out", str(tmp_path / verb)]) == 2
+            assert not (tmp_path / verb).exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("config error:") for line in err)
 
     def test_missing_engine(self):
         with pytest.raises(ConfigError, match="engine"):
@@ -106,10 +129,9 @@ class TestFitGrowth:
 
 
 class TestCsv:
-    def test_format_17_digits(self):
-        assert format_value(1.0 / 3.0) == "3.3333333333333331e-01"
-        assert format_value(7) == "7"
-        assert format_value(True) == "1"
+    def test_format_17_digits(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", ["x", "n", "ok"], [(1.0 / 3.0, 7, True)])
+        assert path.read_text() == "x,n,ok\n3.3333333333333331e-01,7,1\n"
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -128,7 +150,7 @@ class TestRunner:
         cfg = parse_config_text(LATTICE_CFG)
         out = run_experiment(cfg, tmp_path / "run1")
         data = read_csv(out / "series.csv")
-        assert list(data) == ENGINE_COLUMNS["lattice"]
+        assert list(data) == list(LatticeRunRecord._fields)
         assert np.all(np.diff(data["t"]) > 0)
         assert np.allclose(data["sup_abs"], 1.5, atol=1e-12)
         meta = json.loads((out / "metadata.json").read_text())
@@ -181,8 +203,6 @@ class TestRunner:
         assert meta["batch"]["rows"] == 4
         assert meta["wall_time_s"] >= meta["batch"]["stepping_wall_s"]
 
-    # the sweep's worker thread does not inherit np.errstate
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lattice_linear_sweep_equals_single_runs(self, tmp_path):
         # a non-lattice sweep runs one case per task
         cfg = parse_config_text(
@@ -198,8 +218,6 @@ class TestRunner:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_sweep_rejects_workers_below_one(self, tmp_path, workers):
-        from nlsgrowth.harness import cli
-
         cfg_path = tmp_path / "s.cfg"
         cfg_path.write_text(LATTICE_CFG + "sweep.seeds = 1,2\n")
         with pytest.raises(ValueError, match="workers"):
@@ -241,7 +259,7 @@ class TestRunner:
             "engine = lattice-linear\nrun.t0_values = 25\nensemble.samples = 200\n"
         )
         res = execute(cfg)
-        assert res.columns == ENGINE_COLUMNS["lattice-linear"]
+        assert res.columns == ["t0", "adversarial_ratio", "pairing_ok", "ensemble_m2"]
         (t0, ratio, pairing, m2), = res.rows
         assert t0 == 25.0
         assert 0.3 <= ratio <= 2.0
@@ -257,8 +275,8 @@ class TestRunner:
             "probe.x0_values = -8, 0, 8\nprobe.R = 2.0\n"
         )
         res = execute(cfg)
-        assert res.columns == ENGINE_COLUMNS["continuum"] + [
-            "local_energy_0", "local_energy_1", "local_energy_2",
+        assert res.columns == [
+            "t", "sup_abs", "mass", "energy", "local_energy_0", "local_energy_1", "local_energy_2",
         ]
         assert all(len(r) == 7 for r in res.rows)
 
@@ -269,7 +287,7 @@ class TestRunner:
             "newton.t_final = 0.2\nnewton.dt = 0.002\n"
         )
         res = execute(cfg)
-        assert res.columns == ENGINE_COLUMNS["newton"]
+        assert res.columns == ["n", "eps_n", "sup_residual", "ratio"]
         assert res.summary["converged"]
 
     @pytest.mark.parametrize("max_iter", [1, 12])
@@ -299,7 +317,7 @@ class TestRunner:
             "run.t_final = 2.0\nrun.record_dt = 0.5\n"
         )
         res = execute(cfg)
-        assert res.columns == ENGINE_COLUMNS["nlw"]
+        assert res.columns == ["t", "sup_abs", "energy"]
         energies = [r[2] for r in res.rows]
         assert max(energies) / min(energies) < 1.001
 
@@ -439,6 +457,17 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error: column 't'")
         assert "eps_n" in proc.stderr
+
+    def test_fit_on_sweep_index_names_column_exit_2(self, tmp_path):
+        # a sweep index's case column holds names, not numbers
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(LATTICE_CFG + "sweep.seeds = 1, 2\n")
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        index = out / "sweep_index.csv"
+        proc = self.run_cli("fit", "--csv", str(index), "--t-lo", "1", "--t-hi", "2")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: column 'case' of {index} holds 'seed=1', not a number\n"
 
     def test_newton_radius_too_large_exit_2(self, tmp_path):
         cfg_path = tmp_path / "n.cfg"
