@@ -82,10 +82,15 @@ _DATA_KEYS = {
     "data.frequencies": (_parse_list(float), (1.0,)),
 }
 
-# time-grid keys that a run divides by or steps towards; lattice.dt and
-# continuum.dt are checked by their models
-_POSITIVE_KEYS = ("run.record_dt", "nlw.dt", "newton.dt")
-_NON_NEGATIVE_KEYS = ("run.t_final", "newton.t_final")
+# key -> (lower bound, whether the bound itself is allowed), checked for each
+# entry of a list: the time-grid keys a run divides by or steps towards
+# (lattice.dt and continuum.dt are checked by their models), and the
+# lattice-linear horizons, which lie in the stationary-phase regime t0 >= 20
+_LOWER_BOUNDS = {
+    **dict.fromkeys(("run.record_dt", "nlw.dt", "newton.dt"), (0.0, False)),
+    **dict.fromkeys(("run.t_final", "newton.t_final"), (0.0, True)),
+    "run.t0_values": (20.0, True),
+}
 
 ENGINE_SCHEMAS: dict[str, dict] = {
     "lattice": {
@@ -105,7 +110,6 @@ ENGINE_SCHEMAS: dict[str, dict] = {
     },
     "lattice-linear": {
         "run.t0_values": (_parse_list(float), (25.0, 100.0)),
-        "run.extent": (int, 0),  # 0 = auto from kernel width
         "ensemble.samples": (int, 200),
         "ensemble.amplitude": (float, 1.0),
         "ensemble.seed": (int, 0),
@@ -171,12 +175,31 @@ class ExperimentConfig:
         return out
 
     def with_overrides(self, **entries) -> "ExperimentConfig":
+        """This config with ``entries`` set, each parsed as its ``str`` would
+        be in config text; ``str`` of an int or a float round-trips exactly."""
         params = dict(self.params)
         for key, val in entries.items():
-            if key not in params:
-                raise ConfigError(f"unknown config key: {key}")
-            params[key] = val
+            params[key] = _parse_value(self.engine, key, str(val))
         return ExperimentConfig(engine=self.engine, params=params)
+
+
+def _parse_value(engine: str, key: str, value: str):
+    """``value`` typed by the parser of ``key`` in the engine's schema and
+    checked against its lower bound; the one path of every config value."""
+    schema = ENGINE_SCHEMAS[engine]
+    if key not in schema:
+        raise ConfigError(f"unknown config key for engine {engine!r}: {key!r}")
+    parser, _default = schema[key]
+    try:
+        parsed = parser(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
+    if key in _LOWER_BOUNDS:
+        lo, closed = _LOWER_BOUNDS[key]
+        entries = parsed if isinstance(parsed, tuple) else (parsed,)
+        if not all(v >= lo if closed else v > lo for v in entries):
+            raise ConfigError(f"{key} must be {'>=' if closed else '>'} {lo:g}, got {value}")
+    return parsed
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -200,23 +223,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if engine not in ENGINE_SCHEMAS:
         raise ConfigError(f"invalid value for field 'engine': {engine!r} "
                           f"(choose from {', '.join(ENGINE_SCHEMAS)})")
-    schema = ENGINE_SCHEMAS[engine]
-    params = {}
-    for key, value in raw.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key for engine {engine!r}: {key!r}")
-        parser, _default = schema[key]
-        try:
-            params[key] = parser(value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
-    for key, (_parser, default) in schema.items():
+    params = {key: _parse_value(engine, key, value) for key, value in raw.items()}
+    for key, (_parser, default) in ENGINE_SCHEMAS[engine].items():
         params.setdefault(key, default)
-    for key, value in params.items():
-        if key in _POSITIVE_KEYS and not value > 0:
-            raise ConfigError(f"{key} must be > 0, got {value}")
-        if key in _NON_NEGATIVE_KEYS and not value >= 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
     return ExperimentConfig(engine=engine, params=params)
 
 

@@ -152,12 +152,8 @@ def _run_lattice_engine(params: dict) -> EngineResult:
 def _run_lattice_linear_engine(params: dict) -> EngineResult:
     rows = []
     for t0 in params["run.t0_values"]:
-        if t0 < 20.0:
-            raise ConfigError("run.t0_values entries must be >= 20 (stationary-phase regime)")
         kern = kernel_table(t0)
-        extent = max(params["run.extent"], kern.half_width)
-        data = adversarial_data(t0, extent, kern)
-        evolved = linear_evolve(data, t0)  # builds kernel_table(t0, extent)
+        evolved = linear_evolve(adversarial_data(t0, kern.half_width, kern), t0, kern)
         ratio = abs(evolved.at(0)) / np.sqrt(t0)
         ok = pairing_check(t0)
         m2 = random_ensemble_second_moment(
@@ -256,6 +252,11 @@ def execute(config: ExperimentConfig) -> EngineResult:
     return _ENGINE_RUNNERS[config.engine](config.params)
 
 
+def _write_metadata(out_dir: Path, meta: dict) -> None:
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    (out_dir / "metadata.json").write_text(text, encoding="utf-8")
+
+
 def _write_outputs(config: ExperimentConfig, result: EngineResult, out_dir: Path, wall: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "series.csv", result.columns, result.rows)
@@ -268,9 +269,7 @@ def _write_outputs(config: ExperimentConfig, result: EngineResult, out_dir: Path
     }
     if result.batch:
         meta["batch"] = result.batch
-    (out_dir / "metadata.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_metadata(out_dir, meta)
     if config.params.get("output.svg"):
         data = np.array([[float(v) for v in row] for row in result.rows])
         if len(data):
@@ -380,5 +379,5 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
         "wall_time_s": time.perf_counter() - start,
         "cases": [key for key, _ in done],
     }
-    (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_metadata(out, meta)
     return out

@@ -17,10 +17,10 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 36, 52  # margins
 
 
-def _ticks_linear(lo: float, hi: float, n: int = 5):
+def _ticks_linear(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw) * mag
     first = np.ceil(lo / step) * step
@@ -70,12 +70,17 @@ def write_line_plot(
     if loglog:
         def good(a):
             return a > 0
+
+        def frac(v, lo, hi):
+            return (np.log10(v) - np.log10(lo)) / (np.log10(hi) - np.log10(lo))
     else:
         def good(a):
             return np.isfinite(a)
+
+        def frac(v, lo, hi):
+            return (v - lo) / (hi - lo)
     all_y = np.concatenate(list(series.values()))
-    xs_ok = x[good(x)] if loglog else x[np.isfinite(x)]
-    ys_ok = all_y[good(all_y)] if loglog else all_y[np.isfinite(all_y)]
+    xs_ok, ys_ok = x[good(x)], all_y[good(all_y)]
     if len(xs_ok) == 0 or len(ys_ok) == 0:
         xs_ok, ys_ok = np.array([1.0, 2.0]), np.array([1.0, 2.0])
     x_lo, x_hi = float(np.min(xs_ok)), float(np.max(xs_ok))
@@ -86,21 +91,13 @@ def write_line_plot(
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
-        y_hi = y_lo * (10.0 if loglog else 0) + (0 if loglog else y_lo + 1.0)
+        y_hi = y_lo * 10.0 if loglog else y_lo + 1.0
 
     def tx(v):
-        if loglog:
-            f = (np.log10(v) - np.log10(x_lo)) / (np.log10(x_hi) - np.log10(x_lo))
-        else:
-            f = (v - x_lo) / (x_hi - x_lo)
-        return _ML + f * (_W - _ML - _MR)
+        return _ML + frac(v, x_lo, x_hi) * (_W - _ML - _MR)
 
     def ty(v):
-        if loglog:
-            f = (np.log10(v) - np.log10(y_lo)) / (np.log10(y_hi) - np.log10(y_lo))
-        else:
-            f = (v - y_lo) / (y_hi - y_lo)
-        return _H - _MB - f * (_H - _MT - _MB)
+        return _H - _MB - frac(v, y_lo, y_hi) * (_H - _MT - _MB)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -138,8 +135,7 @@ def write_line_plot(
         color = _COLORS[idx % len(_COLORS)]
         pts = []
         for xv, yv in zip(x, vals):
-            ok = (xv > 0 and yv > 0) if loglog else (np.isfinite(xv) and np.isfinite(yv))
-            if ok:
+            if good(xv) and good(yv):
                 pts.append(f"{tx(xv):.1f},{ty(yv):.1f}")
         if pts:
             parts.append(

@@ -65,6 +65,53 @@ def test_error_policy():
     assert not stray
 
 
+def _passed_arguments(trees):
+    """called name -> positions and keywords passed in some call; a starred
+    argument passes every position, a ``**`` one every keyword."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            marks = passed.setdefault(name, set())
+            for i, arg in enumerate(node.args):
+                marks.add("*" if isinstance(arg, ast.Starred) else i)
+            marks.update(kw.arg or "**" for kw in node.keywords)
+    return passed
+
+
+def test_every_default_is_passed():
+    # a parameter with a default that no call passes is an option no caller sets
+    src_trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    root = SRC.parents[1]
+    callers = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("tests", "demos", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    passed = _passed_arguments(src_trees + callers)
+    unset = []
+    for tree in src_trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(args.defaults)
+            defaulted = [(arg.arg, i - offset) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [
+                (arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            marks = passed.get(node.name, set())
+            for name, pos in defaulted:
+                if not marks & {name, "**"} and (pos is None or not marks & {pos, "*"}):
+                    unset.append((node.name, name))
+    assert not unset
+
+
 def test_one_public_surface():
     # the package modules hold the API; the packages re-export nothing
     for init in (SRC / "__init__.py", SRC / "harness" / "__init__.py"):

@@ -90,10 +90,28 @@ class TestConfig:
         ("engine = newton\nnewton.t_final = -1\n", "newton.t_final"),
         ("engine = lattice\nrun.t_final = -1\n", "run.t_final"),
         ("engine = continuum\nrun.record_dt = 0\n", "run.record_dt"),
+        ("engine = lattice-linear\nrun.t0_values = 25, 10\n", "run.t0_values"),
     ])
     def test_time_grid_bounds(self, text, key):
         with pytest.raises(ConfigError, match=key):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("key, value", [
+        ("data.kind", "bogus"),
+        ("data.seed", "x"),
+        ("run.record_dt", 0.0),
+        ("lattice.extent", 64.5),
+    ])
+    def test_override_parsed_like_text(self, key, value):
+        # an override is parsed as str(value), like the same value in the file
+        cfg = parse_config_text(LATTICE_CFG + "sweep.seeds = 3\nsweep.R = 1.5, 1.3000000000000003\n")
+        with pytest.raises(ConfigError, match=key):
+            cfg.with_overrides(**{key: value})
+        # the int and float values a sweep sets come back equal
+        for sweep_key, target in (("sweep.seeds", "data.seed"), ("sweep.R", "weight.R")):
+            for v in cfg.params[sweep_key]:
+                got = cfg.with_overrides(**{target: v}).params[target]
+                assert got == v and type(got) is type(v)
 
 
 class TestFitGrowth:
