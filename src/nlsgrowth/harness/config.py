@@ -84,12 +84,13 @@ _DATA_KEYS = {
 
 # key -> (lower bound, whether the bound itself is allowed), checked for each
 # entry of a list: the time-grid keys a run divides by or steps towards
-# (lattice.dt and continuum.dt are checked by their models), and the
-# lattice-linear horizons, which lie in the stationary-phase regime t0 >= 20
+# (lattice.dt and continuum.dt are checked by their models), the lattice-linear
+# horizons, in the stationary-phase regime t0 >= 20, and the scales R >= 1
 _LOWER_BOUNDS = {
     **dict.fromkeys(("run.record_dt", "nlw.dt", "newton.dt"), (0.0, False)),
     **dict.fromkeys(("run.t_final", "newton.t_final"), (0.0, True)),
     "run.t0_values": (20.0, True),
+    **dict.fromkeys(("weight.R", "probe.R"), (1.0, True)),
 }
 
 ENGINE_SCHEMAS: dict[str, dict] = {

@@ -7,8 +7,8 @@ wall time), and optionally an SVG plot with its ``.dat`` companion, log-log
 when the first column is ``t``.
 Identical (config, seed) pairs produce byte-identical CSVs regardless of the
 sweep worker count: cases are keyed and written in sorted order.  A sweep's
-numerical abort names its case; the sweep directory is made by its cases'
-runs, so an aborted sweep leaves no empty one.
+numerical abort or invalid input names its case; the sweep directory is made
+by its cases' runs, so an aborted sweep leaves no empty one.
 
 A lattice sweep steps its cases as one batch (``run_lattice_batch``), split
 into at most ``workers`` contiguous chunks that run concurrently; a batched
@@ -315,9 +315,9 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     Cases execute concurrently over immutable configs, lattice cases as
     batched chunks; the summary is keyed and sorted before writing, and a
     batch is bitwise equal to its rows run alone, so the output is
-    independent of worker count.  Raises ValueError for workers < 1 and
-    ConfigError for a sweep list that repeats a value (two cases would write
-    one directory).
+    independent of worker count.  Raises ValueError for workers < 1, and
+    ConfigError, before any case runs, for a sweep list that repeats a value
+    (two cases would write one directory) or a case value out of range.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -336,25 +336,28 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
         cases = [dict(c, **{key: v}) for c in cases for v in values]
     out = Path(out_dir)
     keyed = [(_case_key(a), a) for a in cases]
+    # every case's values are parsed and range-checked before any case runs
+    configs = {key: config.with_overrides(**a) for key, a in keyed}
 
     def run_chunk(chunk: list) -> None:
         # lattice cases share model, t_final and record_dt (no sweep axis
         # touches them), so a chunk is stepped as one batch
-        configs = [config.with_overrides(**a) for _, a in chunk]
         start = time.perf_counter()
         results = _run_lattice_rows(
-            [cfg.params for cfg in configs], [f"case {key}" for key, _ in chunk]
+            [configs[key].params for key, _ in chunk], [f"case {key}" for key, _ in chunk]
         )
         wall = time.perf_counter() - start
-        for (key, _), cfg, result in zip(chunk, configs, results):
-            _write_outputs(cfg, result, out / key, wall)
+        for (key, _), result in zip(chunk, results):
+            _write_outputs(configs[key], result, out / key, wall)
 
     def run_case(case: tuple) -> None:
-        key, assignment = case
+        key, _ = case
         try:
-            run_experiment(config.with_overrides(**assignment), out / key)
+            run_experiment(configs[key], out / key)
         except NumericsError as exc:
             raise NumericsError(f"{exc} (case {key})") from exc
+        except ValueError as exc:
+            raise ValueError(f"{exc} (case {key})") from exc
 
     if config.engine == "lattice":
         # at most `workers` contiguous chunks, sizes differing by at most one

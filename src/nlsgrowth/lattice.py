@@ -125,9 +125,20 @@ def _abs_pow(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarray
     return np.power(out, p, out=out)
 
 
+def _half_phase(x: np.ndarray, model: LatticeModel, out: np.ndarray, r, r2) -> np.ndarray:
+    """exp(i theta), theta = -sign*coupling*(dt/2)*|x|^p, into out as cos theta +
+    i sin theta (r, r2: real scratch).  Bitwise equal to the tests' oracle
+    np.exp(-1j*sign*coupling*(dt/2)*|x|^p), whose argument is 0 + i(theta + 0)."""
+    theta = np.multiply(_abs_pow(x, model.p, r, r2), -model.sign * model.coupling * (model.dt / 2.0), out=r)
+    np.cos(np.add(theta, 0.0, out=theta), out=out.real)  # + 0: -0 to +0, as in the product
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _step_values(v: np.ndarray, model: LatticeModel, symbol: np.ndarray, work) -> np.ndarray:
     """One Strang step of every row of v[B, M], written back into v and
-    returned: half nonlinear phase, exact DFT linear step, half phase.
+    returned: half nonlinear phase (``_half_phase``), exact DFT linear step,
+    half phase.
 
     ``work`` holds scratch arrays shaped like v (two complex, two real), so a
     step allocates no array.  Every complex multiply writes to an array that
@@ -136,12 +147,9 @@ def _step_values(v: np.ndarray, model: LatticeModel, symbol: np.ndarray, work) -
     keep a batch bitwise equal to its rows stepped one at a time.
     """
     phase, rot, r, r2 = work
-    half = -1j * model.sign * model.coupling * (model.dt / 2.0)
-    np.exp(np.multiply(half, _abs_pow(v, model.p, r, r2), out=phase), out=phase)
-    v_hat = _fft.fft(np.multiply(v, phase, out=rot), overwrite_x=True)
+    v_hat = _fft.fft(np.multiply(v, _half_phase(v, model, phase, r, r2), out=rot), overwrite_x=True)
     w = _fft.ifft(np.multiply(symbol, v_hat, out=phase), overwrite_x=True)
-    np.exp(np.multiply(half, _abs_pow(w, model.p, r, r2), out=rot), out=rot)
-    return np.multiply(w, rot, out=v)
+    return np.multiply(w, _half_phase(w, model, rot, r, r2), out=v)
 
 
 # ---------------------------------------------------------------------------

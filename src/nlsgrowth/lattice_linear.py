@@ -263,7 +263,8 @@ def random_ensemble_second_moment(
 
     a_j = amplitude * exp(i theta_j); psi(t,0) = sum_n K_n(t) a_n.  Each sample
     draws from an independent PCG64 stream spawned from the master seed, so the
-    estimate is reproducible and order-independent.
+    estimate is reproducible and order-independent.  exp(i theta_j) is taken
+    as cos + i sin, bitwise equal to numpy's complex exp of 1j * theta_j.
     """
     if num_samples < 100:
         raise ValueError("num_samples must be >= 100")
@@ -271,9 +272,11 @@ def random_ensemble_second_moment(
         kernel = kernel_table(t)
     streams = np.random.SeedSequence(seed).spawn(num_samples)
     k = kernel.values
+    unit = np.empty_like(k)
     acc = 0.0
     for ss in streams:
-        rng = np.random.default_rng(ss)
-        a = amplitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k.shape[0]))
-        acc += abs(np.dot(k, a)) ** 2
+        theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, k.shape[0])
+        np.cos(theta, out=unit.real)
+        np.sin(theta, out=unit.imag)
+        acc += abs(np.dot(k, amplitude * unit)) ** 2
     return acc / num_samples

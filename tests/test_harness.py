@@ -96,6 +96,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("engine, key", [("lattice", "weight.R"), ("continuum", "probe.R")])
+    def test_scale_bound(self, engine, key):
+        # WeightProfile and LocalEnergyProbe need R >= 1; the parser says so
+        # first, naming the key, in the text and in an override alike
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got 0.5$"):
+            parse_config_text(f"engine = {engine}\n{key} = 0.5\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got 0.5$"):
+            parse_config_text(f"engine = {engine}\n").with_overrides(**{key: 0.5})
+
     @pytest.mark.parametrize("key, value", [
         ("data.kind", "bogus"),
         ("data.seed", "x"),
@@ -257,6 +266,14 @@ class TestRunner:
         )
         out = sweep_experiment(parse_config_text(text), tmp_path / "s")
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["seed=1", "seed=2"]
+
+    def test_sweep_probe_outside_box_names_the_case(self, tmp_path):
+        cfg = parse_config_text(
+            "engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = 32\n"
+            "run.t_final = 0\nprobe.x0_values = 0\nsweep.R = 1.5, 20\n"
+        )
+        with pytest.raises(ValueError, match=r"too close to the box edge .*\(case R=20\.0\)$"):
+            sweep_experiment(cfg, tmp_path / "s", workers=1)
 
     def test_sweep_overflow_names_the_case(self, tmp_path):
         cfg = parse_config_text(LATTICE_CFG.replace("1.5", "1e200") + "sweep.x0 = 0,2\n")
@@ -583,6 +600,19 @@ class TestCli:
         assert proc.stderr.startswith("numerical abort:")
         assert proc.stderr.strip().endswith("(case seed=1)"), proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_case_out_of_range_exits_2_before_any_case(self, tmp_path, capsys, workers):
+        # every case's values are checked before the first case writes its directory
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(
+            "engine = lattice\nlattice.extent = 16\nrun.t_final = 0.1\nrun.record_dt = 0.05\n"
+            "sweep.R = 1.5, 0.5\n"
+        )
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--workers", str(workers)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "config error: weight.R must be >= 1, got 0.5\n"
         assert not (tmp_path / "out").exists()
 
     def test_accept_exit_codes_inprocess(self, monkeypatch):

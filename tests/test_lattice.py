@@ -2,11 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from nlsgrowth.errors import NumericsError
 from nlsgrowth.fields import InitialData, LatticeField, WeightProfile, make_initial_lattice
 from nlsgrowth.lattice import (
     LatticeModel,
+    _abs_pow,
+    _linear_symbol,
+    _step_values,
     global_energy,
     local_energy,
     local_mass,
@@ -126,6 +130,70 @@ class TestSplitStep:
         # a weight past the rounded-up step does not make the horizon whole
         with pytest.raises(ValueError, match="whole number of steps"):
             run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.56))
+
+
+def exp_step(v, model, symbol, work):
+    """The Strang step with numpy's complex exp for its half phases: the oracle
+    that ``_step_values`` (cos + i sin of a real angle) must equal bit for bit."""
+    phase, rot, r, r2 = work
+    half = -1j * model.sign * model.coupling * (model.dt / 2.0)
+    np.exp(np.multiply(half, _abs_pow(v, model.p, r, r2), out=phase), out=phase)
+    v_hat = fft.fft(np.multiply(v, phase, out=rot), overwrite_x=True)
+    w = fft.ifft(np.multiply(symbol, v_hat, out=phase), overwrite_x=True)
+    np.exp(np.multiply(half, _abs_pow(w, model.p, r, r2), out=rot), out=rot)
+    return np.multiply(w, rot, out=v)
+
+
+class TestPhaseIdentity:
+    def test_host_complex_exp_is_cos_plus_i_sin(self):
+        # the lattice half phase and the ensemble draw rely on numpy's complex
+        # exp of 0 + i theta being cos theta + i sin theta to the last bit
+        theta = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 4001)])
+        theta = np.concatenate([theta, -theta, [np.inf, -np.inf]])
+        arg = np.zeros(theta.shape, dtype=complex)
+        arg.imag = theta
+        unit = np.empty_like(arg)
+        with np.errstate(invalid="ignore"):
+            np.cos(theta, out=unit.real)
+            np.sin(theta, out=unit.imag)
+            ref = np.exp(arg)
+        finite = np.isfinite(theta)
+        differ = np.any(unit.view(np.uint64).reshape(-1, 2) != ref.view(np.uint64).reshape(-1, 2), axis=1)
+        assert not np.any(differ[finite]), (
+            f"numpy's complex exp of 0 + i theta is not cos + i sin at theta = {theta[differ & finite][:4]}: "
+            "the lattice phase and the ensemble draw are no longer bitwise equal to it"
+        )
+        # at theta = +-inf both are NaN; the NaNs' sign bits differ
+        assert np.all(np.isnan(unit[~finite])) and np.all(np.isnan(ref[~finite]))
+
+    @staticmethod
+    def rows(shape):
+        """Unit random phases, the first row with every third site zeroed;
+        with three rows or more, a delta row and a row of signed zeros."""
+        v = np.exp(1j * np.random.default_rng(17).uniform(0.0, 2.0 * np.pi, shape))
+        v[0, ::3] = 0.0
+        if shape[0] >= 3:
+            v[1] = 0.0
+            v[1, shape[1] // 2] = 1.0
+            v[2] = complex(-0.0, 0.0)
+        return v
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("coupling", [0.0, 1.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("shape", [(100, 385), (3, 1025), (1, 8193), (3, 27)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_step_equals_exp_oracle(self, shape, sign, coupling, p):
+        # uint64 views: equal to the last bit, signed zeros included (the
+        # signed-zero row at 27 sites differs after one step without the
+        # + 0 that _half_phase adds to the angle)
+        model = LatticeModel(sign=sign, p=p, extent=(shape[1] - 1) // 2, coupling=coupling)
+        symbol = _linear_symbol(shape[1], model.dt)
+        got, want = self.rows(shape), self.rows(shape)
+        work = [(np.empty_like(v), np.empty_like(v), np.empty(shape), np.empty(shape)) for v in (got, want)]
+        for step in range(100):
+            _step_values(got, model, symbol, work[0])
+            exp_step(want, model, symbol, work[1])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"step {step}"
 
 
 class TestBatch:

@@ -208,3 +208,15 @@ class TestEnsemble:
         a = random_ensemble_second_moment(10.0, 1.0, 100, seed=4)
         b = random_ensemble_second_moment(10.0, 1.0, 100, seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.7])
+    @pytest.mark.parametrize("t0", [25.0, 100.0, 400.0])
+    def test_equals_exp_oracle(self, t0, amplitude):
+        # the draw takes exp(i theta) as cos + i sin; numpy's complex exp of
+        # 1j * theta is the oracle, summed in the same order, equal exactly
+        kern = kernel_table(t0)
+        acc = 0.0
+        for ss in np.random.SeedSequence(11).spawn(200):
+            theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, kern.values.shape[0])
+            acc += abs(np.dot(kern.values, amplitude * np.exp(1j * theta))) ** 2
+        assert random_ensemble_second_moment(t0, amplitude, 200, 11, kern) == acc / 200

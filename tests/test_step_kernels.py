@@ -5,7 +5,9 @@ Lawson-RK4 step with the mollified cubic (c09/c11 at 1024 and 8192, c13's
 cross-check at 64), the wave equation's Stormer-Verlet step (c12's energy run
 at 512, its cone test's 2 x 8192 batch) and the lattice Strang step (c01's
 ring of 8193 sites, a c04 batch of 8 rings of 385).  The Newton round is one
-whole linearized solve of c13's shape (64 points, 300 steps).  Tier-1 runs
+whole linearized solve of c13's shape (64 points, 300 steps), and the
+ensemble round one second-moment estimate of 100 samples at c07's t0 = 400
+kernel (1969 sites), as the lattice-linear engine draws them.  Tier-1 runs
 each kernel once (``--benchmark-disable``); to time them:
 
     PYTHONPATH=src python -m pytest tests/test_step_kernels.py --benchmark-enable \
@@ -19,6 +21,7 @@ from scipy import fft
 from nlsgrowth.continuum import _cubic_filter, _cubic_hat, _lawson_ctx, _lawson_rk4
 from nlsgrowth.fields import InitialData, Mollifier, make_initial_grid
 from nlsgrowth.lattice import LatticeModel, _linear_symbol, _step_values
+from nlsgrowth.lattice_linear import kernel_table, random_ensemble_second_moment
 from nlsgrowth.newton import solve_linearized
 from nlsgrowth.wave import _k2_real, _verlet
 
@@ -77,3 +80,9 @@ def test_strang_step(benchmark, rows, extent):
     symbol = _linear_symbol(v.shape[1], model.dt)
     stepped = benchmark(_step_values, v, model, symbol, work)
     assert np.all(np.isfinite(stepped))
+
+
+def test_ensemble_moment(benchmark):
+    kern = kernel_table(400.0)
+    m2 = benchmark(random_ensemble_second_moment, 400.0, 1.0, 100, 7, kern)
+    assert np.isfinite(m2) and m2 > 0.0
