@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as _fft
 
+from . import _fft
 from .fields import GridField, Mollifier, chi_eval, grid_wavenumbers
 from .errors import NumericsError
 from .timegrid import drive, time_grid

@@ -7,8 +7,9 @@ wall time), and optionally an SVG plot with its ``.dat`` companion, log-log
 when the first column is ``t``.
 Identical (config, seed) pairs produce byte-identical CSVs regardless of the
 sweep worker count: cases are keyed and written in sorted order.  A sweep's
-numerical abort or invalid input names its case; the sweep directory is made
-by its cases' runs, so an aborted sweep leaves no empty one.
+numerical abort or invalid input names its case, and the aborted sweep
+removes the directories it made, its cases' and the sweep directory's, and
+nothing else.
 
 A lattice sweep steps its cases as one batch (``run_lattice_batch``), split
 into at most ``workers`` contiguous chunks that run concurrently; a batched
@@ -17,7 +18,10 @@ case's ``wall_time_s`` is its chunk's.  Other engines run one case per task.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -317,7 +321,9 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     batch is bitwise equal to its rows run alone, so the output is
     independent of worker count.  Raises ValueError for workers < 1, and
     ConfigError, before any case runs, for a sweep list that repeats a value
-    (two cases would write one directory) or a case value out of range.
+    (two cases would write one directory) or a case value out of range.  A
+    case that raises ends the sweep, which then removes the directories this
+    call created.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -343,9 +349,13 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
         # lattice cases share model, t_final and record_dt (no sweep axis
         # touches them), so a chunk is stepped as one batch
         start = time.perf_counter()
-        results = _run_lattice_rows(
-            [configs[key].params for key, _ in chunk], [f"case {key}" for key, _ in chunk]
-        )
+        keys = [key for key, _ in chunk]
+        try:
+            results = _run_lattice_rows(
+                [configs[key].params for key in keys], [f"case {key}" for key in keys]
+            )
+        except ValueError as exc:
+            raise ValueError(f"{exc} (case{'s' * (len(keys) > 1)} {', '.join(keys)})") from exc
         wall = time.perf_counter() - start
         for (key, _), result in zip(chunk, results):
             _write_outputs(configs[key], result, out / key, wall)
@@ -369,9 +379,24 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     else:
         jobs = keyed
         run = run_case
+    # what this call creates: the missing ancestors of out, deepest first,
+    # and the case directories; a failed case removes them, and only them
+    made = list(itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
+    fresh = [out / key for key, _ in keyed if not (out / key).exists()]
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, jobs))
+    finished = False
+    try:
+        # the pool's exit waits for running cases, so cleanup follows them
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, jobs))
+        finished = True
+    finally:
+        if not finished:
+            for path in fresh:
+                shutil.rmtree(path, ignore_errors=True)
+            for path in made:
+                with contextlib.suppress(OSError):
+                    path.rmdir()  # only while empty
     done = sorted(keyed, key=lambda kv: kv[0])
     axis_names = sorted({k for _, a in done for k in a})
     rows = [tuple([key] + [a[name] for name in axis_names]) for key, a in done]

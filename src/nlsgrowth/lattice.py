@@ -21,8 +21,8 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import fft as _fft
 
+from . import _fft
 from .fields import LatticeField, WeightProfile
 from .timegrid import _check_row, drive
 

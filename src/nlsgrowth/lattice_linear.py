@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
+from . import _fft
 from .errors import NumericsError
 from .fields import LatticeField
 

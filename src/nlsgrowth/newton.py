@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
+from . import _fft
 from .continuum import Trajectory, _free_phases, _lawson_ctx, _lawson_rk4
 from .errors import NumericsError
 from .fields import GridField, grid_wavenumbers

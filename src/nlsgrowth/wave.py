@@ -25,8 +25,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
+from scipy.fft import rfftfreq
 
+from . import _fft
 from .fields import GridField, chi_eval
 from .errors import NumericsError
 from .timegrid import _check_row, drive, time_grid
@@ -52,7 +53,7 @@ class WaveState:
 
 
 def _k2_real(box_length: float, size: int) -> np.ndarray:
-    k = 2.0 * np.pi * _fft.rfftfreq(size, d=box_length / size)
+    k = 2.0 * np.pi * rfftfreq(size, d=box_length / size)
     return k ** 2
 
 
@@ -60,7 +61,7 @@ def _accel(u: np.ndarray, neg_k2: np.ndarray, p: int, coupling: float, out: np.n
     """out = u_xx - (coupling*u) * (u*u)**p along the last axis, work = (an array
     like rfft(u), one like u); u**(2p+1) would take numpy's slow float power."""
     u_hat, r = work
-    lap = _fft.irfft(np.multiply(neg_k2, _fft.rfft(u), out=u_hat), n=u.shape[-1], overwrite_x=True)
+    lap = _fft.irfft(np.multiply(neg_k2, _fft.rfft(u), out=u_hat), n=u.shape[-1])
     np.multiply(u, u, out=r)
     r **= p
     np.multiply(np.multiply(coupling, u, out=out), r, out=out)
@@ -90,7 +91,7 @@ def nlw_energy(state: WaveState, p: int = 1, coupling: float = 1.0) -> float:
     """1/2 int u_x^2 + 1/2 int u_t^2 + coupling/(2p+2) int u^(2p+2)."""
     u = state.u.values.real
     v = state.v.values.real
-    k = 2.0 * np.pi * _fft.rfftfreq(state.u.size, d=state.u.spacing)
+    k = 2.0 * np.pi * rfftfreq(state.u.size, d=state.u.spacing)
     ux = _fft.irfft(1j * k * _fft.rfft(u), n=u.shape[0])
     h = state.u.spacing
     return float(

@@ -33,6 +33,13 @@ run.t_final = 1.0
 run.record_dt = 0.25
 """
 
+# a continuum sweep whose second case fails only while it runs: the probe
+# window of R = 20 reaches past the box edge
+PROBE_SWEEP_CFG = (
+    "engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = 32\n"
+    "run.t_final = 0\nprobe.x0_values = 0\nsweep.R = 1.5, 20\n"
+)
+
 
 class TestConfig:
     def test_parse_and_defaults(self):
@@ -268,12 +275,34 @@ class TestRunner:
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["seed=1", "seed=2"]
 
     def test_sweep_probe_outside_box_names_the_case(self, tmp_path):
-        cfg = parse_config_text(
-            "engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = 32\n"
-            "run.t_final = 0\nprobe.x0_values = 0\nsweep.R = 1.5, 20\n"
-        )
+        cfg = parse_config_text(PROBE_SWEEP_CFG)
         with pytest.raises(ValueError, match=r"too close to the box edge .*\(case R=20\.0\)$"):
             sweep_experiment(cfg, tmp_path / "s", workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_sweep_removes_the_directories_it_made(self, tmp_path, workers):
+        # case R=1.5 writes its directory; R=20.0 fails its probe check later
+        with pytest.raises(ValueError, match=r"\(case R=20\.0\)$"):
+            sweep_experiment(parse_config_text(PROBE_SWEEP_CFG), tmp_path / "a" / "s", workers=workers)
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_sweep_keeps_what_it_did_not_make(self, tmp_path, workers):
+        out = tmp_path / "s"
+        (out / "R=1.5").mkdir(parents=True)
+        (out / "R=1.5" / "notes.txt").write_text("kept")
+        (out / "other.txt").write_text("kept")
+        with pytest.raises(ValueError, match=r"\(case R=20\.0\)$"):
+            sweep_experiment(parse_config_text(PROBE_SWEEP_CFG), out, workers=workers)
+        assert sorted(p.name for p in out.iterdir()) == ["R=1.5", "other.txt"]
+        assert (out / "R=1.5" / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("workers, label", [(1, "cases seed=1, seed=2"), (2, "case seed=1")])
+    def test_lattice_chunk_value_error_names_its_cases(self, tmp_path, workers, label):
+        cfg = parse_config_text(LATTICE_CFG + "weight.t0 = 0.5\nsweep.seeds = 1, 2\n")
+        with pytest.raises(ValueError, match=rf"defined only up to t0 \({label}\)$"):
+            sweep_experiment(cfg, tmp_path / "s", workers=workers)
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_overflow_names_the_case(self, tmp_path):
         cfg = parse_config_text(LATTICE_CFG.replace("1.5", "1e200") + "sweep.x0 = 0,2\n")

@@ -7,8 +7,10 @@ at 512, its cone test's 2 x 8192 batch) and the lattice Strang step (c01's
 ring of 8193 sites, a c04 batch of 8 rings of 385).  The Newton round is one
 whole linearized solve of c13's shape (64 points, 300 steps), and the
 ensemble round one second-moment estimate of 100 samples at c07's t0 = 400
-kernel (1969 sites), as the lattice-linear engine draws them.  Tier-1 runs
-each kernel once (``--benchmark-disable``); to time them:
+kernel (1969 sites), as the lattice-linear engine draws them.  The FFT pair
+round is one ifft(fft(x)) through the engines' seam ``nlsgrowth._fft`` at
+Newton's 64 points, c12's 512 and c01's 8193.  Tier-1 runs each kernel once
+(``--benchmark-disable``); to time them:
 
     PYTHONPATH=src python -m pytest tests/test_step_kernels.py --benchmark-enable \
         --benchmark-only --benchmark-time-unit=us --benchmark-columns=median,iqr,rounds
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from scipy import fft
 
+from nlsgrowth import _fft
 from nlsgrowth.continuum import _cubic_filter, _cubic_hat, _lawson_ctx, _lawson_rk4
 from nlsgrowth.fields import InitialData, Mollifier, make_initial_grid
 from nlsgrowth.lattice import LatticeModel, _linear_symbol, _step_values
@@ -86,3 +89,10 @@ def test_ensemble_moment(benchmark):
     kern = kernel_table(400.0)
     m2 = benchmark(random_ensemble_second_moment, 400.0, 1.0, 100, 7, kern)
     assert np.isfinite(m2) and m2 > 0.0
+
+
+@pytest.mark.parametrize("size", [64, 512, 8193])
+def test_fft_pair(benchmark, size):
+    x = np.exp(1j * np.random.default_rng(size).uniform(0.0, 2.0 * np.pi, size))
+    y = benchmark(lambda: _fft.ifft(_fft.fft(x)))
+    assert np.allclose(y, x, rtol=0.0, atol=1e-12)
