@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "LatticeField",
@@ -76,11 +75,19 @@ class LatticeField:
         return complex(self.values[x + self.extent])
 
     def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(_sup_abs(np.abs(self.values)))
 
     def mass(self) -> float:
         """Global l2 mass sum_x |psi(x)|^2."""
-        return float(np.sum(np.abs(self.values) ** 2))
+        return float(_mass(np.abs(self.values)))
+
+
+def _sup_abs(abs_v: np.ndarray) -> np.ndarray:
+    return np.max(abs_v, axis=-1)
+
+
+def _mass(abs_v: np.ndarray) -> np.ndarray:
+    return np.sum(abs_v ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,7 @@ class GridField:
 
 def grid_wavenumbers(box_length: float, size: int) -> np.ndarray:
     """k_m = 2*pi*m/L for m in {0..M/2-1, -M/2..-1} (FFT ordering)."""
-    return 2.0 * np.pi * _fft.fftfreq(size, d=box_length / size)
+    return 2.0 * np.pi * np.fft.fftfreq(size, d=box_length / size)
 
 
 # ---------------------------------------------------------------------------

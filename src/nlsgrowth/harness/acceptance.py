@@ -259,7 +259,7 @@ def _c07_lemma_a(level: str) -> list[tuple]:
         ratio = abs(evolved.at(0)) / np.sqrt(t0)
         checks += [(f"ratio_t{int(t0)}", ratio, op, bound, ".3f") for op, bound in ((">=", 0.3), ("<=", 2.0))]
         pairing = pairing and pairing_check(t0)
-    m2 = random_ensemble_second_moment(50.0, 1.0, 200, seed=7)
+    (m2,) = random_ensemble_second_moment([kernel_table(50.0)], 1.0, 200, seed=7)
     return checks + [
         ("pairing", pairing, "==", True),
         ("ensemble_m2_err", abs(m2 - 1.0), "<=", 4.0 / np.sqrt(200), ".3f"),

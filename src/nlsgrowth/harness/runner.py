@@ -154,20 +154,16 @@ def _run_lattice_engine(params: dict) -> EngineResult:
 
 
 def _run_lattice_linear_engine(params: dict) -> EngineResult:
+    t0s = params["run.t0_values"]
+    kernels = [kernel_table(t0) for t0 in t0s]
+    m2s = random_ensemble_second_moment(
+        kernels, params["ensemble.amplitude"], params["ensemble.samples"], params["ensemble.seed"]
+    )
     rows = []
-    for t0 in params["run.t0_values"]:
-        kern = kernel_table(t0)
+    for t0, kern, m2 in zip(t0s, kernels, m2s):
         evolved = linear_evolve(adversarial_data(t0, kern.half_width, kern), t0, kern)
         ratio = abs(evolved.at(0)) / np.sqrt(t0)
-        ok = pairing_check(t0)
-        m2 = random_ensemble_second_moment(
-            t0,
-            params["ensemble.amplitude"],
-            params["ensemble.samples"],
-            params["ensemble.seed"],
-            kern,
-        )
-        rows.append((float(t0), float(ratio), bool(ok), float(m2)))
+        rows.append((float(t0), float(ratio), bool(pairing_check(t0)), float(m2)))
     columns = ["t0", "adversarial_ratio", "pairing_ok", "ensemble_m2"]
     return EngineResult(columns=columns, rows=rows)
 

@@ -8,9 +8,9 @@ so global mass is conserved to roundoff.
 
 One Strang step (``_step_values``) serves every run: ``run_lattice_batch``
 drives it (``timegrid.drive``) on the rows of a values[B, M] array together,
-each row with its own initial data and weight and recorded with the per-row
-diagnostics below.  ``run_lattice`` is its one-row call.  A batch is bitwise
-equal to its rows run alone.
+each row with its own initial data and weight, and records the diagnostics
+below for all rows in one array pass (``_record_columns``).  ``run_lattice``
+is its one-row call.  A batch is bitwise equal to its rows run alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _fft
-from .fields import LatticeField, WeightProfile
+from .fields import LatticeField, WeightProfile, _mass, _sup_abs
 from .timegrid import _check_row, drive
 
 __all__ = [
@@ -156,10 +156,37 @@ def _step_values(v: np.ndarray, model: LatticeModel, symbol: np.ndarray, work) -
 # diagnostics
 # ---------------------------------------------------------------------------
 
+def _weight(w: WeightProfile, t: float, sites: np.ndarray) -> np.ndarray:
+    return np.exp(-w.evaluate(t, sites))
+
+
+def _grad2(v: np.ndarray) -> np.ndarray:
+    """|v(x+1) - v(x)|^2 along the last axis, with the periodic wrap."""
+    return _abs_pow(np.roll(v, -1, axis=-1) - v, 2.0)
+
+
+def _local_mass(abs2: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return np.sum(abs2 * weights, axis=-1)
+
+
+def _local_energy(abs2: np.ndarray, grad2: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return np.sum((0.5 * grad2 + 0.25 * abs2 ** 2) * weights, axis=-1)
+
+
+def _global_energy(abs2: np.ndarray, grad2: np.ndarray, model: LatticeModel) -> np.ndarray:
+    potential = np.sum(abs2 ** (model.p / 2.0 + 1.0), axis=-1)
+    return 0.5 * np.sum(grad2, axis=-1) + model.sign * model.coupling / (model.p + 2.0) * potential
+
+
+def _sup_dt(v: np.ndarray, model: LatticeModel) -> np.ndarray:
+    lap = np.roll(v, -1, axis=-1) + np.roll(v, 1, axis=-1) - 2.0 * v
+    nl = model.sign * model.coupling * _abs_pow(v, model.p) * v
+    return np.max(np.abs(lap - nl), axis=-1)
+
+
 def local_mass(psi: LatticeField, w: WeightProfile, t: float) -> float:
     """M(t) = sum_x |psi(x)|^2 exp(-F(t,x)) over the truncated lattice."""
-    weights = np.exp(-w.evaluate(t, psi.sites))
-    return float(np.sum((psi.values.real ** 2 + psi.values.imag ** 2) * weights))
+    return float(_local_mass(_abs_pow(psi.values, 2.0), _weight(w, t, psi.sites)))
 
 
 def local_energy(psi: LatticeField, w: WeightProfile, t: float) -> float:
@@ -168,11 +195,7 @@ def local_energy(psi: LatticeField, w: WeightProfile, t: float) -> float:
     Positive definite; its Proposition-2.2 interpretation applies only to
     defocusing runs.
     """
-    weights = np.exp(-w.evaluate(t, psi.sites))
-    grad = np.roll(psi.values, -1) - psi.values
-    abs2 = psi.values.real ** 2 + psi.values.imag ** 2
-    grad2 = grad.real ** 2 + grad.imag ** 2
-    return float(np.sum((0.5 * grad2 + 0.25 * abs2 ** 2) * weights))
+    return float(_local_energy(_abs_pow(psi.values, 2.0), _grad2(psi.values), _weight(w, t, psi.sites)))
 
 
 def _window_slice(psi: LatticeField, x0: int, t0: float) -> np.ndarray:
@@ -201,20 +224,30 @@ def windowed_quartic_avg(psi: LatticeField, x0: int, t0: float) -> float:
 
 def sup_time_derivative(psi: LatticeField, model: LatticeModel) -> float:
     """sup_x |Delta psi - sign*coupling*|psi|^p psi| = sup_x |d psi / dt|."""
-    lap = np.roll(psi.values, -1) + np.roll(psi.values, 1) - 2.0 * psi.values
-    nl = model.sign * model.coupling * _abs_pow(psi.values, model.p) * psi.values
-    return float(np.max(np.abs(lap - nl)))
+    return float(_sup_dt(psi.values, model))
 
 
 def global_energy(psi: LatticeField, model: LatticeModel) -> float:
     """1/2 sum |psi(x+1)-psi(x)|^2 + sign/(p+2) sum |psi|^{p+2} (conserved)."""
-    grad = np.roll(psi.values, -1) - psi.values
-    abs2 = psi.values.real ** 2 + psi.values.imag ** 2
-    kinetic = 0.5 * float(np.sum(grad.real ** 2 + grad.imag ** 2))
-    potential = model.sign * model.coupling / (model.p + 2.0) * float(
-        np.sum(abs2 ** (model.p / 2.0 + 1.0))
+    return float(_global_energy(_abs_pow(psi.values, 2.0), _grad2(psi.values), model))
+
+
+def _record_columns(vals: np.ndarray, model: LatticeModel, weights: Sequence[WeightProfile], t: float):
+    """Each ``LatticeRunRecord`` field after t for the rows of vals[B, M], by the
+    one-field diagnostics' last-axis kernels.  Row b's weight is evaluated at
+    min(t, its t0) (step * dt may overshoot t0 by roundoff), once per distinct weight."""
+    sites = np.arange(-model.extent, model.extent + 1)
+    at = {w: _weight(w, min(t, w.t0), sites) for w in set(weights)}
+    row_weights = np.array([at[w] for w in weights])
+    abs_v, abs2, grad2 = np.abs(vals), _abs_pow(vals, 2.0), _grad2(vals)
+    return (
+        _sup_abs(abs_v),
+        _mass(abs_v),
+        _global_energy(abs2, grad2, model),
+        _local_mass(abs2, row_weights),
+        _local_energy(abs2, grad2, row_weights),
+        _sup_dt(vals, model),
     )
-    return kinetic + potential
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +314,9 @@ def run_lattice_batch(
     work = (np.empty_like(vals), np.empty_like(vals), np.empty(vals.shape), np.empty(vals.shape))
 
     def record_all(t: float) -> None:
-        for b, (row, weight, out) in enumerate(zip(vals, weights, records)):
-            field = LatticeField(values=row, extent=model.extent)
-            t_w = min(t, weight.t0)  # step * dt may overshoot t0 by roundoff
-            record = LatticeRunRecord(
-                t=t,
-                sup_abs=field.sup_abs(),
-                global_mass=field.mass(),
-                global_energy=global_energy(field, model),
-                local_mass=local_mass(field, weight, t_w),
-                local_energy=local_energy(field, weight, t_w),
-                sup_dt=sup_time_derivative(field, model),
-            )
+        rows = zip(*(c.tolist() for c in _record_columns(vals, model, weights, t)))
+        for b, (row, out) in enumerate(zip(rows, records)):
+            record = LatticeRunRecord(t, *row)
             _check_row(record, record._fields, "lattice run", labels[b] if labels else f"row {b}")
             out.append(record)
 

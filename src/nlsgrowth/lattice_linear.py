@@ -256,27 +256,29 @@ def pairing_check(t: float) -> bool:
 
 
 def random_ensemble_second_moment(
-    t: float, amplitude: float, num_samples: int, seed: int,
-    kernel: KernelTable | None = None,
-) -> float:
-    """Monte-Carlo estimate of E|psi(t,0)|^2 for iid unit-modulus data.
+    kernels: list[KernelTable], amplitude: float, num_samples: int, seed: int,
+) -> list[float]:
+    """Monte-Carlo estimates of E|psi(t,0)|^2 for iid unit-modulus data, one
+    per kernel table K(t).
 
     a_j = amplitude * exp(i theta_j); psi(t,0) = sum_n K_n(t) a_n.  Each sample
     draws from an independent PCG64 stream spawned from the master seed, so the
-    estimate is reproducible and order-independent.  exp(i theta_j) is taken
-    as cos + i sin, bitwise equal to numpy's complex exp of 1j * theta_j.
+    estimate is reproducible and order-independent.  A sample draws once, at
+    the longest kernel's length; a shorter draw from its stream would be a
+    prefix of that one, so each kernel's estimate is bitwise its own.
+    exp(i theta_j) is cos + i sin, bitwise numpy's complex exp of 1j * theta_j.
     """
     if num_samples < 100:
         raise ValueError("num_samples must be >= 100")
-    if kernel is None:
-        kernel = kernel_table(t)
-    streams = np.random.SeedSequence(seed).spawn(num_samples)
-    k = kernel.values
-    unit = np.empty_like(k)
-    acc = 0.0
-    for ss in streams:
-        theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, k.shape[0])
+    if not kernels:
+        raise ValueError("no kernel tables to estimate at")
+    ks = [kernel.values for kernel in kernels]
+    unit = np.empty(max(k.shape[0] for k in ks), dtype=complex)
+    acc = [0.0] * len(ks)
+    for ss in np.random.SeedSequence(seed).spawn(num_samples):
+        theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, unit.shape[0])
         np.cos(theta, out=unit.real)
         np.sin(theta, out=unit.imag)
-        acc += abs(np.dot(k, amplitude * unit)) ** 2
-    return acc / num_samples
+        for i, k in enumerate(ks):
+            acc[i] += abs(np.dot(k, amplitude * unit[:k.shape[0]])) ** 2
+    return [a / num_samples for a in acc]

@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfftfreq
 
 from . import _fft
 from .fields import GridField, chi_eval
@@ -53,7 +52,7 @@ class WaveState:
 
 
 def _k2_real(box_length: float, size: int) -> np.ndarray:
-    k = 2.0 * np.pi * rfftfreq(size, d=box_length / size)
+    k = 2.0 * np.pi * np.fft.rfftfreq(size, d=box_length / size)
     return k ** 2
 
 
@@ -91,7 +90,7 @@ def nlw_energy(state: WaveState, p: int = 1, coupling: float = 1.0) -> float:
     """1/2 int u_x^2 + 1/2 int u_t^2 + coupling/(2p+2) int u^(2p+2)."""
     u = state.u.values.real
     v = state.v.values.real
-    k = 2.0 * np.pi * rfftfreq(state.u.size, d=state.u.spacing)
+    k = 2.0 * np.pi * np.fft.rfftfreq(state.u.size, d=state.u.spacing)
     ux = _fft.irfft(1j * k * _fft.rfft(u), n=u.shape[0])
     h = state.u.spacing
     return float(

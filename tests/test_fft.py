@@ -3,8 +3,8 @@
 Every transform is compared as uint64 views at each length and batch shape
 the criteria use, so the sha256 pins and printed values rest on scipy's
 pocketfft alone.  The seam is the engines' one path to an FFT: no other
-module under ``src/`` calls a ``scipy.fft`` transform, and a missing pocketfft
-module fails the import instead of falling back.
+module under ``src/`` imports ``scipy.fft``, not even its helpers, and a
+missing pocketfft module fails the import instead of falling back.
 """
 
 import ast
@@ -105,48 +105,44 @@ def test_missing_pocketfft_fails_the_import():
     assert "scipy.fft._pocketfft.pypocketfft" in last and f"scipy {scipy.__version__}" in last
 
 
-# scipy.fft helpers that compute no transform
-NOT_TRANSFORMS = {"fftfreq", "rfftfreq", "next_fast_len"}
+# the seam's own import, the one import of scipy.fft under src/
+SEAM_IMPORTS = {f"scipy.fft._pocketfft.pypocketfft.{name}" for name in ("c2c", "c2r", "r2c")}
 
 
-def _scipy_fft_uses(tree):
-    """Names of scipy.fft (or its submodules) that a module imports or reads."""
-    aliases = {"scipy.fft"}
+def _in_scipy_fft(name):
+    return name == "scipy.fft" or name.startswith("scipy.fft.")
+
+
+def _scipy_fft_imports(tree):
+    """Every scipy.fft module (or name from it) that a module imports, and
+    ``scipy.fft`` for each read of it from ``scipy``, which imports it too."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name.startswith("scipy.fft"):
-                    aliases.add(a.asname or a.name)
-                    if a.name != "scipy.fft":
-                        yield a.name
+            yield from (a.name for a in node.names if _in_scipy_fft(a.name))
         elif isinstance(node, ast.ImportFrom) and node.module:
-            for a in node.names:
-                full = f"{node.module}.{a.name}"
-                if full == "scipy.fft":
-                    aliases.add(a.asname or a.name)
-                elif node.module.startswith("scipy.fft"):
-                    yield full if node.module != "scipy.fft" else a.name
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in aliases:
-            yield node.attr
+            yield from (f"{node.module}.{a.name}" for a in node.names if _in_scipy_fft(f"{node.module}.{a.name}"))
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.fft":
+            yield "scipy.fft"
 
 
 def test_seam_is_the_only_transform_path():
+    # no other module under src/ imports scipy.fft at all, helpers included
     src = Path(nlsgrowth.__file__).parent
     stray = []
     for path in sorted(src.rglob("*.py")):
-        if path.name == "_fft.py" and path.parent == src:
-            continue
-        uses = set(_scipy_fft_uses(ast.parse(path.read_text(encoding="utf-8"))))
-        stray += [(path.relative_to(src).as_posix(), name) for name in sorted(uses - NOT_TRANSFORMS)]
+        imports = set(_scipy_fft_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        allowed = SEAM_IMPORTS if path == src / "_fft.py" else set()
+        stray += [(path.relative_to(src).as_posix(), name) for name in sorted(imports - allowed)]
     assert not stray
 
 
 def test_transform_scan_catches_every_import_form():
     text = (
         "import scipy.fft\nimport scipy.fft as sf\nfrom scipy import fft as f2\n"
-        "from scipy.fft import fft, rfftfreq\nfrom scipy.fft._pocketfft import pypocketfft\n"
-        "scipy.fft.ifft(x)\nsf.rfft(x)\nf2.irfft(x)\nf2.fftfreq(4)\n"
+        "from scipy.fft import rfftfreq\nfrom scipy.fft._pocketfft import pypocketfft\n"
+        "import scipy\nfrom scipy import special, fftpack\nimport numpy.fft\nscipy.__version__\n"
     )
-    uses = set(_scipy_fft_uses(ast.parse(text))) - NOT_TRANSFORMS
-    assert uses == {"fft", "ifft", "rfft", "irfft", "scipy.fft._pocketfft.pypocketfft"}
+    assert sorted(_scipy_fft_imports(ast.parse(text))) == [
+        "scipy.fft", "scipy.fft", "scipy.fft", "scipy.fft._pocketfft.pypocketfft", "scipy.fft.rfftfreq",
+    ]
+    assert list(_scipy_fft_imports(ast.parse("import scipy\nscipy.fft.ifft(x)\n"))) == ["scipy.fft"]

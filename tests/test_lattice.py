@@ -243,6 +243,48 @@ class TestBatch:
         ]
         self.assert_batch_equals_rows(model, psis, weights, 1.0, 0.2)
 
+    @staticmethod
+    def written_out(model, v, w, t):
+        """The six recorded diagnostics of one row, each formula written out."""
+        x = np.arange(-model.extent, model.extent + 1).astype(float)
+        weight = np.exp(-(np.sqrt((x - w.x0) ** 2 + 1.0) / (w.R * (2.0 * w.t0 - min(t, w.t0) + 1.0))))
+        abs2 = v.real ** 2 + v.imag ** 2
+        grad = np.roll(v, -1) - v
+        grad2 = grad.real ** 2 + grad.imag ** 2
+        abs_p = abs2 if model.p == 2.0 else np.abs(v) ** model.p
+        lap = np.roll(v, -1) + np.roll(v, 1) - 2.0 * v
+        nl = model.sign * model.coupling * abs_p * v
+        potential = model.sign * model.coupling / (model.p + 2.0) * float(np.sum(abs2 ** (model.p / 2.0 + 1.0)))
+        return (
+            float(np.max(np.abs(v))),
+            float(np.sum(np.abs(v) ** 2)),
+            0.5 * float(np.sum(grad2)) + potential,
+            float(np.sum(abs2 * weight)),
+            float(np.sum((0.5 * grad2 + 0.25 * abs2 ** 2) * weight)),
+            float(np.max(np.abs(lap - nl))),
+        )
+
+    @pytest.mark.parametrize("sign,p", [(+1, 2.0), (-1, 2.0), (+1, 3.0), (-1, 3.0)])
+    def test_record_pass_equals_written_out_rows(self, sign, p):
+        # rows of different data and weights, a zero row among them, and
+        # rows sharing one weight; t_final = 0.3 is the first weight's t0
+        model = LatticeModel(sign=sign, p=p, extent=48, dt=0.01, coupling=0.7)
+        n = model.extent
+        values = np.stack([
+            make_initial_lattice(InitialData.random_phase(1.0, 4), n).values,
+            make_initial_lattice(InitialData.random_gaussian(0.8, 5), n).values,
+            np.zeros(2 * n + 1, dtype=complex),
+            make_initial_lattice(InitialData.delta(2.0), n).values,
+            make_initial_lattice(InitialData.random_phase(0.6, 9), n).values,
+        ])
+        shared = WeightProfile(0, 1.0, 0.3)
+        weights = [shared, WeightProfile(-5, 2.5, 40.0), shared, WeightProfile(9, 4.0, 3.0), shared]
+        records, finals = run_lattice_batch(model, values, 0.3, 0.3, weights)
+        for start, w, rows, final in zip(values, weights, records, finals):
+            first, last = rows[0], rows[-1]
+            assert first == (0.0, *self.written_out(model, start, w, 0.0))
+            assert last == (last.t, *self.written_out(model, final, w, last.t))
+
     def test_overflow_names_the_row(self):
         model = LatticeModel(extent=8, dt=0.01)
         values = np.stack([

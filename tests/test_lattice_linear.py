@@ -1,7 +1,11 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import special
 
+import nlsgrowth
 from nlsgrowth.errors import NumericsError
 from nlsgrowth.fields import InitialData, make_initial_lattice
 from nlsgrowth.lattice_linear import (
@@ -186,27 +190,40 @@ class TestPairing:
             pairing_check(5.0)
 
 
+def _exp_form_moment(kern, amplitude, num_samples, seed):
+    """The estimate drawn at this kernel's own length, with numpy's complex exp."""
+    acc = 0.0
+    for ss in np.random.SeedSequence(seed).spawn(num_samples):
+        theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, kern.values.shape[0])
+        acc += abs(np.dot(kern.values, amplitude * np.exp(1j * theta))) ** 2
+    return acc / num_samples
+
+
 class TestEnsemble:
     def test_t_zero_exact(self):
         # psi(0,0) = a_0 with |a_0| = 1: zero-variance estimate
-        m2 = random_ensemble_second_moment(0.0, 1.0, 128, seed=1, kernel=kernel_table(0.0, 4))
+        (m2,) = random_ensemble_second_moment([kernel_table(0.0, 4)], 1.0, 128, seed=1)
         assert m2 == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_expectation(self):
-        m2 = random_ensemble_second_moment(50.0, 1.0, 200, seed=9)
+        (m2,) = random_ensemble_second_moment([kernel_table(50.0)], 1.0, 200, seed=9)
         assert abs(m2 - 1.0) <= 4.0 / np.sqrt(200)
 
     def test_amplitude_scaling(self):
-        m2 = random_ensemble_second_moment(20.0, 2.0, 200, seed=9)
+        (m2,) = random_ensemble_second_moment([kernel_table(20.0)], 2.0, 200, seed=9)
         assert abs(m2 - 4.0) <= 4.0 * 4.0 / np.sqrt(200)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            random_ensemble_second_moment(1.0, 1.0, 50, seed=0)
+            random_ensemble_second_moment([kernel_table(1.0)], 1.0, 50, seed=0)
+
+    def test_no_kernels(self):
+        with pytest.raises(ValueError, match="no kernel"):
+            random_ensemble_second_moment([], 1.0, 100, seed=0)
 
     def test_reproducible(self):
-        a = random_ensemble_second_moment(10.0, 1.0, 100, seed=4)
-        b = random_ensemble_second_moment(10.0, 1.0, 100, seed=4)
+        a = random_ensemble_second_moment([kernel_table(10.0)], 1.0, 100, seed=4)
+        b = random_ensemble_second_moment([kernel_table(10.0)], 1.0, 100, seed=4)
         assert a == b
 
     @pytest.mark.parametrize("amplitude", [1.0, 0.7])
@@ -215,8 +232,23 @@ class TestEnsemble:
         # the draw takes exp(i theta) as cos + i sin; numpy's complex exp of
         # 1j * theta is the oracle, summed in the same order, equal exactly
         kern = kernel_table(t0)
-        acc = 0.0
-        for ss in np.random.SeedSequence(11).spawn(200):
-            theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, kern.values.shape[0])
-            acc += abs(np.dot(kern.values, amplitude * np.exp(1j * theta))) ** 2
-        assert random_ensemble_second_moment(t0, amplitude, 200, 11, kern) == acc / 200
+        assert random_ensemble_second_moment([kern], amplitude, 200, 11) == [
+            _exp_form_moment(kern, amplitude, 200, 11)
+        ]
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.7])
+    def test_shared_draw_equals_each_kernel_alone(self, amplitude):
+        # one draw at the longest kernel (t0 = 400) serves all three, out of
+        # order: each estimate is the one drawn at its own kernel's length
+        kernels = [kernel_table(t0) for t0 in (100.0, 25.0, 400.0)]
+        assert random_ensemble_second_moment(kernels, amplitude, 200, 11) == [
+            _exp_form_moment(kern, amplitude, 200, 11) for kern in kernels
+        ]
+
+    def test_demo_prints_the_estimates(self, capsys):
+        # the demo's one call serves t = 10, 50, 200 and prints what one call
+        # per t printed before the draw was shared
+        demo = Path(nlsgrowth.__file__).parents[2] / "demos" / "linear_kernel.py"
+        runpy.run_path(str(demo))["random_ensemble"]()
+        printed = [line.split("^2 = ")[1][:5] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert printed == ["1.028", "1.029", "0.966"]

@@ -4,10 +4,12 @@ Each benchmark round is one step of a stepping core: the continuum
 Lawson-RK4 step with the mollified cubic (c09/c11 at 1024 and 8192, c13's
 cross-check at 64), the wave equation's Stormer-Verlet step (c12's energy run
 at 512, its cone test's 2 x 8192 batch) and the lattice Strang step (c01's
-ring of 8193 sites, a c04 batch of 8 rings of 385).  The Newton round is one
-whole linearized solve of c13's shape (64 points, 300 steps), and the
-ensemble round one second-moment estimate of 100 samples at c07's t0 = 400
-kernel (1969 sites), as the lattice-linear engine draws them.  The FFT pair
+ring of 8193 sites, a c04 batch of 8 rings of 385).  The record round is one
+lattice record of every row of a batch of 8 and of 100 rings of 385 (a sweep
+and c04's shape).  The Newton round is one whole linearized solve of c13's
+shape (64 points, 300 steps), and the ensemble round one second-moment
+estimate of 100 samples at c07's three kernels, t0 = 25, 100 and 400 (335,
+687 and 1969 sites), as the lattice-linear engine draws them.  The FFT pair
 round is one ifft(fft(x)) through the engines' seam ``nlsgrowth._fft`` at
 Newton's 64 points, c12's 512 and c01's 8193.  Tier-1 runs each kernel once
 (``--benchmark-disable``); to time them:
@@ -22,8 +24,8 @@ from scipy import fft
 
 from nlsgrowth import _fft
 from nlsgrowth.continuum import _cubic_filter, _cubic_hat, _lawson_ctx, _lawson_rk4
-from nlsgrowth.fields import InitialData, Mollifier, make_initial_grid
-from nlsgrowth.lattice import LatticeModel, _linear_symbol, _step_values
+from nlsgrowth.fields import InitialData, Mollifier, WeightProfile, make_initial_grid
+from nlsgrowth.lattice import LatticeModel, _linear_symbol, _record_columns, _step_values
 from nlsgrowth.lattice_linear import kernel_table, random_ensemble_second_moment
 from nlsgrowth.newton import solve_linearized
 from nlsgrowth.wave import _k2_real, _verlet
@@ -85,10 +87,20 @@ def test_strang_step(benchmark, rows, extent):
     assert np.all(np.isfinite(stepped))
 
 
+@pytest.mark.parametrize("rows,extent", [(8, 192), (100, 192)])
+def test_record_pass(benchmark, rows, extent):
+    # c04's weight (R = 1, t0 = 50), shared by every row, halfway through
+    model = LatticeModel(extent=extent, dt=0.01)
+    rng = np.random.default_rng(5)
+    v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(rows, 2 * extent + 1)))
+    columns = benchmark(_record_columns, v, model, [WeightProfile(0, 1.0, 50.0)] * rows, 25.0)
+    assert all(c.shape == (rows,) and np.all(np.isfinite(c)) for c in columns)
+
+
 def test_ensemble_moment(benchmark):
-    kern = kernel_table(400.0)
-    m2 = benchmark(random_ensemble_second_moment, 400.0, 1.0, 100, 7, kern)
-    assert np.isfinite(m2) and m2 > 0.0
+    kernels = [kernel_table(t0) for t0 in (25.0, 100.0, 400.0)]
+    m2s = benchmark(random_ensemble_second_moment, kernels, 1.0, 100, 7)
+    assert len(m2s) == 3 and all(np.isfinite(m2) and m2 > 0.0 for m2 in m2s)
 
 
 @pytest.mark.parametrize("size", [64, 512, 8193])
