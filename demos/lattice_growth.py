@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from nlsgrowth.fields import InitialData, WeightProfile, make_initial_lattice
+from nlsgrowth.fields import InitialData, LatticeField, WeightProfile, make_initial_lattice
 from nlsgrowth.harness.csvio import write_csv
 from nlsgrowth.harness.fitting import fit_growth
 from nlsgrowth.harness.svgplot import write_line_plot
 from nlsgrowth.lattice import (
     LatticeModel,
-    run_lattice,
+    lattice_states,
     run_lattice_batch,
     windowed_mass_avg,
     windowed_quartic_avg,
@@ -32,49 +32,49 @@ OUT = Path(__file__).parent / "output"
 
 
 def growth_experiment():
+    """Both signs' runs, each one 3-row stream; returns the defocusing
+    random-phase fields after t0 = 10, 20, 50 and 100, by t0."""
     print("== sup-norm growth, t in [0, 200], extent 512, dt 0.01 ==")
-    extent, t_final = 512, 200.0
-    series = {}
-    for kind, spec in [
-        ("constant", InitialData.constant(1.0)),
-        ("random_phase", InitialData.random_phase(1.0, seed=11)),
-        ("periodic", InitialData.periodic([0.5, 0.5], [0.9, 2.3])),
-    ]:
+    extent, t_final, dt = 512, 200.0, 0.01
+    kinds = {
+        "constant": InitialData.constant(1.0),
+        "random_phase": InitialData.random_phase(1.0, seed=11),
+        "periodic": InitialData.periodic([0.5, 0.5], [0.9, 2.3]),
+    }
+    psi0 = np.stack([make_initial_lattice(spec, extent).values for spec in kinds.values()])
+    window_t0 = {round(t0 / dt): t0 for t0 in (10.0, 20.0, 50.0, 100.0)}
+    runs, windows = {}, {}
+    for sign in (+1, -1):
+        model = LatticeModel(sign=sign, p=2.0, extent=extent, dt=dt)
+        times, sups = [], []
+        for t, vals in lattice_states(model, psi0, t_final, record_dt=0.5):
+            times.append(t)
+            sups.append(np.abs(vals).max(axis=-1))
+            if sign == +1 and round(t / dt) in window_t0:  # row 1: random_phase
+                windows[window_t0[round(t / dt)]] = LatticeField(vals[1].copy(), extent)
+        runs[sign] = np.array(times), np.array(sups)  # sups[record, kind]
+    for i, kind in enumerate(kinds):
         for sign, label in [(+1, "defocusing"), (-1, "focusing")]:
-            model = LatticeModel(sign=sign, p=2.0, extent=extent, dt=0.01)
-            psi0 = make_initial_lattice(spec, extent)
-            records, _ = run_lattice(model, psi0, t_final, record_dt=0.5)
-            t = np.array([r.t for r in records])
-            sup = np.array([r.sup_abs for r in records])
-            fit = fit_growth(t, sup, (10.0, 200.0))
+            t, sup = runs[sign]
+            fit = fit_growth(t, sup[:, i], (10.0, 200.0))
             print(f"  {kind:13s} {label:10s}: slope {fit.slope:+.3f}"
                   f"   (t^(1/2) bound allows +0.5)")
-            if sign == +1:
-                series[kind] = (t, sup)
-    rows = []
-    t = series["constant"][0]
-    for i in range(len(t)):
-        rows.append((t[i],) + tuple(series[k][1][i] for k in series))
-    write_csv(OUT / "lattice_growth_sup.csv", ["t"] + list(series), rows)
+    t, sup = runs[+1]
+    write_csv(OUT / "lattice_growth_sup.csv", ["t"] + list(kinds), np.column_stack([t, sup]))
     mask = t > 0
     write_line_plot(
         OUT / "lattice_growth_sup.svg", t[mask],
-        {k: v[1][mask] for k, v in series.items()},
+        {kind: sup[mask, i] for i, kind in enumerate(kinds)},
         title="lattice NLS sup norm (defocusing)", xlabel="t", ylabel="sup |psi|",
         loglog=True,
     )
+    return windows
 
 
-def windowed_average_experiment():
+def windowed_average_experiment(windows):
     print("== Propositions 2.1/2.2: windowed averages stay O(A^2), O(A^4) ==")
-    extent = 512
-    model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
-    psi = make_initial_lattice(InitialData.random_phase(1.0, seed=11), extent)
-    t_done = 0.0
     rows = []
-    for t0 in (10.0, 20.0, 50.0, 100.0):
-        _, psi = run_lattice(model, psi, t0 - t_done, record_dt=t0 - t_done)
-        t_done = t0
+    for t0, psi in windows.items():
         m = windowed_mass_avg(psi, 0, t0)
         q = windowed_quartic_avg(psi, 0, t0)
         rows.append((t0, m, q))
@@ -100,6 +100,5 @@ def gronwall_experiment():
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
-    growth_experiment()
-    windowed_average_experiment()
+    windowed_average_experiment(growth_experiment())
     gronwall_experiment()

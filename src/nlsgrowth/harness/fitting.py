@@ -21,7 +21,7 @@ class FitResult:
 def fit_growth(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> FitResult:
     """Fit value ~ C * t^slope on the samples with t inside ``window``.
 
-    Requires at least 8 in-window samples with positive t and value.
+    Requires at least 8 in-window samples with positive t and finite, positive value.
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -35,8 +35,8 @@ def fit_growth(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -
         )
     tv = t[mask]
     vv = values[mask]
-    if np.any(vv <= 0):
-        raise ValueError("growth fit requires positive values in the window")
+    if not np.all(np.isfinite(vv) & (vv > 0)):
+        raise ValueError("growth fit requires finite, positive values in the window")
     lx = np.log(tv)
     ly = np.log(vv)
     design = np.column_stack([lx, np.ones_like(lx)])

@@ -6,11 +6,11 @@ truncated lattice with periodic wrap, Delta psi(x) = psi(x+1) + psi(x-1)
 in the DFT basis (symbol -4 sin^2(kappa/2)); both substeps are l2 isometries,
 so global mass is conserved to roundoff.
 
-One Strang step (``_step_values``) serves every run: ``run_lattice_batch``
-drives it (``timegrid.drive``) on the rows of a values[B, M] array together,
-each row with its own initial data and weight, and records the diagnostics
-below for all rows in one array pass (``_record_columns``).  ``run_lattice``
-is its one-row call.  A batch is bitwise equal to its rows run alone.
+One Strang step (``_step_values``) serves every run: ``lattice_states``
+drives it (``timegrid.drive``) on the rows of a values[B, M] array together
+and yields the live state at each record step, for callers to read once.
+``run_lattice_batch`` records the diagnostics below off it for all rows in one
+array pass (``_record_columns``); ``run_lattice`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "global_energy",
     "run_lattice",
     "run_lattice_batch",
+    "lattice_states",
 ]
 
 
@@ -272,6 +273,25 @@ def run_lattice(
     return records[0], LatticeField(values=final[0], extent=model.extent)
 
 
+def lattice_states(model: LatticeModel, values: np.ndarray, t_final: float, record_dt: float,
+                   labels: Sequence[str] | None = None):
+    """Evolve every row of values[B, 2*extent+1] to t_final with one Strang loop,
+    yielding (t, vals) at t = 0 and at the record steps of ``drive``.  vals is the
+    live state, stepped in place after the yield in the caller's error state.
+    """
+    period = 2 * model.extent + 1
+    vals = np.array(values, dtype=complex, order="C")
+    if vals.ndim != 2 or vals.shape[1] != period:
+        raise ValueError(f"batch shape {vals.shape} is not [B, 2*extent+1 = {period}]")
+    if labels is not None and len(labels) != len(vals):
+        raise ValueError(f"{len(labels)} labels for {len(vals)} rows")
+    symbol = _linear_symbol(period, model.dt)
+    work = (np.empty_like(vals), np.empty_like(vals), np.empty(vals.shape), np.empty(vals.shape))
+    yield 0.0, vals
+    strang = (_step_values(vals, model, symbol, work) for _ in itertools.count())
+    yield from drive(strang, t_final, model.dt, record_dt, "lattice run", labels)
+
+
 def run_lattice_batch(
     model: LatticeModel,
     values: np.ndarray,
@@ -280,26 +300,18 @@ def run_lattice_batch(
     weights: Sequence[WeightProfile],
     labels: Sequence[str] | None = None,
 ) -> tuple[list[list[LatticeRunRecord]], np.ndarray]:
-    """Evolve every row of values[B, 2*extent+1] to t_final with one Strang loop.
-
-    Rows share the model, the time grid (``time_grid``) and the record
-    cadence; row b records its local diagnostics with weights[b].  A batch
-    is bitwise equal to its rows run one at a time.  Returns one record list
-    per row and the final values [B, 2*extent+1].
+    """Records of every row of ``lattice_states(model, values, t_final,
+    record_dt, labels)``, row b's local diagnostics with weights[b]; returns
+    one record list per row and the final values [B, 2*extent+1].  A batch
+    is bitwise equal to its rows run one at a time.
 
     A weight is defined only up to its t0, so a weight with t0 < t_final is
-    rejected (ValueError), as is a t_final that is not a whole number of
-    steps.  An overflow of the state or of a recorded diagnostic raises
-    NumericsError naming the first overflowed row by its label (default
-    ``row <b>``).
+    rejected (ValueError).  An overflowed diagnostic raises NumericsError
+    naming the first overflowed row by its label (default ``row <b>``).
     """
-    period = 2 * model.extent + 1
-    values = np.asarray(values, dtype=complex)
-    if values.ndim != 2 or values.shape[1] != period:
-        raise ValueError(
-            f"batch shape {values.shape} is not [B, 2*extent+1 = {period}]"
-        )
-    rows = values.shape[0]
+    states = lattice_states(model, values, t_final, record_dt, labels)
+    t, vals = next(states)  # checks the batch; no step taken yet
+    rows = len(vals)
     if len(weights) != rows:
         raise ValueError(f"{len(weights)} weights for {rows} rows")
     for weight in weights:
@@ -308,22 +320,13 @@ def run_lattice_batch(
                 f"weight t0 = {weight.t0} < t_final = {t_final}: "
                 "the weight is defined only up to t0"
             )
-    symbol = _linear_symbol(period, model.dt)
     records: list[list[LatticeRunRecord]] = [[] for _ in range(rows)]
-    vals = values.copy()
-    work = (np.empty_like(vals), np.empty_like(vals), np.empty(vals.shape), np.empty(vals.shape))
-
-    def record_all(t: float) -> None:
-        rows = zip(*(c.tolist() for c in _record_columns(vals, model, weights, t)))
-        for b, (row, out) in enumerate(zip(rows, records)):
-            record = LatticeRunRecord(t, *row)
-            _check_row(record, record._fields, "lattice run", labels[b] if labels else f"row {b}")
-            out.append(record)
-
-    # drive() reports an overflowed state, record_all() an overflowed diagnostic
+    # the stream reports an overflowed state, _check_row an overflowed diagnostic
     with np.errstate(over="ignore", invalid="ignore"):
-        record_all(0.0)
-        strang = (_step_values(vals, model, symbol, work) for _ in itertools.count())
-        for t, _ in drive(strang, t_final, model.dt, record_dt, "lattice run", labels):
-            record_all(t)
+        for t, vals in itertools.chain([(t, vals)], states):
+            columns = zip(*(c.tolist() for c in _record_columns(vals, model, weights, t)))
+            for b, (row, out) in enumerate(zip(columns, records)):
+                record = LatticeRunRecord(t, *row)
+                _check_row(record, record._fields, "lattice run", labels[b] if labels else f"row {b}")
+                out.append(record)
     return records, vals

@@ -101,6 +101,8 @@ def default_half_width(t: float) -> int:
     The kernel argument is 2t; the support edge at |n| ~ 2t broadens over an
     Airy region of width (2t)^(1/3).
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t = {t} is not finite")
     x = 2.0 * abs(t)
     return int(np.ceil(x)) + 72 + int(np.ceil(12.0 * max(x, 1.0) ** (1.0 / 3.0)))
 
@@ -132,8 +134,8 @@ def kernel_table(t: float, half_width: int | None = None) -> KernelTable:
     Raises ValueError when the requested half-width truncates more than
     TAIL_MASS_TOL of the kernel's l2 mass.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t = {t} must be finite and >= 0")
     if half_width is None:
         half_width = default_half_width(t)
     if half_width < 1:

@@ -122,3 +122,18 @@ def test_one_public_surface():
         assert len(assigned) == len(body) - 1
         assert assigned == (["__version__"] if init.parent == SRC else [])
     assert errors.__all__ == ["NumericsError"]
+
+
+def test_perfbench_targets_resolve():
+    # perfbench's spans.install looks up each TARGETS entry with getattr, so a
+    # name deleted from src/ breaks every traced benchmark run; read the list
+    # through the AST, without importing perfbench
+    spans = SRC.parents[1] / "perfbench" / "spans.py"
+    (targets,) = [
+        node.value for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    names = [(entry.elts[1].value, entry.elts[2].value) for entry in targets.elts]
+    assert ("nlsgrowth.lattice", "run_lattice") in names
+    missing = [(module, attr) for module, attr in names if not hasattr(importlib.import_module(module), attr)]
+    assert not missing

@@ -522,6 +522,16 @@ class TestCli:
         assert proc.stderr.startswith("config error: column 't'")
         assert "eps_n" in proc.stderr
 
+    def test_fit_non_finite_value_exit_2(self, tmp_path):
+        # a NaN in the window fails the fit, not prints slope=nan
+        rows = [(float(t), t ** 0.5) for t in range(1, 21)]
+        rows[10] = (11.0, float("nan"))
+        csv_path = write_csv(tmp_path / "series.csv", ["t", "sup_abs"], rows)
+        proc = self.run_cli("fit", "--csv", str(csv_path), "--t-lo", "1", "--t-hi", "20")
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("error: growth fit requires finite") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     def test_fit_on_sweep_index_names_column_exit_2(self, tmp_path):
         # a sweep index's case column holds names, not numbers
         cfg_path = tmp_path / "s.cfg"
@@ -587,6 +597,14 @@ class TestCli:
         assert list(data) == ["n", "re", "im"]
         total = np.sum(data["re"] ** 2 + data["im"] ** 2)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_export_kernel_non_finite_t_exit_2(self, tmp_path, t):
+        out = tmp_path / "k.csv"
+        proc = self.run_cli("export-kernel", "--t", t, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: t = {t} must be finite and >= 0\n"
+        assert not out.exists()
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"

@@ -12,6 +12,7 @@ from nlsgrowth.lattice import (
     _linear_symbol,
     _step_values,
     global_energy,
+    lattice_states,
     local_energy,
     local_mass,
     run_lattice,
@@ -324,6 +325,75 @@ class TestBatch:
             run_lattice_batch(model, np.zeros((2, 15), complex), 0.1, 0.05, [w, w])
         with pytest.raises(ValueError, match="weights"):
             run_lattice_batch(model, np.zeros((2, 17), complex), 0.1, 0.05, [w])
+
+    def test_label_count_checked(self):
+        # one label per row, checked before any step: an overflow in row 1
+        # must find a label to name
+        model = LatticeModel(extent=8, dt=0.01)
+        values = np.stack([np.zeros(17, complex), np.full(17, 1e200, complex)])
+        w = WeightProfile(0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="1 labels for 2 rows"):
+            run_lattice_batch(model, values, 0.1, 0.05, [w, w], ["a"])
+        with pytest.raises(ValueError, match="1 labels for 2 rows"):
+            next(lattice_states(model, values, 0.1, 0.05, ["a"]))
+
+
+class TestStates:
+    """The state stream that c05, c06 and the growth demo read once."""
+
+    def test_stream_equals_restart_chain(self):
+        # c05's +1 batch (row 1: random phase) at steps 1000 ... 10000 against
+        # the restart chain that c05 and c06 ran before: the same states,
+        # bitwise, so the same window averages
+        extent, t0s = 512, (10.0, 20.0, 50.0, 100.0)
+        model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
+        specs = [
+            InitialData.constant(1.0),
+            InitialData.random_phase(1.0, 11),
+            InitialData.periodic([0.5, 0.5], [0.9, 2.3]),
+        ]
+        psi0 = np.stack([make_initial_lattice(spec, extent).values for spec in specs])
+        chain, psi, t_done = [], lattice(psi0[1]), 0.0
+        for t0 in t0s:
+            _, psi = run_lattice(model, psi, t0 - t_done, record_dt=t0 - t_done)
+            t_done = t0
+            chain.append((windowed_mass_avg(psi, 0, t0), windowed_quartic_avg(psi, 0, t0)))
+        steps = {round(t0 / model.dt): t0 for t0 in t0s}
+        stream = []
+        for t, vals in lattice_states(model, psi0, 100.0, 0.5):
+            if round(t / model.dt) in steps:
+                t0, row = steps[round(t / model.dt)], lattice(vals[1].copy())
+                stream.append((windowed_mass_avg(row, 0, t0), windowed_quartic_avg(row, 0, t0)))
+        assert stream == chain
+
+    def test_stream_is_what_the_records_read(self):
+        # the record consumer reads the stream's states: times and sup norms
+        # off the stream equal the records, and the last state the final values
+        model = LatticeModel(sign=-1, p=2.0, extent=32, dt=0.01)
+        values = np.stack([
+            make_initial_lattice(InitialData.random_phase(1.0, seed), 32).values for seed in (1, 2)
+        ])
+        weights = [WeightProfile(0, 1.0, 0.5)] * 2
+        records, finals = run_lattice_batch(model, values, 0.5, 0.1, weights)
+        read = []
+        for t, vals in lattice_states(model, values, 0.5, 0.1):
+            read.append((t, np.abs(vals).max(axis=-1).tolist()))
+        assert [t for t, _ in read] == [r.t for r in records[0]]
+        for b, rows in enumerate(records):
+            assert [sup[b] for _, sup in read] == [r.sup_abs for r in rows]
+        assert vals.tobytes() == finals.tobytes()
+
+    def test_stream_holds_no_error_state(self):
+        # the generator sets no np.errstate across a yield: its caller's
+        # error state holds between steps and governs the stepping
+        model = LatticeModel(extent=8, dt=0.01)
+        values = np.full((1, 17), 1e200, complex)
+        before = np.geterr()
+        states = lattice_states(model, values, 0.1, 0.05)
+        next(states)
+        assert np.geterr() == before
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            next(states)
 
 
 class TestTruncation:
