@@ -20,9 +20,9 @@ def ifft(x, axis=-1, overwrite_x=False):
     return c2c(x, (axis,), False, 2, x if overwrite_x else None, 1)
 
 
-def rfft(x):
-    return r2c(x, (-1,), True, 0, None, 1)
+def rfft(x, out=None):
+    return r2c(x, (-1,), True, 0, out, 1)
 
 
-def irfft(x, n):
-    return c2r(x, (-1,), n, False, 2, None, 1)
+def irfft(x, n, out=None):
+    return c2r(x, (-1,), n, False, 2, out, 1)

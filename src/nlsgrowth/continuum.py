@@ -87,15 +87,26 @@ def _cubic_filter(phi: Mollifier, box_length: float, size: int, dealias: bool) -
     return g * (np.abs(k) <= (2.0 / 3.0) * k_max).astype(float)
 
 
-def _cubic_hat(v_hat: np.ndarray, filt: np.ndarray, work=None) -> np.ndarray:
-    """fft of |w|^2 w for w = ifft(filt * v_hat), along the last axis.
-
-    N(u) is ifft(filt * _cubic_hat(fft(u), filt)); the outer filter is left
-    to the caller so a Lawson stage can fold its -i*sign*coupling into it.
-    Both FFTs run in place; ``work`` (shaped like v_hat) holds filt * v_hat.
-    """
-    w = _fft.ifft(np.multiply(filt, v_hat, out=work), overwrite_x=True)
+def _cubic_hat(v_hat: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """fft of |w|^2 w for w = ifft(filt * v_hat), along the last axis; Picard's
+    N(u) is ifft(filt * _cubic_hat(fft(u), filt)).  Both FFTs run in place."""
+    w = _fft.ifft(filt * v_hat, overwrite_x=True)
     return _fft.fft((w.real ** 2 + w.imag ** 2) * w, overwrite_x=True)
+
+
+def _cubic_stage(filt: np.ndarray, factor: complex):
+    """Lawson stage f(v, s, out) = factor * filt * _cubic_hat(v, filt) in buffers made
+    once; complex filt and |w|^2 + 0j are the casts numpy made: the same bits."""
+    filt_c, nl_filt = filt.astype(complex), factor * filt
+    sq, r, prod = np.zeros_like(filt_c), np.empty_like(filt), np.empty_like(filt_c)
+
+    def stage(v_hat, _s, out):
+        w = _fft.ifft(np.multiply(filt_c, v_hat, out=out), overwrite_x=True)
+        np.square(w.real, out=sq.real)
+        sq.real += np.square(w.imag, out=r)
+        np.multiply(nl_filt, _fft.fft(np.multiply(sq, w, out=prod), overwrite_x=True), out=out)
+
+    return stage
 
 
 def _check_grid(u: GridField, model: ContinuumModel) -> None:
@@ -188,14 +199,10 @@ def run_continuum(
     _check_grid(u0, model)
     filt = _cubic_filter(model.mollifier, model.box_length, model.grid_size, model.dealias)
     e1, eh = _lawson_ctx(model.box_length, model.grid_size, model.dt)
-    nl_filt = -1j * model.sign * model.coupling * filt
-
-    def nonlinear(v_hat, _s, out):
-        np.multiply(nl_filt, _cubic_hat(v_hat, filt, out), out=out)
-
+    stage = _cubic_stage(filt, -1j * model.sign * model.coupling)
     times = [0.0]
     snaps = [u0.values.copy()]
-    lawson = _lawson_rk4(_fft.fft(u0.values), nonlinear, e1, eh, model.dt)
+    lawson = _lawson_rk4(_fft.fft(u0.values), stage, e1, eh, model.dt)
     with np.errstate(over="ignore", invalid="ignore"):  # drive() reports an overflow
         for t, v in drive(lawson, t_final, model.dt, record_dt, "continuum run"):
             times.append(t)
@@ -288,14 +295,7 @@ def global_mass(u: GridField) -> float:
 
 def global_energy(u: GridField, phi: Mollifier) -> float:
     """(1/2) int |u_x|^2 + (1/4) int |phi*u|^4, derivative taken spectrally."""
-    k = grid_wavenumbers(u.box_length, u.size)
-    v = _fft.fft(u.values)
-    ux = _fft.ifft(1j * k * v)
-    w = _fft.ifft(phi.transfer(k) * v)
-    h = u.spacing
-    kinetic = 0.5 * h * float(np.sum(ux.real ** 2 + ux.imag ** 2))
-    quartic = 0.25 * h * float(np.sum((w.real ** 2 + w.imag ** 2) ** 2))
-    return kinetic + quartic
+    return float(_record_pass(u.values[None, :], u.box_length, phi)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -306,14 +306,14 @@ class LocalEnergyProbe:
     R: float
 
     def __post_init__(self):
-        if self.R < 1.0:
+        if not self.R >= 1.0:
             raise ValueError("probe scale R must be >= 1")
 
     def check_inside(self, box_length: float) -> None:
         # support [x0-2R, x0+2R] must sit in the box with margin >= L/8
         lo, hi = self.x0 - 2.0 * self.R, self.x0 + 2.0 * self.R
         margin = box_length / 8.0
-        if lo < -box_length / 2.0 + margin or hi > box_length / 2.0 - margin:
+        if not (lo >= -box_length / 2.0 + margin and hi <= box_length / 2.0 - margin):
             raise ValueError(
                 f"probe window [{lo}, {hi}] too close to the box edge "
                 f"(need margin {margin})"
@@ -322,18 +322,30 @@ class LocalEnergyProbe:
 
 def local_energy_probe(u: GridField, probe: LocalEnergyProbe, phi: Mollifier) -> float:
     """int chi((x-x0)/R)^2 [ 1/2 |u_x|^2 + 1/4 |phi*u|^4 + 1/2 |u|^2 ] dx."""
-    probe.check_inside(u.box_length)
-    k = grid_wavenumbers(u.box_length, u.size)
-    v = _fft.fft(u.values)
-    ux = _fft.ifft(1j * k * v)
-    w = _fft.ifft(phi.transfer(k) * v)
-    cut2 = chi_eval((u.x - probe.x0) / probe.R) ** 2
-    dens = (
-        0.5 * (ux.real ** 2 + ux.imag ** 2)
-        + 0.25 * (w.real ** 2 + w.imag ** 2) ** 2
-        + 0.5 * (u.values.real ** 2 + u.values.imag ** 2)
-    )
-    return float(u.spacing * np.sum(cut2 * dens))
+    return float(_record_pass(u.values[None, :], u.box_length, phi, [probe])[0, 2])
+
+
+def _record_pass(values: np.ndarray, box_length: float, phi: Mollifier, probes=()) -> np.ndarray:
+    """[global_mass, global_energy, local_energy_probe of each probe] of each
+    grid field values[i]: fft(u), u_x, phi*u once per field, chi^2 once per probe."""
+    for probe in probes:
+        probe.check_inside(box_length)
+    grid = GridField(values[0], box_length)
+    k = grid_wavenumbers(box_length, grid.size)
+    ik, transfer, h = 1j * k, phi.transfer(k), grid.spacing
+    cut2 = [chi_eval((grid.x - probe.x0) / probe.R) ** 2 for probe in probes]
+    table = np.empty((len(values), 2 + len(probes)))
+    for u, row in zip(values, table):
+        u = GridField(u, box_length).values  # a finite grid field, or ValueError
+        v = _fft.fft(u)
+        ux, w = _fft.ifft(ik * v), _fft.ifft(transfer * v)
+        mass, kin = u.real ** 2 + u.imag ** 2, ux.real ** 2 + ux.imag ** 2
+        quart = (w.real ** 2 + w.imag ** 2) ** 2
+        row[0] = h * np.sum(mass)
+        row[1] = 0.5 * h * float(np.sum(kin)) + 0.25 * h * float(np.sum(quart))
+        dens = 0.5 * kin + 0.25 * quart + 0.5 * mass
+        row[2:] = [h * np.sum(c * dens) for c in cut2]
+    return table
 
 
 @dataclass(frozen=True)
@@ -355,14 +367,10 @@ def bootstrap_monitor(
     Flags any excursion above flag_factor.  Zero initial local energy (or no
     probe) leaves the ratio undefined: ValueError.
     """
-    e0 = [local_energy_probe(trajectory.field(0), p, phi) for p in probes]
-    ref = max(e0, default=0.0)
+    energies = _record_pass(trajectory.values, trajectory.box_length, phi, probes)[:, 2:]
+    ref = max(energies[0].tolist(), default=0.0)
     if ref == 0.0:
         raise ValueError("zero initial local energy in every probe: bootstrap ratio undefined")
-    max_ratio = 0.0
-    for i in range(len(trajectory.times)):
-        fld = trajectory.field(i)
-        for p in probes:
-            # builtin max keeps max_ratio unless the ratio is strictly larger
-            max_ratio = max(max_ratio, local_energy_probe(fld, p, phi) / ref)
+    # builtin max keeps the running maximum unless a ratio is strictly larger
+    max_ratio = max([0.0] + (energies / ref).ravel().tolist())
     return BootstrapReport(max_ratio=max_ratio, flagged=max_ratio > flag_factor)

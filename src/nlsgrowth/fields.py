@@ -163,9 +163,9 @@ class WeightProfile:
     t0: float
 
     def __post_init__(self):
-        if self.R < 1.0:
+        if not self.R >= 1.0:
             raise ValueError("R must be >= 1")
-        if self.t0 < 0.0:
+        if not self.t0 >= 0.0:
             raise ValueError("t0 must be >= 0")
 
     def evaluate(self, t: float, x):
@@ -298,13 +298,14 @@ class InitialData:
         support = float(np.max(np.abs(live))) + _COMB_REACH if len(live) else 0.0
 
         def sample(x, period):
-            # each point sums only the centers within _COMB_REACH of it
+            # points with n centers within _COMB_REACH sum as the rows of one [g, n] array
             lo = np.searchsorted(j, x - _COMB_REACH, side="left")
-            hi = np.searchsorted(j, x + _COMB_REACH, side="right")
+            count = np.searchsorted(j, x + _COMB_REACH, side="right") - lo
             out = np.zeros(x.shape, dtype=complex)
-            for idx in range(x.shape[0]):
-                jj = j[lo[idx]:hi[idx]]
-                out[idx] = np.sum(arr[lo[idx]:hi[idx]] * np.exp(-(x[idx] - jj) ** 2))
+            for n in np.unique(count[count > 0]):
+                pts = np.flatnonzero(count == n)
+                cols = lo[pts, None] + np.arange(n)
+                out[pts] = np.sum(arr[cols] * np.exp(-(x[pts, None] - j[cols]) ** 2), axis=1)
             return out
 
         return cls(

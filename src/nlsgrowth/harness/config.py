@@ -13,6 +13,7 @@ engine or kind outside its table is rejected at parse time.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,8 +186,8 @@ class ExperimentConfig:
 
 
 def _parse_value(engine: str, key: str, value: str):
-    """``value`` typed by the parser of ``key`` in the engine's schema and
-    checked against its lower bound; the one path of every config value."""
+    """``value`` typed by the parser of ``key`` in the engine's schema, checked
+    finite and against its lower bound; the one path of every config value."""
     schema = ENGINE_SCHEMAS[engine]
     if key not in schema:
         raise ConfigError(f"unknown config key for engine {engine!r}: {key!r}")
@@ -195,9 +196,11 @@ def _parse_value(engine: str, key: str, value: str):
         parsed = parser(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
+    entries = parsed if isinstance(parsed, tuple) else (parsed,)
+    if not all(cmath.isfinite(v) for v in entries if isinstance(v, (float, complex))):
+        raise ConfigError(f"bad value for {key!r}: {value!r} (not finite)")
     if key in _LOWER_BOUNDS:
         lo, closed = _LOWER_BOUNDS[key]
-        entries = parsed if isinstance(parsed, tuple) else (parsed,)
         if not all(v >= lo if closed else v > lo for v in entries):
             raise ConfigError(f"{key} must be {'>=' if closed else '>'} {lo:g}, got {value}")
     return parsed

@@ -43,9 +43,7 @@ from ..lattice_linear import (
 from ..continuum import (
     ContinuumModel,
     LocalEnergyProbe,
-    global_energy,
-    global_mass,
-    local_energy_probe,
+    _record_pass,
     run_continuum,
 )
 from ..newton import newton_iterate
@@ -189,10 +187,9 @@ def _run_continuum_engine(params: dict) -> EngineResult:
     rows = []
     # an overflowed diagnostic is reported by _check_row, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(traj.times):
-            fld = traj.field(i)
-            row = [float(t), fld.sup_abs(), global_mass(fld), global_energy(fld, phi)]
-            row.extend(local_energy_probe(fld, probe, phi) for probe in probes)
+        table = _record_pass(traj.values, traj.box_length, phi, probes).tolist()
+        for t, u, diagnostics in zip(traj.times, traj.values, table):
+            row = [float(t), float(np.max(np.abs(u))), *diagnostics]
             _check_row(row, columns, "continuum run")
             rows.append(tuple(row))
     return EngineResult(columns=columns, rows=rows)

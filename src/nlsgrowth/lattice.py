@@ -59,7 +59,7 @@ class LatticeModel:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 (defocusing) or -1 (focusing)")
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise ValueError("nonlinearity exponent p must be >= 1")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError("dt must lie in (0, 0.1] (split-step accuracy regime)")

@@ -136,20 +136,22 @@ def solve_linearized(
         min(10.0 * t_final * sup_v, 500.0)
     )
 
-    # rows at t = n dt, and their means at the half steps (n + 1/2) dt
+    # rows at t = n dt, and their means at the half steps (n + 1/2) dt, as complex
     tables = (2.0 * (psi.real ** 2 + psi.imag ** 2), psi ** 2, forcing)
-    halves = [0.5 * a[:-1] + 0.5 * a[1:] for a in tables]
+    halves = [np.asarray(0.5 * a[:-1] + 0.5 * a[1:], dtype=complex) for a in tables]
+    tables = [np.asarray(a, dtype=complex) for a in tables]
     g, tmp = np.empty(psi.shape[1], dtype=complex), np.empty(psi.shape[1], dtype=complex)
 
     def rhs(xi_hat: np.ndarray, s: float, out: np.ndarray) -> None:
         # fft of -i (2|psi|^2 xi + psi^2 conj(xi) + R) at t = s * dt
         i = int(s)
-        pot, sq, force = (a[i] for a in (tables if s == i else halves))
-        x = _fft.ifft(xi_hat)
-        np.multiply(pot, x, out=g)
-        np.add(g, np.multiply(sq, np.conj(x, out=tmp), out=out), out=g)
-        np.add(g, force, out=g)
-        out[...] = _fft.fft(np.multiply(-1j, g, out=tmp), overwrite_x=True)
+        pot, sq, force = tables if s == i else halves
+        out[...] = xi_hat
+        x = _fft.ifft(out, overwrite_x=True)  # x lives in out until sq * conj(x)
+        np.multiply(pot[i], x, out=g)
+        np.add(g, np.multiply(sq[i], np.conj(x, out=tmp), out=out), out=g)
+        np.add(g, force[i], out=g)
+        _fft.fft(np.multiply(-1j, g, out=out), overwrite_x=True)
 
     xi_out = [np.zeros(psi.shape[1], dtype=complex)]
     lawson = _lawson_rk4(xi_out[0], rhs, e1, eh, dt)

@@ -57,21 +57,24 @@ def _k2_real(box_length: float, size: int) -> np.ndarray:
 
 
 def _accel(u: np.ndarray, neg_k2: np.ndarray, p: int, coupling: float, out: np.ndarray, work) -> None:
-    """out = u_xx - (coupling*u) * (u*u)**p along the last axis, work = (an array
-    like rfft(u), one like u); u**(2p+1) would take numpy's slow float power."""
-    u_hat, r = work
-    lap = _fft.irfft(np.multiply(neg_k2, _fft.rfft(u), out=u_hat), n=u.shape[-1])
+    """out = u_xx - (coupling*u) * (u*u)**p along the last axis, work = (two arrays
+    like rfft(u), two like u), neg_k2 complex; u**(2p+1) would take numpy's slow float power."""
+    u_hat, lap_hat, lap, r = work
+    _fft.irfft(np.multiply(neg_k2, _fft.rfft(u, out=u_hat), out=lap_hat), u.shape[-1], out=lap)
     np.multiply(u, u, out=r)
-    r **= p
-    np.multiply(np.multiply(coupling, u, out=out), r, out=out)
+    if p != 1 or coupling != 1:  # the cubic case skips these identity operations
+        r **= p
+        u = np.multiply(coupling, u, out=out)
+    np.multiply(u, r, out=out)
     np.subtract(lap, out, out=out)
 
 
 def _verlet(u: np.ndarray, v: np.ndarray, k2: np.ndarray, dt: float, p: int, coupling: float):
     """Stormer-Verlet (velocity form) with force reuse; yields (u, v) after each step."""
     u, v = u.copy(), v.copy()
-    neg_k2, a, tmp = -k2, np.empty_like(u), np.empty_like(u)
-    work = (np.empty(u.shape[:-1] + k2.shape, dtype=complex), np.empty_like(u))
+    neg_k2, a, tmp = (-k2).astype(complex), np.empty_like(u), np.empty_like(u)
+    u_hat = np.empty(u.shape[:-1] + k2.shape, dtype=complex)
+    work = (u_hat, np.empty_like(u_hat), np.empty_like(u), np.empty_like(u))
     _accel(u, neg_k2, p, coupling, a, work)
     while True:
         v += np.multiply(0.5 * dt, a, out=tmp)  # v at the half step

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import fft, integrate
 
+from nlsgrowth import _fft
 from nlsgrowth.continuum import (
     ContinuumModel,
     LocalEnergyProbe,
@@ -22,6 +23,9 @@ from nlsgrowth.continuum import (
     _lawson_rk4,
 )
 from nlsgrowth.errors import NumericsError
+from nlsgrowth.harness.config import parse_config_text
+from nlsgrowth.harness.csvio import write_csv
+from nlsgrowth.harness.runner import run_experiment
 from nlsgrowth.fields import (
     GridField,
     InitialData,
@@ -294,6 +298,13 @@ class TestLocalEnergyProbe:
         with pytest.raises(ValueError):
             local_energy_probe(g, LocalEnergyProbe(10.0, 4.0), GAUSS)
 
+    def test_nan_window_rejected(self):
+        # a NaN scale or center is no window, not a probe that reads 0.0
+        with pytest.raises(ValueError, match="R must be >= 1"):
+            LocalEnergyProbe(0.0, np.nan)
+        with pytest.raises(ValueError, match="too close to the box edge"):
+            LocalEnergyProbe(np.nan, 4.0).check_inside(128.0)
+
 
 class TestBootstrap:
     def test_zero_data_raises(self):
@@ -315,6 +326,95 @@ class TestBootstrap:
         rep = bootstrap_monitor(traj, probes, GAUSS, flag_factor=1.5)
         assert rep.max_ratio <= 1.5
         assert not rep.flagged
+
+
+# the per-diagnostic functions as they were before the record pass: one
+# spectral pass per diagnostic, one chi^2 window per probe and record
+def _loop_mass(u):
+    return float(u.spacing * np.sum(u.values.real ** 2 + u.values.imag ** 2))
+
+
+def _loop_energy(u, phi):
+    k = grid_wavenumbers(u.box_length, u.size)
+    v = _fft.fft(u.values)
+    ux = _fft.ifft(1j * k * v)
+    w = _fft.ifft(phi.transfer(k) * v)
+    h = u.spacing
+    kinetic = 0.5 * h * float(np.sum(ux.real ** 2 + ux.imag ** 2))
+    quartic = 0.25 * h * float(np.sum((w.real ** 2 + w.imag ** 2) ** 2))
+    return kinetic + quartic
+
+
+def _loop_local_energy(u, probe, phi):
+    probe.check_inside(u.box_length)
+    k = grid_wavenumbers(u.box_length, u.size)
+    v = _fft.fft(u.values)
+    ux = _fft.ifft(1j * k * v)
+    w = _fft.ifft(phi.transfer(k) * v)
+    cut2 = chi_eval((u.x - probe.x0) / probe.R) ** 2
+    dens = (
+        0.5 * (ux.real ** 2 + ux.imag ** 2)
+        + 0.25 * (w.real ** 2 + w.imag ** 2) ** 2
+        + 0.5 * (u.values.real ** 2 + u.values.imag ** 2)
+    )
+    return float(u.spacing * np.sum(cut2 * dens))
+
+
+def _loop_bootstrap_ratio(traj, probes, phi):
+    ref = max((_loop_local_energy(traj.field(0), p, phi) for p in probes), default=0.0)
+    max_ratio = 0.0
+    for i in range(len(traj.times)):
+        for p in probes:
+            max_ratio = max(max_ratio, _loop_local_energy(traj.field(i), p, phi) / ref)
+    return max_ratio
+
+
+class TestRecordPass:
+    # one spectral pass per record gives every diagnostic's float, bit for bit
+    PROBES = [LocalEnergyProbe(x0, 4.0) for x0 in (-12.0, 0.0, 12.0)]
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        u0 = make_initial_grid(InitialData.random_comb(1.0, 20, 3), 64.0, 256)
+        return run_continuum(u0, ContinuumModel(GAUSS, 64.0, 256, 2e-3), 0.2, 0.02)
+
+    def test_series_csv_equals_loop(self, tmp_path, traj):
+        cfg = parse_config_text(
+            "engine = continuum\ncontinuum.box_length = 64\ncontinuum.grid_size = 256\n"
+            "continuum.dt = 0.002\ndata.kind = gaussian_comb\ndata.comb_half_extent = 20\n"
+            "data.seed = 3\nrun.t_final = 0.2\nrun.record_dt = 0.02\n"
+            "probe.x0_values = -12, 0, 12\nprobe.R = 4\n"
+        )
+        run_experiment(cfg, tmp_path / "run")
+        columns = ["t", "sup_abs", "mass", "energy"] + [f"local_energy_{i}" for i in range(3)]
+        rows = []
+        for i, t in enumerate(traj.times):
+            u = traj.field(i)
+            rows.append([float(t), u.sup_abs(), _loop_mass(u), _loop_energy(u, GAUSS)]
+                        + [_loop_local_energy(u, p, GAUSS) for p in self.PROBES])
+        oracle = write_csv(tmp_path / "oracle.csv", columns, rows)
+        assert (tmp_path / "run" / "series.csv").read_bytes() == oracle.read_bytes()
+
+    def test_one_snapshot_calls_equal_loop(self, traj):
+        for i in (0, len(traj.times) - 1):
+            u = traj.field(i)
+            assert global_mass(u) == _loop_mass(u)
+            assert global_energy(u, GAUSS) == _loop_energy(u, GAUSS)
+            for p in self.PROBES:
+                assert local_energy_probe(u, p, GAUSS) == _loop_local_energy(u, p, GAUSS)
+
+    def test_bootstrap_ratio_equals_loop(self, traj):
+        rep = bootstrap_monitor(traj, self.PROBES, GAUSS, flag_factor=1.0)
+        assert rep.max_ratio == _loop_bootstrap_ratio(traj, self.PROBES, GAUSS)
+        assert rep.max_ratio > 1.0 and rep.flagged
+
+    @pytest.mark.parametrize("probes, match", [
+        ([], "zero initial local energy"),
+        ([LocalEnergyProbe(0.0, 4.0), LocalEnergyProbe(24.0, 4.0)], "too close to the box edge"),
+    ], ids=["no_probe", "probe_outside_box"])
+    def test_bootstrap_errors(self, traj, probes, match):
+        with pytest.raises(ValueError, match=match):
+            bootstrap_monitor(traj, probes, GAUSS)
 
 
 class TestDispersiveEnvelope:

@@ -13,6 +13,7 @@ from nlsgrowth.fields import (
     grid_wavenumbers,
     make_initial_grid,
     make_initial_lattice,
+    _COMB_REACH,
 )
 
 
@@ -78,6 +79,11 @@ class TestWeight:
             WeightProfile(0, 0.5, 1.0)
         with pytest.raises(ValueError):
             WeightProfile(0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("R, t0", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_parameters_rejected(self, R, t0):
+        with pytest.raises(ValueError):
+            WeightProfile(0, R, t0)
 
 
 class TestLatticeField:
@@ -155,6 +161,23 @@ class TestGaussianCombEval:
         got = InitialData.gaussian_comb(np.ones(41), -20).sample(np.array([0.0]), 1.0)[0]
         assert got == pytest.approx(oracle, abs=1e-15)
         assert abs(oracle - 1.7726372048266521) < 1e-12
+
+    @pytest.mark.parametrize("teeth, origin, box, size", [
+        (2017, -1008, 2048.0, 8192),  # c11's comb
+        (41, -20, 256.0, 4096),       # points outside the comb sum no center
+    ])
+    def test_bitwise_per_point_sums(self, teeth, origin, box, size):
+        # the row-grouped evaluation equals a 1-D sum per point, bit for bit
+        coeffs = np.exp(1j * np.random.default_rng(teeth).uniform(0.0, 2.0 * np.pi, teeth))
+        x = -box / 2 + (box / size) * np.arange(size)
+        j = origin + np.arange(teeth, dtype=float)
+        lo = np.searchsorted(j, x - _COMB_REACH, side="left")
+        hi = np.searchsorted(j, x + _COMB_REACH, side="right")
+        want = np.zeros(size, dtype=complex)
+        for i in range(size):
+            want[i] = np.sum(coeffs[lo[i]:hi[i]] * np.exp(-(x[i] - j[lo[i]:hi[i]]) ** 2))
+        got = make_initial_grid(InitialData.gaussian_comb(coeffs, origin), box, size).values
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_large_coefficients(self):
         with pytest.raises(ValueError, match=r"\|a_j\| <= 1"):

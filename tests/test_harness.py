@@ -41,6 +41,26 @@ PROBE_SWEEP_CFG = (
 )
 
 
+# one non-finite value per config, each caught by the parser; unchecked they
+# ran into an overflow traceback (exit 1), a run of zero steps (exit 0) or a
+# numerical abort (exit 3)
+NON_FINITE_CFGS = [
+    ("engine = lattice\nlattice.extent = 16\nrun.t_final = inf\n", "run.t_final"),
+    ("engine = lattice\nlattice.extent = 16\nrun.record_dt = inf\n", "run.record_dt"),
+    ("engine = lattice\nlattice.extent = 16\nlattice.p = nan\n", "lattice.p"),
+    ("engine = lattice\nlattice.extent = 16\nlattice.coupling = nan\n", "lattice.coupling"),
+    ("engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = 32\n"
+     "continuum.dt = inf\n", "continuum.dt"),
+    ("engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = 32\n"
+     "continuum.coupling = nan\n", "continuum.coupling"),
+    ("engine = continuum\ncontinuum.grid_size = 64\ncontinuum.box_length = inf\n",
+     "continuum.box_length"),
+    ("engine = nlw\nnlw.grid_size = 64\nnlw.box_length = inf\n", "nlw.box_length"),
+    ("engine = lattice\ndata.kind = periodic\ndata.amplitudes = 1, nanj\n"
+     "data.frequencies = 1, 2\n", "data.amplitudes"),
+]
+
+
 class TestConfig:
     def test_parse_and_defaults(self):
         cfg = parse_config_text(LATTICE_CFG)
@@ -509,6 +529,19 @@ class TestCli:
             assert "not a whole number of steps" in proc.stderr
         else:
             assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, key", NON_FINITE_CFGS, ids=[key for _, key in NON_FINITE_CFGS])
+    def test_non_finite_value_exit_2(self, tmp_path, text, key):
+        # a non-finite config value is a config error, not an overflow
+        # traceback, a numerical abort or a run of zero steps
+        cfg_path = tmp_path / "f.cfg"
+        cfg_path.write_text(text)
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: bad value for {key!r}: ")
+        assert proc.stderr.strip().endswith("(not finite)")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 

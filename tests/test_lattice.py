@@ -61,6 +61,12 @@ class TestStencils:
         assert np.allclose(stepped.values, np.exp(1j * eig * 0.05) * wave.values, atol=1e-12)
 
 
+class TestModel:
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            LatticeModel(p=np.nan)
+
+
 class TestSplitStep:
     @staticmethod
     def evolve(psi, model, n_steps):

@@ -4,7 +4,9 @@ Each benchmark round is one step of a stepping core: the continuum
 Lawson-RK4 step with the mollified cubic (c09/c11 at 1024 and 8192, c13's
 cross-check at 64), the wave equation's Stormer-Verlet step (c12's energy run
 at 512, its cone test's 2 x 8192 batch) and the lattice Strang step (c01's
-ring of 8193 sites, a c04 batch of 8 rings of 385).  The record round is one
+ring of 8193 sites, a c04 batch of 8 rings of 385).  The comb round samples
+c11's 2017-tooth comb at 8192 points, and the probe round is one continuum
+record of c11's shape: mass, energy and three probes' local energies.  The record round is one
 lattice record of every row of a batch of 8 and of 100 rings of 385 (a sweep
 and c04's shape).  The Newton round is one whole linearized solve of c13's
 shape (64 points, 300 steps), and the ensemble round one second-moment
@@ -23,7 +25,14 @@ import pytest
 from scipy import fft
 
 from nlsgrowth import _fft
-from nlsgrowth.continuum import _cubic_filter, _cubic_hat, _lawson_ctx, _lawson_rk4
+from nlsgrowth.continuum import (
+    LocalEnergyProbe,
+    _cubic_filter,
+    _cubic_stage,
+    _lawson_ctx,
+    _lawson_rk4,
+    _record_pass,
+)
 from nlsgrowth.fields import InitialData, Mollifier, WeightProfile, make_initial_grid
 from nlsgrowth.lattice import LatticeModel, _linear_symbol, _record_columns, _step_values
 from nlsgrowth.lattice_linear import kernel_table, random_ensemble_second_moment
@@ -38,16 +47,26 @@ from nlsgrowth.wave import _k2_real, _verlet
 ])
 def test_lawson_step(benchmark, box, size, dt):
     # run_continuum's stage: -i sign coupling phi * (|phi * u|^2 phi * u)
-    phi = Mollifier.gaussian(1.0)
-    filt = _cubic_filter(phi, box, size, True)
-    nl_filt = -1j * filt
+    filt = _cubic_filter(Mollifier.gaussian(1.0), box, size, True)
     u0 = make_initial_grid(InitialData.random_band(1.0, 2.0, 1), box, size)
-
-    def stage(v, _s, out):
-        np.multiply(nl_filt, _cubic_hat(v, filt, out), out=out)
-
+    stage = _cubic_stage(filt, -1j)
     stepper = _lawson_rk4(fft.fft(u0.values), stage, *_lawson_ctx(box, size, dt), dt)
     assert np.all(np.isfinite(benchmark(next, stepper)))
+
+
+def test_comb_evaluation(benchmark):
+    # c11's comb: 2017 teeth sampled at 8192 points
+    spec = InitialData.gaussian_comb(np.ones(2017), -1008)
+    u0 = benchmark(make_initial_grid, spec, 2048.0, 8192)
+    assert np.all(np.isfinite(u0.values))
+
+
+def test_probe_energies(benchmark):
+    # one continuum record of c11's shape: mass, energy and 3 probes at R = 256
+    u0 = make_initial_grid(InitialData.gaussian_comb(np.ones(2017), -1008), 2048.0, 8192)
+    probes = [LocalEnergyProbe(x0, 256.0) for x0 in (-256.0, 0.0, 256.0)]
+    row = benchmark(_record_pass, u0.values[None, :], 2048.0, Mollifier.gaussian(1.0), probes)
+    assert row.shape == (1, 5) and np.all(np.isfinite(row)) and np.all(row > 0.0)
 
 
 def test_newton_linearized_solve(benchmark):

@@ -23,6 +23,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="last step"):
             time_grid(t_final, dt)
 
+    @pytest.mark.parametrize("t_final, dt", [(np.inf, 0.01), (1.0, np.inf), (np.nan, 0.1)])
+    def test_rejects_non_finite(self, t_final, dt):
+        # an infinite horizon would overflow the step count, an infinite dt
+        # would take zero steps
+        with pytest.raises(ValueError, match="must be finite"):
+            time_grid(t_final, dt)
+
     def test_bound_takes_whole_steps_below(self):
         # 0.05 / 3.2e-4 = 156.25 steps: a bound, not a run length
         assert time_grid(0.05, 3.2e-4, whole=False) == 156
