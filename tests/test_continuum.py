@@ -328,8 +328,8 @@ class TestBootstrap:
         assert not rep.flagged
 
 
-# the per-diagnostic functions as they were before the record pass: one
-# spectral pass per diagnostic, one chi^2 window per probe and record
+# reference per-diagnostic functions, one spectral pass per diagnostic and one
+# chi^2 window per probe and record: the record pass must give their floats
 def _loop_mass(u):
     return float(u.spacing * np.sum(u.values.real ** 2 + u.values.imag ** 2))
 

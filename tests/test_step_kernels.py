@@ -6,15 +6,15 @@ cross-check at 64), the wave equation's Stormer-Verlet step (c12's energy run
 at 512, its cone test's 2 x 8192 batch) and the lattice Strang step (c01's
 ring of 8193 sites, a c04 batch of 8 rings of 385).  The comb round samples
 c11's 2017-tooth comb at 8192 points, and the probe round is one continuum
-record of c11's shape: mass, energy and three probes' local energies.  The record round is one
-lattice record of every row of a batch of 8 and of 100 rings of 385 (a sweep
-and c04's shape).  The Newton round is one whole linearized solve of c13's
-shape (64 points, 300 steps), and the ensemble round one second-moment
-estimate of 100 samples at c07's three kernels, t0 = 25, 100 and 400 (335,
-687 and 1969 sites), as the lattice-linear engine draws them.  The FFT pair
-round is one ifft(fft(x)) through the engines' seam ``nlsgrowth._fft`` at
-Newton's 64 points, c12's 512 and c01's 8193.  Tier-1 runs each kernel once
-(``--benchmark-disable``); to time them:
+record of c11's shape: mass, energy and three probes' local energies.  The
+record round is one lattice record of every row of a batch of 8 and of 100
+rings of 385 (a sweep and c04's shape).  The Newton round is one whole
+linearized solve of c13's shape (64 points, 300 steps), and the ensemble round
+one second-moment estimate of 100 samples at c07's three kernels, t0 = 25, 100
+and 400 (335, 687 and 1969 sites), as the lattice-linear engine draws them.
+The FFT pair round is one ifft(fft(x)) through the engines' seam
+``nlsgrowth._fft`` at Newton's 64 points, c12's 512 and c01's 8193.  Tier-1
+runs each kernel once (``--benchmark-disable``); to time them:
 
     PYTHONPATH=src python -m pytest tests/test_step_kernels.py --benchmark-enable \
         --benchmark-only --benchmark-time-unit=us --benchmark-columns=median,iqr,rounds
