@@ -4,8 +4,10 @@ The equation is i u_t + u_xx = coupling * N(u) with the mollified cubic
 N(u) = phi * (|phi * u|^2 (phi * u)); convolution with phi acts by spectral
 multiplication with the mollifier transfer function.  The linear flow is exact
 in Fourier (mode k picks up e^{-i k^2 t}); the nonlinear term is advanced by
-an integrating-factor (Lawson) RK4.  Cubic products are dealiased with the
-2/3 rule so spectral blocking does not pollute the conservation diagnostics.
+an integrating-factor (Lawson) RK4.  The Lawson stage and each Picard sweep
+compose N(u) through the one ``_cubic_stage``, whose cubic products are
+dealiased with the 2/3 rule so spectral blocking does not pollute the
+conservation diagnostics.
 
 The periodic box stands in for the real line: boxes are sized so that no
 signal wraps into a probe window during a run, monitored via the closed-form
@@ -87,18 +89,12 @@ def _cubic_filter(phi: Mollifier, box_length: float, size: int, dealias: bool) -
     return g * (np.abs(k) <= (2.0 / 3.0) * k_max).astype(float)
 
 
-def _cubic_hat(v_hat: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    """fft of |w|^2 w for w = ifft(filt * v_hat), along the last axis; Picard's
-    N(u) is ifft(filt * _cubic_hat(fft(u), filt)).  Both FFTs run in place."""
-    w = _fft.ifft(filt * v_hat, overwrite_x=True)
-    return _fft.fft((w.real ** 2 + w.imag ** 2) * w, overwrite_x=True)
-
-
-def _cubic_stage(filt: np.ndarray, factor: complex):
-    """Lawson stage f(v, s, out) = factor * filt * _cubic_hat(v, filt) in buffers made
-    once; complex filt and |w|^2 + 0j are the casts numpy made: the same bits."""
+def _cubic_stage(filt: np.ndarray, factor: complex, shape: tuple[int, ...]):
+    """The one mollified cubic f(v, s, out): out = factor * filt * fft(|w|^2 w), w = ifft(filt * v),
+    for v shaped ``shape`` (a Lawson row, Picard's [n_times, M]) in buffers made once; out is
+    scratch, never v.  Complex filt and |w|^2 + 0j are numpy's own mixed-product casts: same bits."""
     filt_c, nl_filt = filt.astype(complex), factor * filt
-    sq, r, prod = np.zeros_like(filt_c), np.empty_like(filt), np.empty_like(filt_c)
+    sq, r, prod = np.zeros(shape, complex), np.empty(shape), np.empty(shape, complex)
 
     def stage(v_hat, _s, out):
         w = _fft.ifft(np.multiply(filt_c, v_hat, out=out), overwrite_x=True)
@@ -199,7 +195,7 @@ def run_continuum(
     _check_grid(u0, model)
     filt = _cubic_filter(model.mollifier, model.box_length, model.grid_size, model.dealias)
     e1, eh = _lawson_ctx(model.box_length, model.grid_size, model.dt)
-    stage = _cubic_stage(filt, -1j * model.sign * model.coupling)
+    stage = _cubic_stage(filt, -1j * model.sign * model.coupling, filt.shape)
     times = [0.0]
     snaps = [u0.values.copy()]
     lawson = _lawson_rk4(_fft.fft(u0.values), stage, e1, eh, model.dt)
@@ -249,11 +245,12 @@ def picard_solve(
     u0_hat = _fft.fft(u0.values)
     # the linear trajectory is the initial guess
     current_hat = phases * u0_hat[None, :]
+    cubic, nl_hat = _cubic_stage(filt, 1, current_hat.shape), np.empty_like(current_hat)
     prev_diff = np.inf
     grow_count = 0
     for iteration in range(1, max_iter + 1):
         # cumulative trapezoid of e^{+is Dxx} N(u(s)), then propagate forward
-        nl_hat = filt * _cubic_hat(current_hat, filt)
+        cubic(current_hat, 0, nl_hat)
         integrand = phases.conj() * nl_hat
         acc = np.cumsum((model.dt / 2.0) * (integrand[:-1] + integrand[1:]), axis=0)
         new_hat = np.empty_like(current_hat)

@@ -141,9 +141,8 @@ def kernel_table(t: float, half_width: int | None = None) -> KernelTable:
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     x = 2.0 * t
-    j_top = max(half_width, int(np.ceil(x))) + 72 + int(
-        np.ceil(12.0 * max(x, 1.0) ** (1.0 / 3.0))
-    )
+    # the table runs default_half_width's margin past the larger of half_width and x
+    j_top = default_half_width(t) + max(half_width - int(np.ceil(x)), 0)
     jn = _bessel_jn_table(x, j_top)
     tail = 2.0 * float(np.sum(jn[half_width + 1:] ** 2))
     if tail > TAIL_MASS_TOL:

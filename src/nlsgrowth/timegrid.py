@@ -15,9 +15,9 @@ def time_grid(t_final: float, dt: float, whole: bool = True) -> int:
     """Number of steps dt from 0 to t_final, where t_final / dt must lie
     within 1e-6 of a whole number (else no last step lands on t_final:
     ValueError).  With whole=False t_final only bounds the run, which takes
-    the whole steps with t <= t_final.  Non-finite t_final or dt: ValueError."""
-    if not (math.isfinite(t_final) and math.isfinite(dt)):
-        raise ValueError(f"t_final = {t_final} and dt = {dt} must be finite")
+    the whole steps with t <= t_final.  ValueError unless dt > 0 and t_final >= 0 are finite."""
+    if not (math.isfinite(t_final) and math.isfinite(dt) and dt > 0 and t_final >= 0):
+        raise ValueError(f"t_final = {t_final} and dt = {dt} must be finite, dt > 0 and t_final >= 0")
     ratio = t_final / dt
     n_steps = math.floor(ratio + 1e-6)
     if whole and ratio - n_steps > 1e-6:

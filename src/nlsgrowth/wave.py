@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,9 +52,12 @@ class WaveState:
             raise ValueError("u and v must share one grid")
 
 
-def _k2_real(box_length: float, size: int) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _wavenumbers(box_length: float, size: int) -> np.ndarray:
+    """2 pi rfftfreq of the grid, once per (box, size) for Verlet and nlw_energy."""
     k = 2.0 * np.pi * np.fft.rfftfreq(size, d=box_length / size)
-    return k ** 2
+    k.flags.writeable = False
+    return k
 
 
 def _accel(u: np.ndarray, neg_k2: np.ndarray, p: int, coupling: float, out: np.ndarray, work) -> None:
@@ -69,11 +73,11 @@ def _accel(u: np.ndarray, neg_k2: np.ndarray, p: int, coupling: float, out: np.n
     np.subtract(lap, out, out=out)
 
 
-def _verlet(u: np.ndarray, v: np.ndarray, k2: np.ndarray, dt: float, p: int, coupling: float):
+def _verlet(u: np.ndarray, v: np.ndarray, k: np.ndarray, dt: float, p: int, coupling: float):
     """Stormer-Verlet (velocity form) with force reuse; yields (u, v) after each step."""
     u, v = u.copy(), v.copy()
-    neg_k2, a, tmp = (-k2).astype(complex), np.empty_like(u), np.empty_like(u)
-    u_hat = np.empty(u.shape[:-1] + k2.shape, dtype=complex)
+    neg_k2, a, tmp = (-k ** 2).astype(complex), np.empty_like(u), np.empty_like(u)
+    u_hat = np.empty(u.shape[:-1] + k.shape, dtype=complex)
     work = (u_hat, np.empty_like(u_hat), np.empty_like(u), np.empty_like(u))
     _accel(u, neg_k2, p, coupling, a, work)
     while True:
@@ -91,9 +95,8 @@ def _check_cfl(dt: float, grid: GridField) -> None:
 
 def nlw_energy(state: WaveState, p: int = 1, coupling: float = 1.0) -> float:
     """1/2 int u_x^2 + 1/2 int u_t^2 + coupling/(2p+2) int u^(2p+2)."""
-    u = state.u.values.real
-    v = state.v.values.real
-    k = 2.0 * np.pi * np.fft.rfftfreq(state.u.size, d=state.u.spacing)
+    u, v = state.u.values.real, state.v.values.real
+    k = _wavenumbers(state.u.box_length, state.u.size)
     ux = _fft.irfft(1j * k * _fft.rfft(u), n=u.shape[0])
     h = state.u.spacing
     return float(
@@ -115,7 +118,7 @@ def run_nlw(
 
     An overflow of u, u_t or a recorded value raises NumericsError."""
     _check_cfl(dt, state.u)
-    k2 = _k2_real(state.u.box_length, state.u.size)
+    k = _wavenumbers(state.u.box_length, state.u.size)
     u, v = state.u.values.real, state.v.values.real
     box = state.u.box_length
 
@@ -129,7 +132,7 @@ def run_nlw(
 
     with np.errstate(over="ignore", invalid="ignore"):  # drive() reports an overflowed state
         records = [record(0.0, u, v)]
-        verlet = _verlet(u, v, k2, dt, p, coupling)
+        verlet = _verlet(u, v, k, dt, p, coupling)
         for t, (u, v) in drive(verlet, t_final, dt, record_dt, "wave run", ["u", "u_t"]):
             records.append(record(t, u, v))
     return records, snapshot(u, v)
@@ -143,7 +146,9 @@ def nlw_cone_test(u0: GridField, u1: GridField, t_final: float, dt: float) -> fl
     grid point nearest the origin.
     """
     _check_cfl(dt, u0)
-    k2 = _k2_real(u0.box_length, u0.size)
+    if not t_final > 0:
+        raise ValueError(f"cone radius T = {t_final} must be > 0")
+    k = _wavenumbers(u0.box_length, u0.size)
     x = u0.x
     cut = chi_eval(x / t_final)
     # run both fields as one two-row batch: identical per-row operations keep
@@ -155,7 +160,7 @@ def nlw_cone_test(u0: GridField, u1: GridField, t_final: float, dt: float) -> fl
     n_steps = time_grid(t_final, dt, whole=False)
 
     worst = abs(u[0, i0] - u[1, i0])
-    for u, _ in itertools.islice(_verlet(u, v, k2, dt, 1, 1.0), n_steps):
+    for u, _ in itertools.islice(_verlet(u, v, k, dt, 1, 1.0), n_steps):
         worst = max(worst, abs(u[0, i0] - u[1, i0]))
     if not np.all(np.isfinite(u)):
         raise NumericsError("cone test run overflowed")

@@ -18,7 +18,7 @@ from nlsgrowth.continuum import (
     picard_solve,
     run_continuum,
     _cubic_filter,
-    _cubic_hat,
+    _cubic_stage,
     _lawson_ctx,
     _lawson_rk4,
 )
@@ -72,10 +72,19 @@ class TestMollify:
 
 
 def nonlinearity(u: GridField, phi: Mollifier) -> np.ndarray:
-    """N(u) = phi * (|phi * u|^2 (phi * u)), dealiased, as the Lawson stage and
-    Picard compose it."""
+    """N(u) = phi * (|phi * u|^2 (phi * u)), dealiased, through the one cubic
+    stage that the Lawson step and Picard compose it with."""
     filt = _cubic_filter(phi, u.box_length, u.size, True)
-    return fft.ifft(filt * _cubic_hat(fft.fft(u.values), filt))
+    out = np.empty(u.size, dtype=complex)
+    _cubic_stage(filt, 1, out.shape)(fft.fft(u.values), 0, out)
+    return fft.ifft(out)
+
+
+def cubic_formula(v_hat: np.ndarray, filt: np.ndarray, factor: complex) -> np.ndarray:
+    """(factor * filt) * fft(|w|^2 w), w = ifft(filt * v_hat), written out along
+    the last axis: the oracle that ``_cubic_stage`` must equal bit for bit."""
+    w = fft.ifft(filt * v_hat, overwrite_x=True)
+    return (factor * filt) * fft.fft((w.real ** 2 + w.imag ** 2) * w, overwrite_x=True)
 
 
 class TestNonlinearity:
@@ -104,6 +113,28 @@ class TestNonlinearity:
         out = nonlinearity(u, IDENT)
         plain = np.abs(u.values) ** 2 * u.values
         assert np.max(np.abs(out - plain)) < 1e-10
+
+
+class TestCubicStage:
+    # Picard's [n_times, M] trajectories (c10's [101, 512] and two other
+    # shapes) and one Lawson row, for each mollifier and dealias setting
+    @pytest.mark.parametrize("shape,box", [((101, 512), 64.0), ((301, 64), 2.0 * np.pi),
+                                           ((7, 1024), 128.0), ((1024,), 128.0)])
+    @pytest.mark.parametrize("phi,dealias", [(GAUSS, True), (Mollifier.fourier_cutoff(3.0), False),
+                                             (IDENT, True)], ids=["gauss", "cutoff", "identity"])
+    def test_equals_formula(self, shape, box, phi, dealias):
+        filt = _cubic_filter(phi, box, shape[-1], dealias)
+        rng = np.random.default_rng(shape[0])
+        v_hat = 3.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        kept = v_hat.copy()
+        out = np.empty_like(v_hat)
+        for factor in (1, -0.7j):  # Picard's, and a Lawson stage's -i sign coupling
+            stage = _cubic_stage(filt, factor, shape)
+            want = cubic_formula(v_hat, filt, factor).view(np.uint64)
+            for _ in range(2):  # the buffers carry nothing from one call to the next
+                stage(v_hat, 0, out)
+                assert np.array_equal(out.view(np.uint64), want)
+        assert np.array_equal(v_hat, kept)
 
 
 class TestLinearPropagate:
@@ -476,9 +507,7 @@ class TestStepperContract:
         filt = _cubic_filter(GAUSS, 32.0, 256, True)
         e1, eh = _lawson_ctx(32.0, 256, 0.01)
 
-        def stage(v, _s, out):
-            np.multiply(-1j * filt, _cubic_hat(v, filt), out=out)
-
+        stage = _cubic_stage(filt, -1j, filt.shape)
         v = fft.fft(u0.values)
         kept = v.copy()
         stepper = _lawson_rk4(v, stage, e1, eh, 0.01)

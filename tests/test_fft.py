@@ -9,6 +9,7 @@ missing pocketfft module fails the import instead of falling back.
 
 import ast
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,38 @@ def test_missing_pocketfft_fails_the_import():
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError: ")
     assert "scipy.fft._pocketfft.pypocketfft" in last and f"scipy {scipy.__version__}" in last
+
+
+BLUESTEIN_PAIR_FAULTS = """\
+import resource
+import numpy as np
+import nlsgrowth.lattice
+from nlsgrowth import _fft
+
+x = np.exp(1j * np.arange(8193.0))[None, :]
+for _ in range(20):
+    _fft.ifft(_fft.fft(x))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    _fft.ifft(_fft.fft(x))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a property of glibc's malloc")
+def test_bluestein_pairs_reuse_the_heap():
+    # c01's speed rests on this: at the non-fast length 8193 pocketfft allocates
+    # its Bluestein scratch on every call, and only because importing the seam
+    # imports scipy.fft, which raises glibc's mmap and trim thresholds, does
+    # that scratch come back from the heap instead of fresh pages (loaded
+    # without scipy.fft, pocketfft takes about 190 minor faults a pair)
+    src = Path(nlsgrowth.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", BLUESTEIN_PAIR_FAULTS], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 # the seam's own import, the one import of scipy.fft under src/

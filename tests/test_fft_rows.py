@@ -1,15 +1,19 @@
 """Batched scipy.fft rows must equal 1-D transforms bit for bit.
 
 The engines share last-axis kernels between one-row and many-row callers
-(``run_nlw`` and ``nlw_cone_test``, the Lawson stage and ``picard_solve``);
-their outputs stay byte-identical only while this holds.
+(``run_nlw`` and ``nlw_cone_test``, the one mollified cubic of the Lawson
+stage and ``picard_solve``, a lattice batch and its rows stepped alone, and
+the four probes of the FFT-pair calibration); their outputs stay
+byte-identical only while this holds.
 """
 
 import numpy as np
 import pytest
 from scipy import fft as _fft
 
-SIZES = (16, 64, 512, 1024, 8192)
+# the grids, and the lattice rings of c04 and the sweeps (385), c05/c06 (1025)
+# and c01 (8193, a non-fast length that pocketfft transforms by Bluestein)
+SIZES = (16, 64, 385, 512, 1024, 1025, 8192, 8193)
 ROWS = 3
 
 

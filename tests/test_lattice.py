@@ -9,6 +9,7 @@ from nlsgrowth.fields import InitialData, LatticeField, WeightProfile, make_init
 from nlsgrowth.lattice import (
     LatticeModel,
     _abs_pow,
+    _fft_pair_scale,
     _linear_symbol,
     _step_values,
     global_energy,
@@ -137,6 +138,28 @@ class TestSplitStep:
         # a weight past the rounded-up step does not make the horizon whole
         with pytest.raises(ValueError, match="whole number of steps"):
             run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.56))
+
+
+def per_probe_pair_scale(period):
+    """The FFT-pair calibration one probe at a time: the oracle that the
+    batched ``_fft_pair_scale`` must equal bit for bit."""
+    rng = np.random.default_rng(0xC0FFEE ^ period)
+    rounds = 48
+    estimates = []
+    for _ in range(4):
+        v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, period))
+        m0 = float(np.sum(v.real ** 2 + v.imag ** 2))
+        for _ in range(rounds):
+            v = fft.ifft(fft.fft(v))
+        m1 = float(np.sum(v.real ** 2 + v.imag ** 2))
+        estimates.append((m1 / m0) ** (1.0 / (2.0 * rounds)))
+    return float(np.mean(estimates))
+
+
+@pytest.mark.parametrize("period", (385, 1025, 8193))
+def test_fft_pair_scale_equals_per_probe_loop(period):
+    # c04 and the sweeps, c05/c06, and c01's Bluestein length
+    assert _fft_pair_scale(period) == per_probe_pair_scale(period)
 
 
 def exp_step(v, model, symbol, work):

@@ -37,7 +37,7 @@ from nlsgrowth.fields import InitialData, Mollifier, WeightProfile, make_initial
 from nlsgrowth.lattice import LatticeModel, _linear_symbol, _record_columns, _step_values
 from nlsgrowth.lattice_linear import kernel_table, random_ensemble_second_moment
 from nlsgrowth.newton import solve_linearized
-from nlsgrowth.wave import _k2_real, _verlet
+from nlsgrowth.wave import _wavenumbers, _verlet
 
 
 @pytest.mark.parametrize("box,size,dt", [
@@ -49,7 +49,7 @@ def test_lawson_step(benchmark, box, size, dt):
     # run_continuum's stage: -i sign coupling phi * (|phi * u|^2 phi * u)
     filt = _cubic_filter(Mollifier.gaussian(1.0), box, size, True)
     u0 = make_initial_grid(InitialData.random_band(1.0, 2.0, 1), box, size)
-    stage = _cubic_stage(filt, -1j)
+    stage = _cubic_stage(filt, -1j, filt.shape)
     stepper = _lawson_rk4(fft.fft(u0.values), stage, *_lawson_ctx(box, size, dt), dt)
     assert np.all(np.isfinite(benchmark(next, stepper)))
 
@@ -90,7 +90,7 @@ def test_verlet_step(benchmark, rows, box, size, dt):
                    for s in range(rows)])
     v = np.vstack([make_initial_grid(InitialData.random_band(0.5, 0.5, s + 7), box, size).values.real
                    for s in range(rows)])
-    stepper = _verlet(u, v, _k2_real(box, size), dt, 1, 1.0)
+    stepper = _verlet(u, v, _wavenumbers(box, size), dt, 1, 1.0)
     u1, v1 = benchmark(next, stepper)
     assert np.all(np.isfinite(u1)) and np.all(np.isfinite(v1))
 

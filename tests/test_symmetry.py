@@ -15,10 +15,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import fft
 
-from nlsgrowth.continuum import _cubic_filter, _cubic_hat, _lawson_ctx, _lawson_rk4
+from nlsgrowth.continuum import _cubic_filter, _cubic_stage, _lawson_ctx, _lawson_rk4
 from nlsgrowth.fields import Mollifier
 from nlsgrowth.lattice import LatticeModel, _linear_symbol, _step_values
-from nlsgrowth.wave import _k2_real, _verlet
+from nlsgrowth.wave import _wavenumbers, _verlet
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -94,7 +94,7 @@ wave_setups = st.tuples(
 def verlet_step(u: np.ndarray, v: np.ndarray, setup) -> tuple[np.ndarray, np.ndarray]:
     size, p, coupling, cfl = setup
     box = 8.0
-    return next(_verlet(u, v, _k2_real(box, size), cfl * box / size, p, coupling))
+    return next(_verlet(u, v, _wavenumbers(box, size), cfl * box / size, p, coupling))
 
 
 def wave_data(setup, seed: int, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +151,7 @@ def lawson_step(u: np.ndarray, setup) -> np.ndarray:
     box = 8.0
     filt = _cubic_filter(phi, box, size, dealias)
     e1, eh = _lawson_ctx(box, size, dt)
-
-    def stage(v, _s, out):
-        np.multiply(-1j * sc * filt, _cubic_hat(v, filt), out=out)
-
+    stage = _cubic_stage(filt, -1j * sc, filt.shape)
     return fft.ifft(next(_lawson_rk4(fft.fft(u), stage, e1, eh, dt)))
 
 

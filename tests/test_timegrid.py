@@ -30,6 +30,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="must be finite"):
             time_grid(t_final, dt)
 
+    @pytest.mark.parametrize("t_final, dt", [(1.0, 0.0), (1.0, -0.1), (0.0, -1e-3), (-1.0, 0.1), (-0.5, -0.1)])
+    @pytest.mark.parametrize("whole", (True, False))
+    def test_rejects_non_positive_dt_and_negative_horizon(self, t_final, dt, whole):
+        # dt = 0 would divide by zero, a negative ratio would count negative steps
+        with pytest.raises(ValueError, match="dt > 0"):
+            time_grid(t_final, dt, whole)
+
     def test_bound_takes_whole_steps_below(self):
         # 0.05 / 3.2e-4 = 156.25 steps: a bound, not a run length
         assert time_grid(0.05, 3.2e-4, whole=False) == 156

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlsgrowth.fields import GridField, InitialData, chi_eval, make_initial_grid
-from nlsgrowth.wave import WaveState, _k2_real, _verlet, nlw_cone_test, nlw_energy, run_nlw
+from nlsgrowth.wave import WaveState, _wavenumbers, _verlet, nlw_cone_test, nlw_energy, run_nlw
 
 
 def real_grid(vals, box):
@@ -29,6 +29,12 @@ class TestStep:
             run_nlw(s, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="CFL"):
             nlw_cone_test(s.u, s.v, 1.0, 1.0)
+
+    @pytest.mark.parametrize("dt", (-0.1, 0.0))
+    def test_rejects_non_positive_dt(self, dt):
+        # dt = -0.1 used to return the t = 0 record alone
+        with pytest.raises(ValueError, match="dt > 0"):
+            run_nlw(zero_state(32.0, 256), 1.0, dt, 0.5)
 
     def test_linear_standing_wave(self):
         # coupling 0: u = cos(kx) cos(kt) exactly (spectral space, 2nd order time)
@@ -92,6 +98,13 @@ class TestConeTest:
         d = nlw_cone_test(real_grid(bump, box), real_grid(0 * bump, box), T, 0.05)
         assert d == 0.0
 
+    @pytest.mark.parametrize("radius", (0.0, -1.0, np.nan))
+    def test_rejects_radius_not_positive(self, radius):
+        # checked before the truncation divides x by T
+        s = zero_state(32.0, 256)
+        with pytest.raises(ValueError, match="cone radius"):
+            nlw_cone_test(s.u, s.v, radius, 0.01)
+
     def test_radius_not_a_whole_number_of_steps(self):
         # T / dt = 156.25: the cone's T bounds the sampled times, so the test
         # takes the 156 whole steps with t <= T instead of rejecting T
@@ -146,7 +159,7 @@ class TestStepperContract:
         state = band_state(64.0, 256, 21)
         u, v = state.u.values.real.copy(), state.v.values.real.copy()
         kept = u.copy(), v.copy()
-        stepper = _verlet(u, v, _k2_real(64.0, 256), 2.0 ** -6, 1, 1.0)
+        stepper = _verlet(u, v, _wavenumbers(64.0, 256), 2.0 ** -6, 1, 1.0)
         for _ in range(3):
             u1, v1 = next(stepper)
         assert u1 is not u and v1 is not v
@@ -156,10 +169,10 @@ class TestStepperContract:
         # nlw_cone_test relies on this: the truncated row of its [2, M] batch
         # agrees bitwise with the full row wherever the data agree
         box, size = 160.0, 8192
-        k2 = _k2_real(box, size)
+        k = _wavenumbers(box, size)
 
         def step_200(u, v):
-            return next(itertools.islice(_verlet(u, v, k2, 3.2e-4, 1, 1.0), 199, None))
+            return next(itertools.islice(_verlet(u, v, k, 3.2e-4, 1, 1.0), 199, None))
 
         rows = [band_state(box, size, seed) for seed in (41, 43)]
         ub, vb = step_200(np.vstack([s.u.values.real for s in rows]),
