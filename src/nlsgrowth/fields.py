@@ -74,9 +74,6 @@ class LatticeField:
             raise IndexError(f"site {x} outside extent {self.extent}")
         return complex(self.values[x + self.extent])
 
-    def sup_abs(self) -> float:
-        return float(_sup_abs(np.abs(self.values)))
-
     def mass(self) -> float:
         """Global l2 mass sum_x |psi(x)|^2."""
         return float(_mass(np.abs(self.values)))

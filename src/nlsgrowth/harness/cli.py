@@ -21,12 +21,7 @@ import sys
 from pathlib import Path
 
 from ..errors import NumericsError
-from ..lattice_linear import kernel_table
-from .acceptance import acceptance_suite
 from .config import ConfigError, parse_config
-from .csvio import read_csv, write_csv
-from .fitting import fit_growth
-from .runner import run_experiment, sweep_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,12 +62,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # each verb imports what it uses, so fit and a config error never load
+    # the engines and their FFT backend
     args = _build_parser().parse_args(argv)
     try:
         if args.verb in ("run", "sweep"):
             config = parse_config(args.config)
             if args.seed is not None:
                 config = config.with_overrides(**{"data.seed": args.seed})
+            from .runner import run_experiment, sweep_experiment
             if args.verb == "run":
                 out = run_experiment(config, args.out)
             else:
@@ -80,6 +78,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.verb} written to {out}")
             return EXIT_OK
         if args.verb == "fit":
+            from .csvio import read_csv
+            from .fitting import fit_growth
             data = read_csv(args.csv)
             for column in ("t", args.column):
                 if column not in data:
@@ -92,9 +92,12 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_OK
         if args.verb == "accept":
+            from .acceptance import acceptance_suite
             report = acceptance_suite(level=args.level, out_dir=args.out)
             return EXIT_OK if report.passed else EXIT_ACCEPTANCE
         if args.verb == "export-kernel":
+            from ..lattice_linear import kernel_table
+            from .csvio import write_csv
             tab = kernel_table(args.t, args.half_width)
             rows = [
                 (int(n), float(v.real), float(v.imag))

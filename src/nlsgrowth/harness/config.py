@@ -86,14 +86,20 @@ _DATA_KEYS = {
 # key -> (lower bound, whether the bound itself is allowed), checked for each
 # entry of a list: the time-grid keys a run divides by or steps towards
 # (lattice.dt and continuum.dt are checked by their models), the lattice-linear
-# horizons, in the stationary-phase regime t0 >= 20, and the scales R >= 1
+# horizons, in the stationary-phase regime t0 >= 20, the ensemble size that
+# random_ensemble_second_moment needs, and the scales R >= 1
 _LOWER_BOUNDS = {
     **dict.fromkeys(("run.record_dt", "nlw.dt", "newton.dt"), (0.0, False)),
     **dict.fromkeys(("run.t_final", "newton.t_final"), (0.0, True)),
     "run.t0_values": (20.0, True),
+    "ensemble.samples": (100, True),
     **dict.fromkeys(("weight.R", "probe.R"), (1.0, True)),
 }
 
+# the runner passes each lattice.*, weight.*, continuum.* and newton.* section
+# by keyword, so its keys, by the name after the dot, are the arguments of
+# LatticeModel, WeightProfile, ContinuumModel and newton_iterate (but newton's
+# box_length and grid_size, which make its grid)
 ENGINE_SCHEMAS: dict[str, dict] = {
     "lattice": {
         **_COMMON_KEYS,

@@ -84,14 +84,10 @@ def _nlw_velocity(params: dict) -> InitialData:
     return InitialData.constant(0.0)
 
 
-def _lattice_model(params: dict) -> LatticeModel:
-    return LatticeModel(
-        sign=params["lattice.sign"],
-        p=params["lattice.p"],
-        extent=params["lattice.extent"],
-        dt=params["lattice.dt"],
-        coupling=params["lattice.coupling"],
-    )
+def _section(params: dict, section: str) -> dict:
+    """The ``section.*`` entries of ``params``, keyed by the name after the dot."""
+    prefix = section + "."
+    return {key[len(prefix):]: val for key, val in params.items() if key.startswith(prefix)}
 
 
 def _wrap_warnings(spec: InitialData, extent: int, t_final: float) -> list[str]:
@@ -113,20 +109,19 @@ def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> lis
     The cases share model, run.t_final and run.record_dt; each row keeps its
     own initial data and weight, and its own records and warnings.
     """
-    shared = {(_lattice_model(p), p["run.t_final"], p["run.record_dt"]) for p in cases}
+    shared = {(LatticeModel(**_section(p, "lattice")), p["run.t_final"], p["run.record_dt"])
+              for p in cases}
     if len(shared) != 1:
         raise ValueError("a lattice batch needs one model, run.t_final and run.record_dt")
     ((model, t_final, record_dt),) = shared
     specs = [_build(DATA_KINDS, "data.kind", params) for params in cases]
     values = np.stack([make_initial_lattice(spec, model.extent).values for spec in specs])
-    weights = [
-        WeightProfile(
-            x0=params["weight.x0"],
-            R=params["weight.R"],
-            t0=params["weight.t0"] if params["weight.t0"] is not None else t_final,
-        )
-        for params in cases
-    ]
+    weights = []
+    for params in cases:
+        weight = _section(params, "weight")
+        if weight["t0"] is None:
+            weight["t0"] = t_final
+        weights.append(WeightProfile(**weight))
     start = time.perf_counter()
     records, _ = run_lattice_batch(model, values, t_final, record_dt, weights, labels)
     batch = {
@@ -168,15 +163,7 @@ def _run_lattice_linear_engine(params: dict) -> EngineResult:
 
 def _run_continuum_engine(params: dict) -> EngineResult:
     phi = _build(MOLLIFIER_KINDS, "mollifier.kind", params)
-    model = ContinuumModel(
-        mollifier=phi,
-        box_length=params["continuum.box_length"],
-        grid_size=params["continuum.grid_size"],
-        dt=params["continuum.dt"],
-        sign=params["continuum.sign"],
-        coupling=params["continuum.coupling"],
-        dealias=params["continuum.dealias"],
-    )
+    model = ContinuumModel(phi, **_section(params, "continuum"))
     spec = _build(DATA_KINDS, "data.kind", params)
     u0 = make_initial_grid(spec, model.box_length, model.grid_size)
     probes = [LocalEnergyProbe(x0=x0, R=params["probe.R"]) for x0 in params["probe.x0_values"]]
@@ -210,15 +197,9 @@ def _run_nlw_engine(params: dict) -> EngineResult:
 
 def _run_newton_engine(params: dict) -> EngineResult:
     spec = _build(DATA_KINDS, "data.kind", params)
-    psi0 = make_initial_grid(spec, params["newton.box_length"], params["newton.grid_size"])
-    result = newton_iterate(
-        psi0,
-        params["newton.t_final"],
-        params["newton.dt"],
-        r1=params["newton.r1"],
-        max_iter=params["newton.max_iter"],
-        tol=params["newton.tol"],
-    )
+    newton = _section(params, "newton")
+    psi0 = make_initial_grid(spec, newton.pop("box_length"), newton.pop("grid_size"))
+    result = newton_iterate(psi0, **newton)
     rows = [(r.n, r.eps, r.sup_residual, r.ratio) for r in result.rows]
     warnings = [] if result.converged else [
         f"newton did not converge: sup_residual {rows[-1][2]:.3e} > newton.tol after "

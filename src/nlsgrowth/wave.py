@@ -74,17 +74,21 @@ def _accel(u: np.ndarray, neg_k2: np.ndarray, p: int, coupling: float, out: np.n
 
 
 def _verlet(u: np.ndarray, v: np.ndarray, k: np.ndarray, dt: float, p: int, coupling: float):
-    """Stormer-Verlet (velocity form) with force reuse; yields (u, v) after each step."""
+    """Stormer-Verlet (velocity form) with force reuse; yields (u, v) after each step.
+
+    The half kick 0.5 dt a ends one step and starts the next from one product."""
     u, v = u.copy(), v.copy()
-    neg_k2, a, tmp = (-k ** 2).astype(complex), np.empty_like(u), np.empty_like(u)
+    neg_k2, kick, tmp = (-k ** 2).astype(complex), np.empty_like(u), np.empty_like(u)
     u_hat = np.empty(u.shape[:-1] + k.shape, dtype=complex)
     work = (u_hat, np.empty_like(u_hat), np.empty_like(u), np.empty_like(u))
-    _accel(u, neg_k2, p, coupling, a, work)
+    _accel(u, neg_k2, p, coupling, kick, work)
+    kick *= 0.5 * dt
     while True:
-        v += np.multiply(0.5 * dt, a, out=tmp)  # v at the half step
+        v += kick  # v at the half step
         u += np.multiply(dt, v, out=tmp)
-        _accel(u, neg_k2, p, coupling, a, work)
-        v += np.multiply(0.5 * dt, a, out=tmp)
+        _accel(u, neg_k2, p, coupling, kick, work)
+        kick *= 0.5 * dt
+        v += kick
         yield u, v
 
 

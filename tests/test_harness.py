@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -6,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlsgrowth.continuum import ContinuumModel
 from nlsgrowth.errors import NumericsError
+from nlsgrowth.fields import WeightProfile
 from nlsgrowth.harness import cli
 from nlsgrowth.harness.config import (
     DATA_KINDS,
@@ -20,7 +24,8 @@ from nlsgrowth.harness.acceptance import _DETERMINISM_CONFIG
 from nlsgrowth.harness.fitting import fit_growth
 from nlsgrowth.harness.runner import execute, run_experiment, sweep_experiment
 from nlsgrowth.harness.svgplot import write_line_plot
-from nlsgrowth.lattice import LatticeRunRecord
+from nlsgrowth.lattice import LatticeModel, LatticeRunRecord
+from nlsgrowth.newton import newton_iterate
 
 LATTICE_CFG = """
 # minimal lattice run
@@ -122,6 +127,35 @@ class TestConfig:
     def test_time_grid_bounds(self, text, key):
         with pytest.raises(ConfigError, match=key):
             parse_config_text(text)
+
+    def test_ensemble_samples_bound(self, tmp_path, capsys):
+        # random_ensemble_second_moment needs 100 samples; the parser says so
+        # before run or sweep makes a directory
+        text = "engine = lattice-linear\nrun.t0_values = 25\nensemble.samples = 50\nsweep.seeds = 1, 2\n"
+        cfg_path = tmp_path / "e.cfg"
+        cfg_path.write_text(text)
+        for verb in ("run", "sweep"):
+            assert cli.main([verb, "--config", str(cfg_path), "--out", str(tmp_path / verb)]) == 2
+            assert not (tmp_path / verb).exists()
+        message = "config error: ensemble.samples must be >= 100, got 50\n"
+        assert capsys.readouterr().err == 2 * message
+
+    @pytest.mark.parametrize("engine, section, make, grid, unset", [
+        ("lattice", "lattice", LatticeModel, (), ()),
+        ("lattice", "weight", WeightProfile, (), ()),
+        ("continuum", "continuum", ContinuumModel, (), ("mollifier",)),
+        ("newton", "newton", newton_iterate, ("box_length", "grid_size"), ("psi0", "smallness")),
+    ], ids=["lattice", "weight", "continuum", "newton"])
+    def test_section_keys_are_constructor_arguments(self, engine, section, make, grid, unset):
+        # the runner passes a section's entries by keyword, less the keys that
+        # make the grid; a renamed key or field fails here, not in a run
+        prefix = section + "."
+        keys = {key[len(prefix):] for key in ENGINE_SCHEMAS[engine] if key.startswith(prefix)}
+        if dataclasses.is_dataclass(make):
+            names = {f.name for f in dataclasses.fields(make)}
+        else:
+            names = set(inspect.signature(make).parameters)
+        assert keys - set(grid) == names - set(unset)
 
     @pytest.mark.parametrize("engine, key", [("lattice", "weight.R"), ("continuum", "probe.R")])
     def test_scale_bound(self, engine, key):
@@ -489,6 +523,23 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "slope=" in proc.stdout
+
+    def test_fit_and_config_error_leave_fft_unloaded(self, tmp_path):
+        # neither needs an engine, so neither pays for importing scipy.fft
+        rows = [(float(t), t ** 0.5) for t in range(1, 21)]
+        csv_path = write_csv(tmp_path / "series.csv", ["t", "sup_abs"], rows)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("engine = lattice\nlattice.extent = soup\n")
+        for argv, code in (
+            (["fit", "--csv", str(csv_path), "--t-lo", "1", "--t-hi", "20"], 0),
+            (["run", "--config", str(bad), "--out", str(tmp_path / "o")], 2),
+        ):
+            probe = (
+                "import sys; from nlsgrowth.harness.cli import main; "
+                f"code = main({argv!r}); print(code, 'scipy.fft' in sys.modules)"
+            )
+            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+            assert proc.stdout.splitlines()[-1] == f"{code} False", proc.stderr
 
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
