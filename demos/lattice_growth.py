@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nlsgrowth.fields import InitialData, LatticeField, WeightProfile, make_initial_lattice
+from nlsgrowth.fields import InitialData, WeightProfile, make_initial_lattice
 from nlsgrowth.harness.csvio import write_csv
 from nlsgrowth.harness.fitting import fit_growth
 from nlsgrowth.harness.svgplot import write_line_plot
@@ -33,7 +33,7 @@ OUT = Path(__file__).parent / "output"
 
 def growth_experiment():
     """Both signs' runs, each one 3-row stream; returns the defocusing
-    random-phase fields after t0 = 10, 20, 50 and 100, by t0."""
+    random-phase values after t0 = 10, 20, 50 and 100, by t0."""
     print("== sup-norm growth, t in [0, 200], extent 512, dt 0.01 ==")
     extent, t_final, dt = 512, 200.0, 0.01
     kinds = {
@@ -41,7 +41,7 @@ def growth_experiment():
         "random_phase": InitialData.random_phase(1.0, seed=11),
         "periodic": InitialData.periodic([0.5, 0.5], [0.9, 2.3]),
     }
-    psi0 = np.stack([make_initial_lattice(spec, extent).values for spec in kinds.values()])
+    psi0 = np.stack([make_initial_lattice(spec, extent) for spec in kinds.values()])
     window_t0 = {round(t0 / dt): t0 for t0 in (10.0, 20.0, 50.0, 100.0)}
     runs, windows = {}, {}
     for sign in (+1, -1):
@@ -51,7 +51,7 @@ def growth_experiment():
             times.append(t)
             sups.append(np.abs(vals).max(axis=-1))
             if sign == +1 and round(t / dt) in window_t0:  # row 1: random_phase
-                windows[window_t0[round(t / dt)]] = LatticeField(vals[1].copy(), extent)
+                windows[window_t0[round(t / dt)]] = vals[1].copy()
         runs[sign] = np.array(times), np.array(sups)  # sups[record, kind]
     for i, kind in enumerate(kinds):
         for sign, label in [(+1, "defocusing"), (-1, "focusing")]:
@@ -87,8 +87,7 @@ def gronwall_experiment():
     t0, extent = 50.0, 192
     model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
     radii, seeds = (1.0, 2.0, 4.0), range(10)
-    psi0 = [make_initial_lattice(InitialData.random_phase(1.0, seed), extent).values
-            for seed in seeds]
+    psi0 = [make_initial_lattice(InitialData.random_phase(1.0, seed), extent) for seed in seeds]
     # one batch: every (R, seed) pair is a row with its own weight
     weights = [WeightProfile(x0=0, R=R, t0=t0) for R in radii for _ in seeds]
     records, _ = run_lattice_batch(model, np.stack(psi0 * len(radii)), t0, t0, weights)

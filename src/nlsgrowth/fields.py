@@ -1,9 +1,10 @@
 """Shared field types, cutoffs, weights, mollifiers and initial data.
 
-Complex amplitudes live either on a truncated integer lattice (origin-centered,
-periodic wrap) or on a uniform periodic grid over a box of length L.  All types
-are plain immutable-after-construction values and safe to share read-only
-between concurrent runs.
+Complex amplitudes live either on a truncated integer lattice, as plain
+arrays in the layout ``make_initial_lattice`` states, or in a ``GridField`` on
+a uniform periodic grid over a box of length L.  All types are plain
+immutable-after-construction values and safe to share read-only between
+concurrent runs.
 
 Mollifiers and initial data carry their own formulas: a ``Mollifier`` holds
 its transfer function and an ``InitialData`` its ``sample(x, period)``, so
@@ -22,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "LatticeField",
     "GridField",
     "WeightProfile",
     "Mollifier",
@@ -41,50 +41,18 @@ _COMB_REACH = float(np.sqrt(-np.log(1e-18)))
 # field containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeField:
-    """Complex amplitudes on the truncated lattice, sites -N..N.
-
-    ``values[x + extent]`` is the amplitude at site x; boundary operations wrap
-    periodically (period 2N+1).
-    """
-
-    values: np.ndarray
-    extent: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        if self.extent < 1:
-            raise ValueError("extent must be >= 1")
-        if vals.shape != (2 * self.extent + 1,):
-            raise ValueError(
-                f"values length {vals.shape} != 2*extent+1 = {2 * self.extent + 1}"
-            )
-        if not np.all(np.isfinite(vals.view(float))):
-            raise ValueError("lattice field contains non-finite entries")
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(-self.extent, self.extent + 1)
-
-    def at(self, x: int) -> complex:
-        """Amplitude at site x (no wrap; x must lie in -N..N)."""
-        if abs(x) > self.extent:
-            raise IndexError(f"site {x} outside extent {self.extent}")
-        return complex(self.values[x + self.extent])
-
-    def mass(self) -> float:
-        """Global l2 mass sum_x |psi(x)|^2."""
-        return float(_mass(np.abs(self.values)))
+def _extent(values: np.ndarray) -> int:
+    """N of lattice values[..., 2N+1], whose entry x + N is site x; any other
+    length is no lattice."""
+    period = values.shape[-1]
+    if period < 3 or period % 2 == 0:
+        raise ValueError(f"lattice length {period} is not 2*extent+1 with extent >= 1")
+    return (period - 1) // 2
 
 
-def _sup_abs(abs_v: np.ndarray) -> np.ndarray:
-    return np.max(abs_v, axis=-1)
-
-
-def _mass(abs_v: np.ndarray) -> np.ndarray:
-    return np.sum(abs_v ** 2, axis=-1)
+def _check_grid_size(size: int) -> None:
+    if size < 2 or (size & (size - 1)) != 0:
+        raise ValueError(f"grid size {size} is not a power of two")
 
 
 @dataclass(frozen=True)
@@ -97,9 +65,7 @@ class GridField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
-        m = vals.shape[0]
-        if m < 2 or (m & (m - 1)) != 0:
-            raise ValueError(f"grid size {m} is not a power of two")
+        _check_grid_size(vals.shape[0])
         if not self.box_length > 0:
             raise ValueError("box_length must be positive")
         if not np.all(np.isfinite(vals.view(float))):
@@ -365,19 +331,33 @@ class InitialData:
         )
 
 
-def make_initial_lattice(spec: InitialData, extent: int) -> LatticeField:
-    """Realize an InitialData spec on the truncated lattice, sites -N..N."""
+def make_initial_lattice(spec: InitialData, extent: int) -> np.ndarray:
+    """Realize an InitialData spec on the truncated lattice, sites -N..N.
+
+    Returns values[2N+1] with ``values[x + extent]`` the amplitude at site x,
+    the layout of every lattice array; boundary operations wrap periodically
+    (period 2N+1).  A realization that overflows raises ValueError.
+    """
     if extent < 1:
         raise ValueError("extent must be >= 1")
     if not spec.on_lattice:
         raise ValueError(f"{spec.name} is not defined on the lattice")
     sites = np.arange(-extent, extent + 1, dtype=float)
-    return LatticeField(values=spec.sample(sites, 2 * extent + 1), extent=extent)
+    # an overflow shows as the non-finite entries reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(spec.sample(sites, 2 * extent + 1), dtype=complex)
+    if not np.all(np.isfinite(values.view(float))):
+        raise ValueError("lattice field contains non-finite entries")
+    return values
 
 
 def make_initial_grid(spec: InitialData, box_length: float, size: int) -> GridField:
     """Realize an InitialData spec on the periodic grid."""
     if not spec.on_grid:
         raise ValueError(f"{spec.name} is not defined on the grid")
+    _check_grid_size(size)
     x = -box_length / 2 + (box_length / size) * np.arange(size)
-    return GridField(values=spec.sample(x, box_length), box_length=box_length)
+    # an overflow shows as the non-finite entries GridField reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = spec.sample(x, box_length)
+    return GridField(values=values, box_length=box_length)

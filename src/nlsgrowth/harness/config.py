@@ -87,12 +87,14 @@ _DATA_KEYS = {
 # entry of a list: the time-grid keys a run divides by or steps towards
 # (lattice.dt and continuum.dt are checked by their models), the lattice-linear
 # horizons, in the stationary-phase regime t0 >= 20, the ensemble size that
-# random_ensemble_second_moment needs, and the scales R >= 1
+# random_ensemble_second_moment needs, the wave power u^(2p+1) with p >= 1,
+# and the scales R >= 1
 _LOWER_BOUNDS = {
     **dict.fromkeys(("run.record_dt", "nlw.dt", "newton.dt"), (0.0, False)),
     **dict.fromkeys(("run.t_final", "newton.t_final"), (0.0, True)),
     "run.t0_values": (20.0, True),
     "ensemble.samples": (100, True),
+    "nlw.p": (1, True),
     **dict.fromkeys(("weight.R", "probe.R"), (1.0, True)),
 }
 

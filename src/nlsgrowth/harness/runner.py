@@ -115,7 +115,7 @@ def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> lis
         raise ValueError("a lattice batch needs one model, run.t_final and run.record_dt")
     ((model, t_final, record_dt),) = shared
     specs = [_build(DATA_KINDS, "data.kind", params) for params in cases]
-    values = np.stack([make_initial_lattice(spec, model.extent).values for spec in specs])
+    values = np.stack([make_initial_lattice(spec, model.extent) for spec in specs])
     weights = []
     for params in cases:
         weight = _section(params, "weight")
@@ -155,7 +155,7 @@ def _run_lattice_linear_engine(params: dict) -> EngineResult:
     rows = []
     for t0, kern, m2 in zip(t0s, kernels, m2s):
         evolved = linear_evolve(adversarial_data(t0, kern.half_width, kern), t0, kern)
-        ratio = abs(evolved.at(0)) / np.sqrt(t0)
+        ratio = abs(evolved[kern.half_width]) / np.sqrt(t0)
         rows.append((float(t0), float(ratio), bool(pairing_check(t0)), float(m2)))
     columns = ["t0", "adversarial_ratio", "pairing_ok", "ensemble_m2"]
     return EngineResult(columns=columns, rows=rows)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _fft
-from .fields import LatticeField, WeightProfile, _mass, _sup_abs
+from .fields import WeightProfile, _extent
 from .timegrid import _check_row, drive
 
 __all__ = [
@@ -159,6 +159,12 @@ def _weight(w: WeightProfile, t: float, sites: np.ndarray) -> np.ndarray:
     return np.exp(-w.evaluate(t, sites))
 
 
+def _sites(values: np.ndarray) -> np.ndarray:
+    """Sites -N..N of lattice values[..., 2N+1]."""
+    n = _extent(values)
+    return np.arange(-n, n + 1)
+
+
 def _grad2(v: np.ndarray) -> np.ndarray:
     """|v(x+1) - v(x)|^2 along the last axis, with the periodic wrap."""
     return _abs_pow(np.roll(v, -1, axis=-1) - v, 2.0)
@@ -183,65 +189,66 @@ def _sup_dt(v: np.ndarray, model: LatticeModel) -> np.ndarray:
     return np.max(np.abs(lap - nl), axis=-1)
 
 
-def local_mass(psi: LatticeField, w: WeightProfile, t: float) -> float:
+def local_mass(psi: np.ndarray, w: WeightProfile, t: float) -> float:
     """M(t) = sum_x |psi(x)|^2 exp(-F(t,x)) over the truncated lattice."""
-    return float(_local_mass(_abs_pow(psi.values, 2.0), _weight(w, t, psi.sites)))
+    return float(_local_mass(_abs_pow(psi, 2.0), _weight(w, t, _sites(psi))))
 
 
-def local_energy(psi: LatticeField, w: WeightProfile, t: float) -> float:
+def local_energy(psi: np.ndarray, w: WeightProfile, t: float) -> float:
     """E(t) = 1/2 sum |psi(x+1)-psi(x)|^2 e^{-F} + 1/4 sum |psi(x)|^4 e^{-F}.
 
     Positive definite; its Proposition-2.2 interpretation applies only to
     defocusing runs.
     """
-    return float(_local_energy(_abs_pow(psi.values, 2.0), _grad2(psi.values), _weight(w, t, psi.sites)))
+    return float(_local_energy(_abs_pow(psi, 2.0), _grad2(psi), _weight(w, t, _sites(psi))))
 
 
-def _window_slice(psi: LatticeField, x0: int, t0: float) -> np.ndarray:
+def _window_slice(psi: np.ndarray, x0: int, t0: float) -> np.ndarray:
+    n = _extent(psi)
     if t0 < 1.0:
         raise ValueError("window requires t0 >= 1")
     half = int(np.floor(t0))
-    if abs(x0) + half > psi.extent:
-        raise ValueError(
-            f"window |x-{x0}| <= {t0} exceeds lattice extent {psi.extent}"
-        )
-    center = x0 + psi.extent
-    return psi.values[center - half: center + half + 1]
+    if abs(x0) + half > n:
+        raise ValueError(f"window |x-{x0}| <= {t0} exceeds lattice extent {n}")
+    center = x0 + n
+    return psi[center - half: center + half + 1]
 
 
-def windowed_mass_avg(psi: LatticeField, x0: int, t0: float) -> float:
+def windowed_mass_avg(psi: np.ndarray, x0: int, t0: float) -> float:
     """(1/t0) sum_{|x-x0| <= t0} |psi(x)|^2."""
     window = _window_slice(psi, x0, t0)
     return float(np.sum(window.real ** 2 + window.imag ** 2) / t0)
 
 
-def windowed_quartic_avg(psi: LatticeField, x0: int, t0: float) -> float:
+def windowed_quartic_avg(psi: np.ndarray, x0: int, t0: float) -> float:
     """(1/t0) sum_{|x-x0| <= t0} |psi(x)|^4."""
     window = _window_slice(psi, x0, t0)
     return float(np.sum((window.real ** 2 + window.imag ** 2) ** 2) / t0)
 
 
-def sup_time_derivative(psi: LatticeField, model: LatticeModel) -> float:
+def sup_time_derivative(psi: np.ndarray, model: LatticeModel) -> float:
     """sup_x |Delta psi - sign*coupling*|psi|^p psi| = sup_x |d psi / dt|."""
-    return float(_sup_dt(psi.values, model))
+    _extent(psi)
+    return float(_sup_dt(psi, model))
 
 
-def global_energy(psi: LatticeField, model: LatticeModel) -> float:
+def global_energy(psi: np.ndarray, model: LatticeModel) -> float:
     """1/2 sum |psi(x+1)-psi(x)|^2 + sign/(p+2) sum |psi|^{p+2} (conserved)."""
-    return float(_global_energy(_abs_pow(psi.values, 2.0), _grad2(psi.values), model))
+    _extent(psi)
+    return float(_global_energy(_abs_pow(psi, 2.0), _grad2(psi), model))
 
 
 def _record_columns(vals: np.ndarray, model: LatticeModel, weights: Sequence[WeightProfile], t: float):
     """Each ``LatticeRunRecord`` field after t for the rows of vals[B, M], by the
     one-field diagnostics' last-axis kernels.  Row b's weight is evaluated at
     min(t, its t0) (step * dt may overshoot t0 by roundoff), once per distinct weight."""
-    sites = np.arange(-model.extent, model.extent + 1)
+    sites = _sites(vals)
     at = {w: _weight(w, min(t, w.t0), sites) for w in set(weights)}
     row_weights = np.array([at[w] for w in weights])
     abs_v, abs2, grad2 = np.abs(vals), _abs_pow(vals, 2.0), _grad2(vals)
     return (
-        _sup_abs(abs_v),
-        _mass(abs_v),
+        np.max(abs_v, axis=-1),
+        np.sum(abs_v ** 2, axis=-1),
         _global_energy(abs2, grad2, model),
         _local_mass(abs2, row_weights),
         _local_energy(abs2, grad2, row_weights),
@@ -255,20 +262,20 @@ def _record_columns(vals: np.ndarray, model: LatticeModel, weights: Sequence[Wei
 
 def run_lattice(
     model: LatticeModel,
-    psi0: LatticeField,
+    psi0: np.ndarray,
     t_final: float,
     record_dt: float,
     weight: WeightProfile | None = None,
-) -> tuple[list[LatticeRunRecord], LatticeField]:
+) -> tuple[list[LatticeRunRecord], np.ndarray]:
     """Evolve psi0 to t_final, recording diagnostics every record_dt.
 
     The one-row call of ``run_lattice_batch``.  Returns the records and the
-    final field.  The weight defaults to x0 = 0, R = 1, t0 = t_final.
+    final values.  The weight defaults to x0 = 0, R = 1, t0 = t_final.
     """
     if weight is None:
         weight = WeightProfile(x0=0, R=1.0, t0=t_final)
-    records, final = run_lattice_batch(model, psi0.values[None, :], t_final, record_dt, [weight])
-    return records[0], LatticeField(values=final[0], extent=model.extent)
+    records, final = run_lattice_batch(model, psi0[None, :], t_final, record_dt, [weight])
+    return records[0], final[0]
 
 
 def lattice_states(model: LatticeModel, values: np.ndarray, t_final: float, record_dt: float,

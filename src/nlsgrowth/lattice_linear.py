@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _fft
 from .errors import NumericsError
-from .fields import LatticeField
+from .fields import _extent
 
 __all__ = [
     "KernelTable",
@@ -155,13 +155,13 @@ def kernel_table(t: float, half_width: int | None = None) -> KernelTable:
     return KernelTable(t=t, half_width=half_width, values=vals)
 
 
-def linear_evolve(psi0: LatticeField, t: float, kernel: KernelTable | None = None) -> LatticeField:
+def linear_evolve(psi0: np.ndarray, t: float, kernel: KernelTable | None = None) -> np.ndarray:
     """psi(t) = K(t) * psi0, circular convolution on the truncated lattice.
 
     The kernel table is folded onto the ring of period 2N+1 (consistent with
     the dynamics module's periodic wrap) and applied via FFT.
     """
-    n = psi0.extent
+    n = _extent(psi0)
     period = 2 * n + 1
     if kernel is None:
         kernel = kernel_table(t, max(default_half_width(t), n))
@@ -170,10 +170,10 @@ def linear_evolve(psi0: LatticeField, t: float, kernel: KernelTable | None = Non
     ring = np.zeros(period, dtype=complex)
     idx = np.mod(kernel.ns, period)
     np.add.at(ring, idx, kernel.values)
-    # field index 0 is site -N; align kernel to site coordinates
-    shifted = np.roll(psi0.values, -n)  # now index 0 is site 0
+    # index 0 is site -N; align kernel to site coordinates
+    shifted = np.roll(psi0, -n)  # now index 0 is site 0
     out = _fft.ifft(_fft.fft(shifted) * _fft.fft(ring))
-    return LatticeField(values=np.roll(out, n), extent=n)
+    return np.roll(out, n)
 
 
 def _saddle(t: float, n: int) -> tuple[float, float]:
@@ -212,7 +212,7 @@ def stationary_phase_eval(t: float, n: int) -> complex:
     return complex(1j * amplitude * np.sin(zeta))
 
 
-def adversarial_data(t0: float, extent: int, kernel: KernelTable | None = None) -> LatticeField:
+def adversarial_data(t0: float, extent: int, kernel: KernelTable | None = None) -> np.ndarray:
     """Unit-modulus data whose free evolution peaks at the origin at time t0.
 
     a_n = conj(K_n(t0)) / |K_n(t0)| (zero where |K_n| underflows), so that
@@ -231,7 +231,7 @@ def adversarial_data(t0: float, extent: int, kernel: KernelTable | None = None) 
     phases = np.zeros_like(k)
     phases[mask] = np.conj(k[mask]) / np.abs(k[mask])
     vals[kernel.ns + extent] = phases
-    return LatticeField(values=vals, extent=extent)
+    return vals
 
 
 def pairing_check(t: float) -> bool:

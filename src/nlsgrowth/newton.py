@@ -229,7 +229,8 @@ def newton_iterate(
         # sup over the rows of the order-0 majorant at r_{n+1}
         params = AnalyticNormParams(_radius(r1, n + 1), 0)
         eps_next = float(np.max(_majorant_rows(xi, psi0.box_length, params)))
-        ratio = eps_next / eps_prev ** 2 if eps_prev > 0 else np.nan
+        square = eps_prev ** 2  # 0 where it underflows: the ratio is then undefined
+        ratio = eps_next / square if square > 0 else np.nan
         rows.append(NewtonIterationRow(n=n, eps=eps_prev, sup_residual=sup_r, ratio=ratio))
         grow_count = grow_count + 1 if eps_next > eps_prev else 0
         if grow_count >= 2:

@@ -35,7 +35,6 @@ SRC = Path(nlsgrowth.__file__).parent
 # the raises outside the error policy: (file, enclosing function, exception)
 RAISE_ALLOWLIST = {
     ("_fft.py", "<module>", "ImportError"),          # scipy without its pocketfft module
-    ("fields.py", "at", "IndexError"),               # LatticeField.at: no such site
     ("harness/acceptance.py", "run_criterion", "KeyError"),  # unknown criterion name
     ("harness/cli.py", "main", "AssertionError"),    # unreachable verb
     ("harness/cli.py", "<module>", "SystemExit"),

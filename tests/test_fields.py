@@ -6,7 +6,6 @@ import pytest
 from nlsgrowth.fields import (
     GridField,
     InitialData,
-    LatticeField,
     Mollifier,
     WeightProfile,
     chi_eval,
@@ -14,6 +13,7 @@ from nlsgrowth.fields import (
     make_initial_grid,
     make_initial_lattice,
     _COMB_REACH,
+    _extent,
 )
 
 
@@ -86,38 +86,49 @@ class TestWeight:
             WeightProfile(0, R, t0)
 
 
-class TestLatticeField:
+class TestLatticeLayout:
     def test_shape_checks(self):
-        with pytest.raises(ValueError):
-            LatticeField(values=np.zeros(4, dtype=complex), extent=2)
-        f = LatticeField(values=np.arange(5, dtype=complex), extent=2)
-        assert f.at(0) == 2.0
-        assert list(f.sites) == [-2, -1, 0, 1, 2]
-
-    def test_rejects_nonfinite(self):
-        vals = np.zeros(5, dtype=complex)
-        vals[1] = np.nan
-        with pytest.raises(ValueError):
-            LatticeField(values=vals, extent=2)
+        # values[x + N] is site x of a ring of 2N+1 sites, N >= 1
+        for length in (0, 1, 4):
+            with pytest.raises(ValueError, match=r"not 2\*extent\+1"):
+                _extent(np.zeros(length, dtype=complex))
+        values = np.arange(5, dtype=complex)
+        assert _extent(values) == 2
+        assert values[0 + _extent(values)] == 2.0
+        assert _extent(np.zeros((3, 7), dtype=complex)) == 3  # the rows of a batch
 
 
 class TestInitialLattice:
     def test_constant_and_delta(self):
         f = make_initial_lattice(InitialData.constant(1.0), 2)
-        assert np.all(f.values == 1.0 + 0j)
+        assert np.all(f == 1.0 + 0j)
         g = make_initial_lattice(InitialData.delta(1.0), 2)
-        assert np.array_equal(g.values, np.array([0, 0, 1, 0, 0], dtype=complex))
+        assert np.array_equal(g, np.array([0, 0, 1, 0, 0], dtype=complex))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_initial_lattice(InitialData.delta(np.nan), 2)
+
+    @pytest.mark.parametrize("realize", [
+        lambda: make_initial_lattice(InitialData.random_gaussian(1e308, 0), 16),
+        lambda: make_initial_grid(InitialData.periodic([1e308, 1e308], [1.0, 2.0]), 32.0, 64),
+    ], ids=["lattice", "grid"])
+    def test_overflow_is_non_finite_data(self, realize):
+        # the finite check reports an overflowing formula, with no numpy
+        # warning (an error in tier-1) before it
+        with pytest.raises(ValueError, match="non-finite"):
+            realize()
 
     def test_random_phase_unit_modulus_reproducible(self):
         spec = InitialData.random_phase(1.0, seed=7)
         f1 = make_initial_lattice(spec, 10_000)
         f2 = make_initial_lattice(spec, 10_000)
-        assert np.array_equal(f1.values, f2.values)  # bitwise
-        assert np.max(np.abs(np.abs(f1.values) - 1.0)) < 1e-15
+        assert np.array_equal(f1, f2)  # bitwise
+        assert np.max(np.abs(np.abs(f1) - 1.0)) < 1e-15
 
     def test_random_gaussian_moment(self):
         f = make_initial_lattice(InitialData.random_gaussian(2.0, seed=3), 50_000)
-        m2 = np.mean(np.abs(f.values) ** 2)
+        m2 = np.mean(np.abs(f) ** 2)
         assert m2 == pytest.approx(4.0, rel=0.05)
 
     def test_periodic_has_no_wrap_seam(self):
@@ -131,13 +142,13 @@ class TestInitialLattice:
         expected = 0.5 * np.exp(1j * freqs[0] * (x + period)) + 0.5j * np.exp(
             1j * freqs[1] * (x + period)
         )
-        assert np.allclose(f.values, expected, atol=1e-12)
+        assert np.allclose(f, expected, atol=1e-12)
 
     def test_comb_on_lattice(self):
         spec = InitialData.gaussian_comb(np.ones(9), -4)
         f = make_initial_lattice(spec, 30)
         direct = spec.sample(np.array([0.0]), 61)[0]
-        assert f.at(0) == pytest.approx(direct)
+        assert f[30] == pytest.approx(direct)  # site 0
         # outermost center |j| = 4 plus the reach of one Gaussian truncated at 1e-18
         assert spec.support_radius == pytest.approx(4.0 + np.sqrt(-np.log(1e-18)))
         assert InitialData.delta(1.0).support_radius == 0.0
@@ -287,10 +298,10 @@ class TestPinnedRealizations:
     def test_realization_bitwise(self, domain, kind, digest):
         spec = PINNED_SPECS[kind]
         if domain == "lattice":
-            field = make_initial_lattice(spec, 16)
+            values = make_initial_lattice(spec, 16)
         else:
-            field = make_initial_grid(spec, 32.0, 64)
-        assert _sha256(field.values) == digest
+            values = make_initial_grid(spec, 32.0, 64).values
+        assert _sha256(values) == digest
 
     @pytest.mark.parametrize(
         "phi, digest", PINNED_TRANSFERS, ids=[phi.name for phi, _ in PINNED_TRANSFERS]

@@ -66,6 +66,39 @@ NON_FINITE_CFGS = [
 ]
 
 
+# a small run of each engine: the base of the numeric-key probe below
+PROBE_BASES = {
+    "lattice": {"lattice.extent": 16, "run.t_final": 0.1},
+    "lattice-linear": {"run.t0_values": 25},
+    "continuum": {"continuum.grid_size": 64, "continuum.box_length": 32, "run.t_final": 0.1},
+    "nlw": {"nlw.grid_size": 64, "nlw.box_length": 32, "run.t_final": 0.125},
+    "newton": {"newton.grid_size": 16, "newton.t_final": 0.01, "newton.dt": 0.001},
+}
+
+# every int or float key of every engine, at 0 and at -1
+NUMERIC_PROBES = [
+    (engine, key, value)
+    for engine, schema in ENGINE_SCHEMAS.items()
+    for key, (parser, _default) in schema.items() if parser in (int, float)
+    for value in (0, -1)
+]
+
+
+@pytest.mark.parametrize(
+    "engine, key, value", NUMERIC_PROBES, ids=[f"{e}-{k}={v}" for e, k, v in NUMERIC_PROBES]
+)
+def test_numeric_key_at_zero_and_minus_one_ends_documented(engine, key, value):
+    # a run returns, or fails as invalid input (ConfigError is a ValueError;
+    # exit 2) or as a numerical abort (exit 3); a ZeroDivisionError, or a
+    # numpy warning (an error in tier-1), would end the CLI with exit 1
+    entries = {**PROBE_BASES[engine], key: value}
+    text = f"engine = {engine}\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+    try:
+        execute(parse_config_text(text))
+    except (ValueError, NumericsError):
+        pass
+
+
 class TestConfig:
     def test_parse_and_defaults(self):
         cfg = parse_config_text(LATTICE_CFG)
@@ -139,6 +172,14 @@ class TestConfig:
             assert not (tmp_path / verb).exists()
         message = "config error: ensemble.samples must be >= 100, got 50\n"
         assert capsys.readouterr().err == 2 * message
+
+    def test_nlw_power_bound(self, tmp_path, capsys):
+        # u^(2p+1) needs p >= 1: at p = -1 the energy divides by 2p + 2 = 0
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text("engine = nlw\nnlw.grid_size = 64\nnlw.box_length = 32\nnlw.p = -1\n")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err == "config error: nlw.p must be >= 1, got -1\n"
 
     @pytest.mark.parametrize("engine, section, make, grid, unset", [
         ("lattice", "lattice", LatticeModel, (), ()),
@@ -427,6 +468,25 @@ class TestRunner:
             assert len(meta["warnings"]) == 1
             assert "did not converge" in meta["warnings"][0]
 
+    def test_newton_ratio_underflow_runs_to_max_iter(self, tmp_path, capsys):
+        # row 7's eps is 2.0e-187, whose square underflows to 0: its ratio is
+        # NaN, as on the last row, and the run stops at newton.max_iter
+        cfg_path = tmp_path / "n.cfg"
+        cfg_path.write_text(
+            "engine = newton\nnewton.grid_size = 16\nnewton.t_final = 0.01\n"
+            "newton.dt = 0.001\nnewton.tol = -1\n"
+        )
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["summary"]["converged"] is False
+        assert meta["summary"]["iterations"] == 12
+        assert len(meta["warnings"]) == 1 and "did not converge" in meta["warnings"][0]
+        series = read_csv(out / "series.csv")
+        assert series["eps_n"][6] ** 2 == 0.0 < series["eps_n"][6]
+        assert np.isnan(series["ratio"][6]) and np.isnan(series["ratio"][-1])
+
     def test_nlw_engine(self):
         cfg = parse_config_text(
             "engine = nlw\n"
@@ -671,6 +731,29 @@ class TestCli:
         assert proc.stderr.startswith("error: k_band = 0.1 holds no mode"), proc.stderr
         assert "2*pi/L = 0.19635" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("engine", ["continuum", "nlw", "newton"])
+    def test_grid_size_zero_exit_2(self, tmp_path, engine):
+        # the size is checked before the grid spacing L / M divides by it
+        cfg_path = tmp_path / "g.cfg"
+        cfg_path.write_text(f"engine = {engine}\n{engine}.grid_size = 0\n")
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: grid size 0 is not a power of two\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_data_one_stderr_line(self, tmp_path):
+        # realized data that overflow are invalid input: the one error line,
+        # without the numpy warnings of the overflow before it
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(
+            "engine = lattice\nlattice.extent = 16\ndata.kind = random_gaussian\n"
+            "data.amplitude = 1e308\n"
+        )
+        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: lattice field contains non-finite entries\n"
         assert not (tmp_path / "o").exists()
 
     def test_export_kernel(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy import fft
 
 from nlsgrowth.errors import NumericsError
-from nlsgrowth.fields import InitialData, LatticeField, WeightProfile, make_initial_lattice
+from nlsgrowth.fields import InitialData, WeightProfile, make_initial_lattice
 from nlsgrowth.harness.fitting import fit_growth
 from nlsgrowth.lattice import (
     LatticeModel,
@@ -27,8 +27,12 @@ from nlsgrowth.lattice_linear import default_half_width, kernel_table, linear_ev
 
 
 def lattice(vals):
-    vals = np.asarray(vals, dtype=complex)
-    return LatticeField(values=vals, extent=(len(vals) - 1) // 2)
+    return np.asarray(vals, dtype=complex)
+
+
+def mass(psi):
+    """Global l2 mass sum_x |psi(x)|^2."""
+    return float(np.sum(np.abs(psi) ** 2))
 
 
 class TestStencils:
@@ -55,12 +59,12 @@ class TestStencils:
         period = 2 * n + 1
         kappa = 2 * np.pi * 7 / period  # ring-commensurate mode
         x = np.arange(-n, n + 1)
-        wave = LatticeField(values=np.exp(1j * kappa * x), extent=n)
+        wave = np.exp(1j * kappa * x)
         eig = -4.0 * np.sin(kappa / 2) ** 2
         linear = LatticeModel(extent=n, dt=0.05, coupling=0.0)
         assert sup_time_derivative(wave, linear) == pytest.approx(-eig, rel=1e-12)
         _, stepped = run_lattice(linear, wave, 0.05, 0.05)
-        assert np.allclose(stepped.values, np.exp(1j * eig * 0.05) * wave.values, atol=1e-12)
+        assert np.allclose(stepped, np.exp(1j * eig * 0.05) * wave, atol=1e-12)
 
 
 class TestModel:
@@ -78,7 +82,7 @@ class TestSplitStep:
     def test_zero_field(self):
         model = LatticeModel(extent=8, dt=0.05)
         out = self.evolve(lattice(np.zeros(17)), model, 1)
-        assert np.all(out.values == 0)
+        assert np.all(out == 0)
 
     def test_constant_field_phase_rotation(self):
         # uniform solution: psi(t) = e^{-i t} for A = 1, defocusing cubic
@@ -86,22 +90,22 @@ class TestSplitStep:
         psi = make_initial_lattice(InitialData.constant(1.0), 8)
         psi = self.evolve(psi, model, 100)
         t = 100 * model.dt
-        assert np.allclose(psi.values, np.exp(-1j * t), atol=1e-12)
-        assert np.max(np.abs(np.abs(psi.values) - 1.0)) < 1e-13
+        assert np.allclose(psi, np.exp(-1j * t), atol=1e-12)
+        assert np.max(np.abs(np.abs(psi) - 1.0)) < 1e-13
 
     def test_mass_conserved_per_step(self):
         model = LatticeModel(extent=128, dt=0.05)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 21), 128)
-        m0 = psi.mass()
+        m0 = mass(psi)
         psi = self.evolve(psi, model, 1)
-        assert abs(psi.mass() - m0) / m0 < 1e-14
+        assert abs(mass(psi) - m0) / m0 < 1e-14
 
     def test_mass_drift_many_steps(self):
         model = LatticeModel(extent=256, dt=0.01)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 5), 256)
-        m0 = psi.mass()
+        m0 = mass(psi)
         psi = self.evolve(psi, model, 2000)
-        assert abs(psi.mass() - m0) / m0 < 1e-12
+        assert abs(mass(psi) - m0) / m0 < 1e-12
 
     def test_linear_limit_matches_bessel_kernel(self):
         # coupling 0, delta data: 1000 steps of dt = 0.05 vs exact propagator
@@ -111,7 +115,7 @@ class TestSplitStep:
         psi0 = make_initial_lattice(InitialData.delta(1.0), extent)
         psi = self.evolve(psi0, model, 1000)
         exact = linear_evolve(psi0, t, kernel_table(t, extent))
-        assert np.max(np.abs(psi.values - exact.values)) < 1e-8
+        assert np.max(np.abs(psi - exact)) < 1e-8
 
     def test_extent_mismatch_rejected(self):
         model = LatticeModel(extent=8, dt=0.05)
@@ -235,13 +239,13 @@ class TestBatch:
     @staticmethod
     def assert_batch_equals_rows(model, psis, weights, t_final, record_dt):
         records, finals = run_lattice_batch(
-            model, np.stack([p.values for p in psis]), t_final, record_dt, weights
+            model, np.stack(psis), t_final, record_dt, weights
         )
         assert finals.shape == (len(psis), 2 * model.extent + 1)
         for psi, weight, rows, final in zip(psis, weights, records, finals):
             ref_rows, ref_final = run_lattice(model, psi, t_final, record_dt, weight)
             assert rows == ref_rows  # every field of every record, exactly
-            assert final.tobytes() == ref_final.values.tobytes()
+            assert final.tobytes() == ref_final.tobytes()
 
     @pytest.mark.parametrize("rows", [8, 100])
     def test_batch_equals_rows(self, rows):
@@ -302,11 +306,11 @@ class TestBatch:
         model = LatticeModel(sign=sign, p=p, extent=48, dt=0.01, coupling=0.7)
         n = model.extent
         values = np.stack([
-            make_initial_lattice(InitialData.random_phase(1.0, 4), n).values,
-            make_initial_lattice(InitialData.random_gaussian(0.8, 5), n).values,
+            make_initial_lattice(InitialData.random_phase(1.0, 4), n),
+            make_initial_lattice(InitialData.random_gaussian(0.8, 5), n),
             np.zeros(2 * n + 1, dtype=complex),
-            make_initial_lattice(InitialData.delta(2.0), n).values,
-            make_initial_lattice(InitialData.random_phase(0.6, 9), n).values,
+            make_initial_lattice(InitialData.delta(2.0), n),
+            make_initial_lattice(InitialData.random_phase(0.6, 9), n),
         ])
         shared = WeightProfile(0, 1.0, 0.3)
         weights = [shared, WeightProfile(-5, 2.5, 40.0), shared, WeightProfile(9, 4.0, 3.0), shared]
@@ -319,8 +323,8 @@ class TestBatch:
     def test_overflow_names_the_row(self):
         model = LatticeModel(extent=8, dt=0.01)
         values = np.stack([
-            make_initial_lattice(InitialData.random_phase(1.0, 1), 8).values,
-            make_initial_lattice(InitialData.constant(1e200), 8).values,
+            make_initial_lattice(InitialData.random_phase(1.0, 1), 8),
+            make_initial_lattice(InitialData.constant(1e200), 8),
         ])
         weights = [WeightProfile(0, 1.0, 0.1)] * 2
         # the mass of the 1e200 row is inf already in its t = 0 record
@@ -341,7 +345,7 @@ class TestBatch:
         model = LatticeModel(sign=sign, p=p, extent=extent, dt=0.01)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 7), extent)
         records, final = run_lattice(model, psi, 0.5, 0.25, WeightProfile(3, 2.0, 1.0))
-        h = hashlib.sha256(final.values.tobytes())
+        h = hashlib.sha256(final.tobytes())
         h.update(np.array([
             [r.t, r.sup_abs, r.global_mass, r.global_energy, r.local_mass, r.local_energy, r.sup_dt]
             for r in records
@@ -382,8 +386,8 @@ class TestStates:
             InitialData.random_phase(1.0, 11),
             InitialData.periodic([0.5, 0.5], [0.9, 2.3]),
         ]
-        psi0 = np.stack([make_initial_lattice(spec, extent).values for spec in specs])
-        chain, psi, t_done = [], lattice(psi0[1]), 0.0
+        psi0 = np.stack([make_initial_lattice(spec, extent) for spec in specs])
+        chain, psi, t_done = [], psi0[1], 0.0
         for t0 in t0s:
             _, psi = run_lattice(model, psi, t0 - t_done, record_dt=t0 - t_done)
             t_done = t0
@@ -392,7 +396,7 @@ class TestStates:
         stream = []
         for t, vals in lattice_states(model, psi0, 100.0, 0.5):
             if round(t / model.dt) in steps:
-                t0, row = steps[round(t / model.dt)], lattice(vals[1].copy())
+                t0, row = steps[round(t / model.dt)], vals[1].copy()
                 stream.append((windowed_mass_avg(row, 0, t0), windowed_quartic_avg(row, 0, t0)))
         assert stream == chain
 
@@ -401,7 +405,7 @@ class TestStates:
         # off the stream equal the records, and the last state the final values
         model = LatticeModel(sign=-1, p=2.0, extent=32, dt=0.01)
         values = np.stack([
-            make_initial_lattice(InitialData.random_phase(1.0, seed), 32).values for seed in (1, 2)
+            make_initial_lattice(InitialData.random_phase(1.0, seed), 32) for seed in (1, 2)
         ])
         weights = [WeightProfile(0, 1.0, 0.5)] * 2
         records, finals = run_lattice_batch(model, values, 0.5, 0.1, weights)
@@ -435,7 +439,7 @@ class TestTruncation:
         def origin(extent):
             model = LatticeModel(extent=extent, dt=0.01)
             psi0 = make_initial_lattice(InitialData.delta(1.0), extent)
-            return run_lattice(model, psi0, t, record_dt=t)[1].at(0)
+            return run_lattice(model, psi0, t, record_dt=t)[1][extent]  # site 0
 
         reach = default_half_width(t)
         assert reach == 167
@@ -455,7 +459,7 @@ class TestTruncation:
     def test_spread_data_origin_independent_of_ring_beyond_reach(self, sign):
         t = 10.0
         reach = default_half_width(t)
-        draw = make_initial_lattice(InitialData.random_phase(1.0, 11), 4 * reach).values
+        draw = make_initial_lattice(InitialData.random_phase(1.0, 11), 4 * reach)
 
         def origin(extent):
             model = LatticeModel(sign=sign, extent=extent, dt=0.01)
@@ -484,7 +488,7 @@ class TestTruncation:
         # between bounded data (slope 0) and the sqrt(t) growth c05's bound
         # 0.55 excludes, and to a quarter in the spread, whose bound is 4
         t = 100.0
-        draw = make_initial_lattice(InitialData.random_phase(1.0, 11), 256).values
+        draw = make_initial_lattice(InitialData.random_phase(1.0, 11), 256)
 
         def observables(extent):
             slopes, averages = [], []
@@ -495,7 +499,7 @@ class TestTruncation:
                     times.append(s)
                     sups.append(np.max(np.abs(vals[0])))
                     if sign == 1 and s in (10.0, 20.0, 50.0):
-                        averages.append(windowed_mass_avg(LatticeField(vals[0].copy(), extent), 0, s))
+                        averages.append(windowed_mass_avg(vals[0], 0, s))
                 slopes.append(fit_growth(np.array(times), np.array(sups), (10.0, t)).slope)
             return slopes, max(averages) / min(averages)
 
