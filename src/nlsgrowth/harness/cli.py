@@ -96,15 +96,14 @@ def main(argv: list[str] | None = None) -> int:
             report = acceptance_suite(level=args.level, out_dir=args.out)
             return EXIT_OK if report.passed else EXIT_ACCEPTANCE
         if args.verb == "export-kernel":
+            from ..fields import _extent
             from ..lattice_linear import kernel_table
             from .csvio import write_csv
             tab = kernel_table(args.t, args.half_width)
-            rows = [
-                (int(n), float(v.real), float(v.imag))
-                for n, v in zip(tab.ns, tab.values)
-            ]
+            half_width = _extent(tab)
+            rows = [(i - half_width, float(v.real), float(v.imag)) for i, v in enumerate(tab)]
             write_csv(args.out, ["n", "re", "im"], rows)
-            print(f"kernel table (t={args.t}, half_width={tab.half_width}) -> {args.out}")
+            print(f"kernel table (t={args.t}, half_width={half_width}) -> {args.out}")
             return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

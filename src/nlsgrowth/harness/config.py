@@ -88,7 +88,8 @@ _DATA_KEYS = {
 # (lattice.dt and continuum.dt are checked by their models), the lattice-linear
 # horizons, in the stationary-phase regime t0 >= 20, the ensemble size that
 # random_ensemble_second_moment needs, the wave power u^(2p+1) with p >= 1,
-# and the scales R >= 1
+# the scales R >= 1, and the seeds and comb half-extent, which numpy takes
+# only >= 0
 _LOWER_BOUNDS = {
     **dict.fromkeys(("run.record_dt", "nlw.dt", "newton.dt"), (0.0, False)),
     **dict.fromkeys(("run.t_final", "newton.t_final"), (0.0, True)),
@@ -96,6 +97,7 @@ _LOWER_BOUNDS = {
     "ensemble.samples": (100, True),
     "nlw.p": (1, True),
     **dict.fromkeys(("weight.R", "probe.R"), (1.0, True)),
+    **dict.fromkeys(("data.seed", "ensemble.seed", "data.comb_half_extent"), (0, True)),
 }
 
 # the runner passes each lattice.*, weight.*, continuum.* and newton.* section

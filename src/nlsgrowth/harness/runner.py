@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..fields import InitialData, WeightProfile, make_initial_grid, make_initial_lattice
+from ..fields import InitialData, WeightProfile, _extent, make_initial_grid, make_initial_lattice
 from ..lattice import LatticeModel, LatticeRunRecord, run_lattice_batch
 from ..lattice_linear import (
     adversarial_data,
@@ -154,8 +154,8 @@ def _run_lattice_linear_engine(params: dict) -> EngineResult:
     )
     rows = []
     for t0, kern, m2 in zip(t0s, kernels, m2s):
-        evolved = linear_evolve(adversarial_data(t0, kern.half_width, kern), t0, kern)
-        ratio = abs(evolved[kern.half_width]) / np.sqrt(t0)
+        evolved = linear_evolve(adversarial_data(kern), kern)
+        ratio = abs(evolved[_extent(kern)]) / np.sqrt(t0)  # site 0
         rows.append((float(t0), float(ratio), bool(pairing_check(t0)), float(m2)))
     columns = ["t0", "adversarial_ratio", "pairing_ok", "ensemble_m2"]
     return EngineResult(columns=columns, rows=rows)

@@ -19,8 +19,6 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _fft
@@ -28,7 +26,6 @@ from .errors import NumericsError
 from .fields import _extent
 
 __all__ = [
-    "KernelTable",
     "kernel_integral",
     "kernel_table",
     "default_half_width",
@@ -107,31 +104,12 @@ def default_half_width(t: float) -> int:
     return int(np.ceil(x)) + 72 + int(np.ceil(12.0 * max(x, 1.0) ** (1.0 / 3.0)))
 
 
-@dataclass(frozen=True)
-class KernelTable:
-    """K_n(t) for |n| <= half_width, with K_{-n} = K_n and sum |K_n|^2 = 1."""
-
-    t: float
-    half_width: int
-    values: np.ndarray  # index n + half_width
-
-    def value(self, n: int) -> complex:
-        if abs(n) > self.half_width:
-            return 0.0 + 0.0j
-        return complex(self.values[n + self.half_width])
-
-    @property
-    def ns(self) -> np.ndarray:
-        return np.arange(-self.half_width, self.half_width + 1)
-
-    def unitarity_deficit(self) -> float:
-        return abs(1.0 - float(np.sum(np.abs(self.values) ** 2)))
-
-
-def kernel_table(t: float, half_width: int | None = None) -> KernelTable:
+def kernel_table(t: float, half_width: int | None = None) -> np.ndarray:
     """Tabulate K_n(t) = e^{-2it} i^n J_n(2t) by backward recurrence.
 
-    Raises ValueError when the requested half-width truncates more than
+    The table is a lattice array values[2H+1], H = half_width, whose entry
+    n + H is K_n(t); K_{-n} = K_n and sum |K_n|^2 = 1 up to the tail.  Raises
+    ValueError when the requested half-width truncates more than
     TAIL_MASS_TOL of the kernel's l2 mass.
     """
     if not (np.isfinite(t) and t >= 0):
@@ -151,25 +129,21 @@ def kernel_table(t: float, half_width: int | None = None) -> KernelTable:
             f" for t={t}; need roughly {default_half_width(t)}"
         )
     n_abs = np.abs(np.arange(-half_width, half_width + 1))
-    vals = np.exp(-2j * t) * (1j) ** n_abs * jn[n_abs]
-    return KernelTable(t=t, half_width=half_width, values=vals)
+    return np.exp(-2j * t) * (1j) ** n_abs * jn[n_abs]
 
 
-def linear_evolve(psi0: np.ndarray, t: float, kernel: KernelTable | None = None) -> np.ndarray:
-    """psi(t) = K(t) * psi0, circular convolution on the truncated lattice.
+def linear_evolve(psi0: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """psi(t) = K(t) * psi0 for the kernel table ``kernel`` of K(t), circular
+    convolution on the truncated lattice.
 
     The kernel table is folded onto the ring of period 2N+1 (consistent with
     the dynamics module's periodic wrap) and applied via FFT.
     """
     n = _extent(psi0)
     period = 2 * n + 1
-    if kernel is None:
-        kernel = kernel_table(t, max(default_half_width(t), n))
-    elif kernel.t != t:
-        raise ValueError(f"kernel table is for t={kernel.t}, not t={t}")
+    half_width = _extent(kernel)
     ring = np.zeros(period, dtype=complex)
-    idx = np.mod(kernel.ns, period)
-    np.add.at(ring, idx, kernel.values)
+    np.add.at(ring, np.mod(np.arange(-half_width, half_width + 1), period), kernel)
     # index 0 is site -N; align kernel to site coordinates
     shifted = np.roll(psi0, -n)  # now index 0 is site 0
     out = _fft.ifft(_fft.fft(shifted) * _fft.fft(ring))
@@ -212,26 +186,17 @@ def stationary_phase_eval(t: float, n: int) -> complex:
     return complex(1j * amplitude * np.sin(zeta))
 
 
-def adversarial_data(t0: float, extent: int, kernel: KernelTable | None = None) -> np.ndarray:
-    """Unit-modulus data whose free evolution peaks at the origin at time t0.
+def adversarial_data(kernel: np.ndarray) -> np.ndarray:
+    """Unit-modulus data whose free evolution peaks at the origin at time t0,
+    on the sites of the kernel table ``kernel`` of K(t0), in its layout.
 
     a_n = conj(K_n(t0)) / |K_n(t0)| (zero where |K_n| underflows), so that
     e^{i t0 Delta} psi0 at site 0 equals sum_n |K_n(t0)| ~ t0^(1/2).
     """
-    if kernel is None:
-        kernel = kernel_table(t0)
-    if extent < kernel.half_width:
-        raise ValueError(
-            f"extent {extent} smaller than kernel half-width {kernel.half_width};"
-            " the aligned mass would be truncated"
-        )
-    vals = np.zeros(2 * extent + 1, dtype=complex)
-    k = kernel.values
-    mask = np.abs(k) >= PHASE_FLOOR
-    phases = np.zeros_like(k)
-    phases[mask] = np.conj(k[mask]) / np.abs(k[mask])
-    vals[kernel.ns + extent] = phases
-    return vals
+    mask = np.abs(kernel) >= PHASE_FLOOR
+    phases = np.zeros_like(kernel)
+    phases[mask] = np.conj(kernel[mask]) / np.abs(kernel[mask])
+    return phases
 
 
 def pairing_check(t: float) -> bool:
@@ -257,7 +222,7 @@ def pairing_check(t: float) -> bool:
 
 
 def random_ensemble_second_moment(
-    kernels: list[KernelTable], amplitude: float, num_samples: int, seed: int,
+    kernels: list[np.ndarray], amplitude: float, num_samples: int, seed: int,
 ) -> list[float]:
     """Monte-Carlo estimates of E|psi(t,0)|^2 for iid unit-modulus data, one
     per kernel table K(t).
@@ -273,13 +238,12 @@ def random_ensemble_second_moment(
         raise ValueError("num_samples must be >= 100")
     if not kernels:
         raise ValueError("no kernel tables to estimate at")
-    ks = [kernel.values for kernel in kernels]
-    unit = np.empty(max(k.shape[0] for k in ks), dtype=complex)
-    acc = [0.0] * len(ks)
+    unit = np.empty(max(k.shape[0] for k in kernels), dtype=complex)
+    acc = [0.0] * len(kernels)
     for ss in np.random.SeedSequence(seed).spawn(num_samples):
         theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, unit.shape[0])
         np.cos(theta, out=unit.real)
         np.sin(theta, out=unit.imag)
-        for i, k in enumerate(ks):
+        for i, k in enumerate(kernels):
             acc[i] += abs(np.dot(k, amplitude * unit[:k.shape[0]])) ** 2
     return [a / num_samples for a in acc]

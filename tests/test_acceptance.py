@@ -149,13 +149,12 @@ def test_criterion_without_checks_fails(monkeypatch):
 def test_corrupted_kernel_fails_only_unitarity(monkeypatch):
     # a corrupted kernel table must fail the kernel criterion and leave an
     # unrelated criterion unaffected
-    from nlsgrowth.lattice_linear import KernelTable, kernel_table
+    from nlsgrowth.lattice_linear import kernel_table
 
-    def corrupt(*args, **kwargs) -> KernelTable:
+    def corrupt(*args, **kwargs):
         tab = kernel_table(*args, **kwargs)
-        values = tab.values.copy()
-        values[tab.half_width] *= 1.5  # scale K_0
-        return KernelTable(t=tab.t, half_width=tab.half_width, values=values)
+        tab[len(tab) // 2] *= 1.5  # scale K_0
+        return tab
 
     monkeypatch.setattr(acceptance, "kernel_table", corrupt)
     bad = run_criterion("c03_kernel_oracle")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import subprocess
@@ -25,6 +26,7 @@ from nlsgrowth.harness.fitting import fit_growth
 from nlsgrowth.harness.runner import execute, run_experiment, sweep_experiment
 from nlsgrowth.harness.svgplot import write_line_plot
 from nlsgrowth.lattice import LatticeModel, LatticeRunRecord
+from nlsgrowth.lattice_linear import default_half_width
 from nlsgrowth.newton import newton_iterate
 
 LATTICE_CFG = """
@@ -172,6 +174,25 @@ class TestConfig:
             assert not (tmp_path / verb).exists()
         message = "config error: ensemble.samples must be >= 100, got 50\n"
         assert capsys.readouterr().err == 2 * message
+
+    @pytest.mark.parametrize("verb, text, message", [
+        ("run", LATTICE_CFG.replace("constant", "random_phase") + "data.seed = -1\n",
+         "data.seed must be >= 0, got -1"),
+        ("run", "engine = lattice-linear\nrun.t0_values = 25\nensemble.seed = -1\n",
+         "ensemble.seed must be >= 0, got -1"),
+        ("run", LATTICE_CFG.replace("constant", "gaussian_comb") + "data.comb_half_extent = -1\n",
+         "data.comb_half_extent must be >= 0, got -1"),
+        ("sweep", LATTICE_CFG.replace("constant", "random_phase") + "sweep.seeds = 1, -2\n",
+         "data.seed must be >= 0, got -2"),
+    ], ids=["data.seed", "ensemble.seed", "data.comb_half_extent", "sweep.seeds"])
+    def test_seed_and_comb_extent_bounds(self, tmp_path, capsys, verb, text, message):
+        # numpy takes a seed or the comb's size only >= 0 and said so naming
+        # no key; the parser names the key before a run or any sweep case
+        cfg_path = tmp_path / "n.cfg"
+        cfg_path.write_text(text)
+        assert cli.main([verb, "--config", str(cfg_path), "--out", str(tmp_path / verb)]) == 2
+        assert not (tmp_path / verb).exists()
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_nlw_power_bound(self, tmp_path, capsys):
         # u^(2p+1) needs p >= 1: at p = -1 the energy divides by 2p + 2 = 0
@@ -424,6 +445,17 @@ class TestRunner:
         assert 0.3 <= ratio <= 2.0
         assert pairing
         assert abs(m2 - 1.0) <= 4 / np.sqrt(200)
+
+    def test_lattice_linear_engine_rows_pinned(self):
+        # sha256 of the rows as float64 (pairing_ok as 1.0), computed when a
+        # dataclass held the kernels (numpy 2.4.6, scipy 1.17.1)
+        cfg = parse_config_text(
+            "engine = lattice-linear\nrun.t0_values = 25,100,400\nensemble.samples = 300\n"
+        )
+        rows = np.array(execute(cfg).rows, dtype=float)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "ffef804d84e17228503ea5ea0b5e8f608a3afeae4fb84829471c27bd33eb2e30"
+        )
 
     def test_continuum_engine_probe_columns(self):
         cfg = parse_config_text(
@@ -764,6 +796,10 @@ class TestCli:
         assert list(data) == ["n", "re", "im"]
         total = np.sum(data["re"] ** 2 + data["im"] ** 2)
         assert total == pytest.approx(1.0, abs=1e-12)
+        # row i is K_n at n = i - H, H the default half-width, which stdout names
+        half_width = default_half_width(5.0)
+        assert np.array_equal(data["n"], np.arange(-half_width, half_width + 1))
+        assert proc.stdout == f"kernel table (t=5.0, half_width={half_width}) -> {out}\n"
 
     @pytest.mark.parametrize("t", ["inf", "nan"])
     def test_export_kernel_non_finite_t_exit_2(self, tmp_path, t):

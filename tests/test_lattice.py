@@ -114,7 +114,7 @@ class TestSplitStep:
         model = LatticeModel(extent=extent, dt=0.05, coupling=0.0)
         psi0 = make_initial_lattice(InitialData.delta(1.0), extent)
         psi = self.evolve(psi0, model, 1000)
-        exact = linear_evolve(psi0, t, kernel_table(t, extent))
+        exact = linear_evolve(psi0, kernel_table(t, extent))
         assert np.max(np.abs(psi - exact)) < 1e-8
 
     def test_extent_mismatch_rejected(self):

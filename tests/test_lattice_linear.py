@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -43,22 +44,34 @@ class TestKernelIntegral:
             kernel_integral(37.0, 5, tol=0.0)
 
 
+def _value(tab: np.ndarray, n: int) -> complex:
+    """K_n of the kernel table ``tab``, whose entry n + H is K_n; 0 outside it."""
+    half_width = len(tab) // 2
+    if abs(n) > half_width:
+        return 0.0 + 0.0j
+    return complex(tab[n + half_width])
+
+
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<c16").tobytes()).hexdigest()
+
+
 class TestKernelTable:
     def test_time_zero(self):
         tab = kernel_table(0.0, half_width=5)
-        assert tab.value(0) == pytest.approx(1.0)
+        assert _value(tab, 0) == pytest.approx(1.0)
         for n in range(1, 6):
-            assert tab.value(n) == 0.0
+            assert _value(tab, n) == 0.0
 
     @pytest.mark.parametrize("t", [1.0, 10.0, 50.0, 200.0])
     def test_unitarity(self, t):
         tab = kernel_table(t)
-        assert tab.unitarity_deficit() < 1e-12
+        assert abs(1.0 - float(np.sum(np.abs(tab) ** 2))) < 1e-12
 
     def test_even_kernel(self):
         tab = kernel_table(13.0)
         for n in (1, 5, 17):
-            assert tab.value(n) == tab.value(-n)
+            assert _value(tab, n) == _value(tab, -n)
 
     @pytest.mark.parametrize("t", [10.0, 50.0, 200.0])
     def test_recurrence_matches_quadrature_oracle(self, t):
@@ -67,12 +80,12 @@ class TestKernelTable:
         ns = list(range(0, int(2 * t) + 40, max(1, int(t) // 7)))
         phase = np.exp(-2j * t)
         for n in ns:
-            assert abs(tab.value(n) - phase * kernel_integral(2.0 * t, n)) < 1e-12
+            assert abs(_value(tab, n) - phase * kernel_integral(2.0 * t, n)) < 1e-12
 
     def test_pinned_value_t25_n10(self):
         tab = kernel_table(25.0)
         expected = np.exp(-50j) * (1j) ** 10 * special.jv(10, 50.0)
-        assert abs(tab.value(10) - expected) < 1e-13
+        assert abs(_value(tab, 10) - expected) < 1e-13
 
     def test_insufficient_half_width_raises(self):
         with pytest.raises(ValueError, match="half_width=60 leaves tail mass"):
@@ -81,9 +94,20 @@ class TestKernelTable:
     def test_scipy_cross_check_dense(self):
         t = 37.0
         tab = kernel_table(t)
-        n = np.arange(-tab.half_width, tab.half_width + 1)
+        half_width = len(tab) // 2
+        n = np.arange(-half_width, half_width + 1)
         ref = np.exp(-2j * t) * (1j) ** np.abs(n) * special.jv(np.abs(n), 2 * t)
-        assert np.max(np.abs(tab.values - ref)) < 1e-13
+        assert np.max(np.abs(tab - ref)) < 1e-13
+
+    @pytest.mark.parametrize("t, half_width, digest", [
+        (0.0, 5, "d2e81c3ea2b94aaedc450354bbf16609589bed4840433f4a24bb27ace0c3972c"),
+        (25.0, None, "7eb0408759bf5e97ed9b777f2dd8db434c693aa74d6eb4fb2684acbe6dc80c6e"),
+        (400.0, None, "6f51036e5459679191c40adf5e36d5de2878584ed78056b94b0e0f532093e091"),
+    ])
+    def test_table_pinned(self, t, half_width, digest):
+        # sha256 of the <c16 bytes of the table, computed when a dataclass
+        # held it (numpy 2.4.6, scipy 1.17.1): the plain array changes no bit
+        assert _sha256(kernel_table(t, half_width)) == digest
 
 
 class TestLinearEvolve:
@@ -92,19 +116,19 @@ class TestLinearEvolve:
         n_ext = default_half_width(t)
         psi0 = make_initial_lattice(InitialData.delta(1.0), n_ext)
         tab = kernel_table(t, n_ext)
-        out = linear_evolve(psi0, t, tab)
+        out = linear_evolve(psi0, tab)
         for n in (-30, -3, 0, 7, 19):
-            assert abs(out[n + n_ext] - tab.value(n)) < 1e-13
+            assert abs(out[n + n_ext] - _value(tab, n)) < 1e-13
 
     def test_time_zero_identity(self):
         psi0 = make_initial_lattice(InitialData.random_phase(1.0, 3), 64)
-        out = linear_evolve(psi0, 0.0, kernel_table(0.0, 64))
+        out = linear_evolve(psi0, kernel_table(0.0, 64))
         assert np.allclose(out, psi0, atol=1e-14)
 
     def test_mass_preserved(self):
         t = 9.0
         psi0 = make_initial_lattice(InitialData.random_phase(1.0, 11), 256)
-        out = linear_evolve(psi0, t)
+        out = linear_evolve(psi0, kernel_table(t, max(default_half_width(t), 256)))
         mass = lambda psi: float(np.sum(np.abs(psi) ** 2))
         assert abs(mass(out) - mass(psi0)) / mass(psi0) < 1e-12
 
@@ -156,15 +180,22 @@ class TestAdversarial:
     def test_phase_alignment_identity(self):
         t0 = 25.0
         tab = kernel_table(t0)
-        data = adversarial_data(t0, tab.half_width, tab)
-        evolved = linear_evolve(data, t0, kernel_table(t0, tab.half_width))
-        expected = float(np.sum(np.abs(tab.values)))
-        assert abs(evolved[tab.half_width]) == pytest.approx(expected, rel=1e-12)  # site 0
+        evolved = linear_evolve(adversarial_data(tab), tab)
+        expected = float(np.sum(np.abs(tab)))
+        assert abs(evolved[len(tab) // 2]) == pytest.approx(expected, rel=1e-12)  # site 0
 
     def test_unit_modulus(self):
-        data = adversarial_data(25.0, 200)
+        data = adversarial_data(kernel_table(25.0))
         mags = np.abs(data)
         assert np.max(mags) <= 1.0 + 1e-12
+
+    def test_evolved_t100_pinned(self):
+        # sha256 of the <c16 bytes of the t0 = 100 adversarial data evolved to
+        # t0, computed when a dataclass held the kernel (numpy 2.4.6,
+        # scipy 1.17.1)
+        tab = kernel_table(100.0)
+        evolved = linear_evolve(adversarial_data(tab), tab)
+        assert _sha256(evolved) == "874215103093b7090fc8eb9b1664285a81b5894102a363bd899da4e6c113e4ac"
 
     def test_lower_bound_ratio_t100(self):
         # measured once via the kernel oracle: ratio = 1.78797...; the spec
@@ -172,13 +203,9 @@ class TestAdversarial:
         # computation, so we pin the acceptance envelope [0.3, 2.0] instead
         t0 = 100.0
         tab = kernel_table(t0)
-        ratio = float(np.sum(np.abs(tab.values))) / np.sqrt(t0)
+        ratio = float(np.sum(np.abs(tab))) / np.sqrt(t0)
         assert 0.3 <= ratio <= 2.0
         assert ratio == pytest.approx(1.787971, abs=1e-4)
-
-    def test_extent_too_small_raises(self):
-        with pytest.raises(ValueError):
-            adversarial_data(100.0, 50)
 
 
 class TestPairing:
@@ -195,8 +222,8 @@ def _exp_form_moment(kern, amplitude, num_samples, seed):
     """The estimate drawn at this kernel's own length, with numpy's complex exp."""
     acc = 0.0
     for ss in np.random.SeedSequence(seed).spawn(num_samples):
-        theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, kern.values.shape[0])
-        acc += abs(np.dot(kern.values, amplitude * np.exp(1j * theta))) ** 2
+        theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, kern.shape[0])
+        acc += abs(np.dot(kern, amplitude * np.exp(1j * theta))) ** 2
     return acc / num_samples
 
 
@@ -253,3 +280,25 @@ class TestEnsemble:
         runpy.run_path(str(demo))["random_ensemble"]()
         printed = [line.split("^2 = ")[1][:5] for line in capsys.readouterr().out.splitlines()[1:]]
         assert printed == ["1.028", "1.029", "0.966"]
+
+    def test_demo_prints_the_kernel_checks(self, capsys, tmp_path):
+        # the demo's kernel cross-check and adversarial sections print, and
+        # write kernel_t25.csv, as when a dataclass held the tables
+        demo = Path(nlsgrowth.__file__).parents[2] / "demos" / "linear_kernel.py"
+        sections = runpy.run_path(str(demo))
+        sections["kernel_cross_check"].__globals__["OUT"] = tmp_path
+        sections["kernel_cross_check"]()
+        sections["adversarial_lower_bound"]()
+        assert capsys.readouterr().out.splitlines() == [
+            "== kernel table vs adaptive quadrature ==",
+            "  t=   10: max |recurrence - quadrature| = 1.91e-15, unitarity deficit = 4.44e-16",
+            "  t=   50: max |recurrence - quadrature| = 1.96e-15, unitarity deficit = 6.66e-16",
+            "== adversarial phase alignment: |psi(t0,0)| >= delta t0^(1/2) ==",
+            "  t0=   25: |psi(t0,0)| =     9.36   ratio to sqrt(t0) = 1.8720",
+            "  t0=   50: |psi(t0,0)| =    12.93   ratio to sqrt(t0) = 1.8290",
+            "  t0=  100: |psi(t0,0)| =    17.88   ratio to sqrt(t0) = 1.7880",
+            "  t0=  200: |psi(t0,0)| =    25.13   ratio to sqrt(t0) = 1.7769",
+            "  t0=  400: |psi(t0,0)| =    35.20   ratio to sqrt(t0) = 1.7598",
+        ]
+        digest = hashlib.sha256((tmp_path / "kernel_t25.csv").read_bytes()).hexdigest()
+        assert digest == "21f298078d7f6a866064b60d0f68f15776f3f9898ba769448b9debb6d21bf6dc"
