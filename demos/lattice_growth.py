@@ -45,7 +45,7 @@ def growth_experiment():
     window_t0 = {round(t0 / dt): t0 for t0 in (10.0, 20.0, 50.0, 100.0)}
     runs, windows = {}, {}
     for sign in (+1, -1):
-        model = LatticeModel(sign=sign, p=2.0, extent=extent, dt=dt)
+        model = LatticeModel(sign=sign, p=2.0, dt=dt)
         times, sups = [], []
         for t, vals in lattice_states(model, psi0, t_final, record_dt=0.5):
             times.append(t)
@@ -85,7 +85,7 @@ def windowed_average_experiment(windows):
 def gronwall_experiment():
     print("== weighted local mass: M(t0)/M(0) <= 2^(3/R) ==")
     t0, extent = 50.0, 192
-    model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
+    model = LatticeModel(sign=+1, p=2.0, dt=0.01)
     radii, seeds = (1.0, 2.0, 4.0), range(10)
     psi0 = [make_initial_lattice(InitialData.random_phase(1.0, seed), extent) for seed in seeds]
     # one batch: every (R, seed) pair is a row with its own weight

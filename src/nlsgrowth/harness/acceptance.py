@@ -146,7 +146,7 @@ class AcceptanceReport:
 # ---------------------------------------------------------------------------
 
 def _c01_lattice_unitarity(level: str) -> list[tuple]:
-    model = LatticeModel(sign=+1, p=2.0, extent=4096, dt=0.01)
+    model = LatticeModel(sign=+1, p=2.0, dt=0.01)
     psi0 = make_initial_lattice(InitialData.random_phase(1.0, seed=5), 4096)
     records, _ = run_lattice(model, psi0, t_final=100.0, record_dt=10.0)
     m0 = records[0].global_mass
@@ -157,7 +157,7 @@ def _c01_lattice_unitarity(level: str) -> list[tuple]:
 def _c02_linear_equivalence(level: str) -> list[tuple]:
     t_final = 50.0
     extent = max(default_half_width(t_final), 256)
-    model = LatticeModel(extent=extent, dt=0.05, coupling=0.0)
+    model = LatticeModel(dt=0.05, coupling=0.0)
     psi0 = make_initial_lattice(InitialData.delta(1.0), extent)
     _, psi = run_lattice(model, psi0, t_final, record_dt=t_final)  # 1000 steps
     exact = linear_evolve(psi0, kernel_table(t_final, extent))
@@ -187,7 +187,7 @@ def _c03_kernel_oracle(level: str) -> list[tuple]:
 def _c04_gronwall_mass(level: str) -> list[tuple]:
     t0 = 50.0
     extent = 192
-    model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
+    model = LatticeModel(sign=+1, p=2.0, dt=0.01)
     weight = WeightProfile(x0=0, R=1.0, t0=t0)
     seeds = range(100)
     psi0 = np.stack([
@@ -211,7 +211,7 @@ def _growth_runs(specs: list[InitialData], sign: int):
     ``lattice_states`` stream of the specs as a batch, and the rows' values
     after t0 = 10, 20, 50 and 100 (1000 to 10000 steps), by t0."""
     extent = 512
-    model = LatticeModel(sign=sign, p=2.0, extent=extent, dt=0.01)
+    model = LatticeModel(sign=sign, p=2.0, dt=0.01)
     psi0 = np.stack([make_initial_lattice(spec, extent) for spec in specs])
     window_t0 = {round(t0 / model.dt): t0 for t0 in (10.0, 20.0, 50.0, 100.0)}
     times, sups, windows = [], [], {}
@@ -476,23 +476,18 @@ def run_criterion(name: str, level: str = "quick") -> CriterionResult:
     raise KeyError(f"unknown criterion {name!r}")
 
 
-def acceptance_suite(
-    level: str = "quick",
-    out_dir: str | Path | None = None,
-    echo: Callable[[str], None] | None = print,
-) -> AcceptanceReport:
-    """Run every criterion; failures are report entries, never exceptions."""
+def acceptance_suite(level: str = "quick", out_dir: str | Path | None = None) -> AcceptanceReport:
+    """Run every criterion, printing its line as it ends, then the summary
+    line; failures are report entries, never exceptions."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     results = []
     for name, *_ in CRITERIA:
         res = run_criterion(name, level)
         results.append(res)
-        if echo:
-            echo(res.line())
+        print(res.line())
     report = AcceptanceReport(level=level, results=tuple(results))
-    if echo:
-        echo(report.lines()[-1])
+    print(report.lines()[-1])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

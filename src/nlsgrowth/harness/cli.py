@@ -9,9 +9,10 @@ Verbs:
   export-kernel  write a propagator kernel table as CSV (n, re, im)
 
 Exit codes: 0 success, 2 config error or invalid input (``ConfigError``,
-``ValueError``, ``OSError``), 3 numerical abort (``NumericsError``, whose
-message names the run and what failed), 4 acceptance failure.  Each failure
-prints one line on stderr.
+``ValueError``, ``OSError``, or ``MemoryError``: an allocation the host
+cannot make), 3 numerical abort (``NumericsError``, whose message names the
+run and what failed), 4 acceptance failure.  Each failure prints one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from ..errors import NumericsError
-from .config import ConfigError, parse_config
+from .config import _SWEEP_TARGETS, ConfigError, parse_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("--config", type=Path, required=True)
     experiment.add_argument("--out", type=Path, required=True)
-    experiment.add_argument("--seed", type=int, default=None, help="override data.seed")
+    experiment.add_argument("--seed", type=int, help="set data.seed, or ensemble.seed for lattice-linear")
     sub.add_parser("run", parents=[experiment], help="execute one experiment")
     sweep_p = sub.add_parser("sweep", parents=[experiment], help="run a sweep over config lists")
     sweep_p.add_argument("--workers", type=int, default=1)
@@ -69,7 +70,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb in ("run", "sweep"):
             config = parse_config(args.config)
             if args.seed is not None:
-                config = config.with_overrides(**{"data.seed": args.seed})
+                (seed_key,) = (key for key in _SWEEP_TARGETS["sweep.seeds"] if key in config.params)
+                config = config.with_overrides(**{seed_key: args.seed})
             from .runner import run_experiment, sweep_experiment
             if args.verb == "run":
                 out = run_experiment(config, args.out)
@@ -111,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable verb")

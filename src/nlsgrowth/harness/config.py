@@ -100,10 +100,19 @@ _LOWER_BOUNDS = {
     **dict.fromkeys(("data.seed", "ensemble.seed", "data.comb_half_extent"), (0, True)),
 }
 
+# sweep key -> the config keys it may set; a schema that holds the sweep key
+# holds exactly one of them, and the seed key is the one that --seed sets
+_SWEEP_TARGETS = {
+    "sweep.seeds": ("data.seed", "ensemble.seed"),
+    "sweep.R": ("weight.R", "probe.R"),
+    "sweep.x0": ("weight.x0",),
+}
+
 # the runner passes each lattice.*, weight.*, continuum.* and newton.* section
 # by keyword, so its keys, by the name after the dot, are the arguments of
-# LatticeModel, WeightProfile, ContinuumModel and newton_iterate (but newton's
-# box_length and grid_size, which make its grid)
+# LatticeModel, WeightProfile, ContinuumModel and newton_iterate (but
+# lattice.extent, which makes the ring, and newton's box_length and grid_size,
+# which make its grid)
 ENGINE_SCHEMAS: dict[str, dict] = {
     "lattice": {
         **_COMMON_KEYS,

@@ -50,7 +50,7 @@ from ..newton import newton_iterate
 from ..errors import NumericsError
 from ..timegrid import _check_row, time_grid
 from ..wave import WaveState, run_nlw
-from .config import DATA_KINDS, MOLLIFIER_KINDS, ConfigError, ExperimentConfig
+from .config import _SWEEP_TARGETS, DATA_KINDS, MOLLIFIER_KINDS, ConfigError, ExperimentConfig
 from .csvio import write_csv
 from .svgplot import write_line_plot
 
@@ -106,16 +106,19 @@ def _wrap_warnings(spec: InitialData, extent: int, t_final: float) -> list[str]:
 def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> list[EngineResult]:
     """Run lattice cases as one batch: one row per case, one Strang loop.
 
-    The cases share model, run.t_final and run.record_dt; each row keeps its
-    own initial data and weight, and its own records and warnings.
+    The cases share model, lattice.extent, run.t_final and run.record_dt; each
+    row keeps its own initial data and weight, and its own records and warnings.
     """
-    shared = {(LatticeModel(**_section(p, "lattice")), p["run.t_final"], p["run.record_dt"])
-              for p in cases}
+    shared = set()
+    for p in cases:
+        lattice = _section(p, "lattice")
+        del lattice["extent"]  # it makes the data
+        shared.add((LatticeModel(**lattice), p["lattice.extent"], p["run.t_final"], p["run.record_dt"]))
     if len(shared) != 1:
-        raise ValueError("a lattice batch needs one model, run.t_final and run.record_dt")
-    ((model, t_final, record_dt),) = shared
+        raise ValueError("a lattice batch needs one model, lattice.extent, run.t_final and run.record_dt")
+    ((model, extent, t_final, record_dt),) = shared
     specs = [_build(DATA_KINDS, "data.kind", params) for params in cases]
-    values = np.stack([make_initial_lattice(spec, model.extent) for spec in specs])
+    values = np.stack([make_initial_lattice(spec, extent) for spec in specs])
     weights = []
     for params in cases:
         weight = _section(params, "weight")
@@ -135,7 +138,7 @@ def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> lis
         results.append(EngineResult(
             columns=list(LatticeRunRecord._fields),
             rows=rows,
-            warnings=_wrap_warnings(spec, model.extent, t_final),
+            warnings=_wrap_warnings(spec, extent, t_final),
             summary={"final_sup_abs": rows[-1].sup_abs, "final_mass": rows[-1].global_mass},
             batch=batch,
         ))
@@ -272,15 +275,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Path:
     result = execute(config)
     _write_outputs(config, result, out, time.perf_counter() - start)
     return out
-
-
-# sweep key -> the config keys it may set; a schema that holds the sweep key
-# holds exactly one of them
-_SWEEP_TARGETS = {
-    "sweep.seeds": ("data.seed", "ensemble.seed"),
-    "sweep.R": ("weight.R", "probe.R"),
-    "sweep.x0": ("weight.x0",),
-}
 
 
 def _case_key(assignment: dict) -> str:

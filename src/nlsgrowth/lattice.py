@@ -52,7 +52,6 @@ class LatticeModel:
 
     sign: int = +1
     p: float = 2.0
-    extent: int = 512
     dt: float = 0.01
     coupling: float = 1.0
 
@@ -63,8 +62,6 @@ class LatticeModel:
             raise ValueError("nonlinearity exponent p must be >= 1")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError("dt must lie in (0, 0.1] (split-step accuracy regime)")
-        if self.extent < 1:
-            raise ValueError("extent must be >= 1")
 
 
 class LatticeRunRecord(NamedTuple):
@@ -265,29 +262,28 @@ def run_lattice(
     psi0: np.ndarray,
     t_final: float,
     record_dt: float,
-    weight: WeightProfile | None = None,
 ) -> tuple[list[LatticeRunRecord], np.ndarray]:
     """Evolve psi0 to t_final, recording diagnostics every record_dt.
 
-    The one-row call of ``run_lattice_batch``.  Returns the records and the
-    final values.  The weight defaults to x0 = 0, R = 1, t0 = t_final.
+    The one-row call of ``run_lattice_batch``, with the weight x0 = 0, R = 1,
+    t0 = t_final.  Returns the records and the final values.
     """
-    if weight is None:
-        weight = WeightProfile(x0=0, R=1.0, t0=t_final)
+    weight = WeightProfile(x0=0, R=1.0, t0=t_final)
     records, final = run_lattice_batch(model, psi0[None, :], t_final, record_dt, [weight])
     return records[0], final[0]
 
 
 def lattice_states(model: LatticeModel, values: np.ndarray, t_final: float, record_dt: float,
                    labels: Sequence[str] | None = None):
-    """Evolve every row of values[B, 2*extent+1] to t_final with one Strang loop,
-    yielding (t, vals) at t = 0 and at the record steps of ``drive``.  vals is the
-    live state, stepped in place after the yield in the caller's error state.
+    """Evolve every row of values[B, 2N+1] (the ring of sites -N..N) to t_final
+    with one Strang loop, yielding (t, vals) at t = 0 and at the record steps of
+    ``drive``.  vals is the live state, stepped in place after the yield in the
+    caller's error state.
     """
-    period = 2 * model.extent + 1
     vals = np.array(values, dtype=complex, order="C")
-    if vals.ndim != 2 or vals.shape[1] != period:
-        raise ValueError(f"batch shape {vals.shape} is not [B, 2*extent+1 = {period}]")
+    if vals.ndim != 2:
+        raise ValueError(f"batch shape {vals.shape} is not [B, 2N+1]")
+    period = 2 * _extent(vals) + 1
     if labels is not None and len(labels) != len(vals):
         raise ValueError(f"{len(labels)} labels for {len(vals)} rows")
     symbol = _linear_symbol(period, model.dt)
@@ -307,7 +303,7 @@ def run_lattice_batch(
 ) -> tuple[list[list[LatticeRunRecord]], np.ndarray]:
     """Records of every row of ``lattice_states(model, values, t_final,
     record_dt, labels)``, row b's local diagnostics with weights[b]; returns
-    one record list per row and the final values [B, 2*extent+1].  A batch
+    one record list per row and the final values [B, 2N+1].  A batch
     is bitwise equal to its rows run one at a time.
 
     A weight is defined only up to its t0, so a weight with t0 < t_final is

@@ -42,15 +42,18 @@ PHASE_FLOOR = 1e-300
 # tolerated unitarity deficit of a truncated kernel table
 TAIL_MASS_TOL = 1e-14
 
+# agreement of two successive quadrature levels that ends kernel_integral
+_QUADRATURE_TOL = 1e-13
 
-def kernel_integral(t: float, n: int, tol: float = 1e-13) -> complex:
+
+def kernel_integral(t: float, n: int) -> complex:
     """F_n(t) by adaptive quadrature of the oscillatory integral.
 
     The integrand is smooth and 2 pi periodic, so the equally weighted
     trapezoid mean converges geometrically; the point count doubles until two
-    successive levels agree within ``tol``.  The start resolution already
-    covers the integrand's spectral width ~ |n| + t: starting below it can
-    trap the doubling on aliased coefficients that agree between levels.
+    successive levels agree within ``_QUADRATURE_TOL``.  The start resolution
+    already covers the integrand's spectral width ~ |n| + t: starting below it
+    can trap the doubling on aliased coefficients that agree between levels.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -62,12 +65,12 @@ def kernel_integral(t: float, n: int, tol: float = 1e-13) -> complex:
     while m <= 2 ** 22:
         theta = 2.0 * np.pi * np.arange(m) / m
         val = complex(np.mean(np.exp(1j * (t * np.cos(theta) + n * theta))))
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= _QUADRATURE_TOL:
             return val
         prev = val
         m *= 2
     raise NumericsError(
-        f"kernel_integral(t={t}, n={n}) did not converge to {tol}"
+        f"kernel_integral(t={t}, n={n}) did not converge to {_QUADRATURE_TOL}"
     )
 
 

@@ -66,14 +66,12 @@ FULL_PRECISION = {
 @pytest.fixture(scope="module")
 def quick_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance")
-    report = acceptance_suite(level="quick", out_dir=out, echo=None)
+    report = acceptance_suite(level="quick", out_dir=out)
     return report, out
 
 
 def test_acceptance_quick_all_pass(quick_report):
     report, _ = quick_report
-    for res in report.results:
-        print(res.line())
     failed = [r.name for r in report.results if not r.passed]
     assert not failed, f"acceptance criteria failed: {failed}"
 

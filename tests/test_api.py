@@ -82,13 +82,23 @@ def _passed_arguments(trees):
     return passed
 
 
+# (function, parameter) -> why only tests set that default: the options that
+# no caller in src/, demos/ or perfbench/ passes
+TEST_SEAMS = {
+    ("main", "argv"): "the CLI entry point; the console script passes no argv",
+    ("run_nlw", "coupling"): "coupling = 0 is the free-wave oracle",
+    ("picard_solve", "max_iter"): "it reaches the 'did not reach tol' abort",
+}
+
+
 def test_every_default_is_passed():
-    # a parameter with a default that no call passes is an option no caller sets
+    # a parameter with a default that no call outside tests/ passes is an
+    # option no caller sets, unless it is a listed test seam
     src_trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
     root = SRC.parents[1]
     callers = [
         ast.parse(path.read_text(encoding="utf-8"))
-        for folder in ("tests", "demos", "perfbench")
+        for folder in ("demos", "perfbench")
         for path in sorted((root / folder).rglob("*.py"))
     ]
     passed = _passed_arguments(src_trees + callers)
@@ -109,7 +119,7 @@ def test_every_default_is_passed():
             for name, pos in defaulted:
                 if not marks & {name, "**"} and (pos is None or not marks & {pos, "*"}):
                     unset.append((node.name, name))
-    assert not unset
+    assert sorted(unset) == sorted(TEST_SEAMS)
 
 
 def test_one_public_surface():

@@ -258,6 +258,16 @@ class TestPicard:
         diff = np.max(np.abs(res.trajectory.values[-1] - traj.values[-1]))
         assert diff < 1e-6
 
+    def test_no_convergence_within_max_iter(self):
+        # c10's comb data converges in at most 8 sweeps; 2 stop short of tol
+        box, size = 64.0, 512
+        u0 = make_initial_grid(InitialData.gaussian_comb(0.5 * np.ones(17), -8), box, size)
+        model = ContinuumModel(GAUSS, box, size, 1e-3)
+        with pytest.raises(
+            NumericsError, match=r"^Picard did not reach tol=1e-08 within 2 sweeps \(last diff 2\.745e-03\)$"
+        ):
+            picard_solve(u0, 0.1, model, tol=1e-8, max_iter=2)
+
     def test_divergence_error(self):
         box, size = 32.0, 128
         u0 = make_initial_grid(

@@ -17,13 +17,14 @@ from nlsgrowth.harness.config import (
     DATA_KINDS,
     ENGINE_SCHEMAS,
     MOLLIFIER_KINDS,
+    _SWEEP_TARGETS,
     ConfigError,
     parse_config_text,
 )
 from nlsgrowth.harness.csvio import read_csv, write_csv
 from nlsgrowth.harness.acceptance import _DETERMINISM_CONFIG
 from nlsgrowth.harness.fitting import fit_growth
-from nlsgrowth.harness.runner import execute, run_experiment, sweep_experiment
+from nlsgrowth.harness.runner import _run_lattice_rows, execute, run_experiment, sweep_experiment
 from nlsgrowth.harness.svgplot import write_line_plot
 from nlsgrowth.lattice import LatticeModel, LatticeRunRecord
 from nlsgrowth.lattice_linear import default_half_width
@@ -194,6 +195,34 @@ class TestConfig:
         assert not (tmp_path / verb).exists()
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_seed_flag_sets_the_engine_seed_key(self, tmp_path):
+        # --seed sets the key that sweep.seeds sets: ensemble.seed for lattice-linear
+        text = "engine = lattice-linear\nrun.t0_values = 25\nensemble.samples = 100\n"
+        flag, key = tmp_path / "flag.cfg", tmp_path / "key.cfg"
+        flag.write_text(text)
+        key.write_text(text + "ensemble.seed = 4\n")
+        assert cli.main(["run", "--config", str(flag), "--out", str(tmp_path / "a"), "--seed", "4"]) == 0
+        assert cli.main(["run", "--config", str(key), "--out", str(tmp_path / "b")]) == 0
+        meta = json.loads((tmp_path / "a" / "metadata.json").read_text())
+        assert meta["config"]["ensemble.seed"] == "4"
+        assert (tmp_path / "a" / "series.csv").read_bytes() == (tmp_path / "b" / "series.csv").read_bytes()
+
+    @pytest.mark.parametrize("engine", ENGINE_SCHEMAS)
+    def test_one_target_per_sweep_key(self, engine):
+        # a sweep list sets the one of its targets that the engine's schema
+        # holds, and --seed sets the one seed key that every schema holds
+        schema = ENGINE_SCHEMAS[engine]
+        for sweep_key, targets in _SWEEP_TARGETS.items():
+            if sweep_key in schema or sweep_key == "sweep.seeds":
+                assert len([key for key in targets if key in schema]) == 1, sweep_key
+
+    def test_negative_seed_flag_names_ensemble_seed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "l.cfg"
+        cfg_path.write_text("engine = lattice-linear\nrun.t0_values = 25\n")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err == "config error: ensemble.seed must be >= 0, got -1\n"
+
     def test_nlw_power_bound(self, tmp_path, capsys):
         # u^(2p+1) needs p >= 1: at p = -1 the energy divides by 2p + 2 = 0
         cfg_path = tmp_path / "p.cfg"
@@ -203,7 +232,7 @@ class TestConfig:
         assert capsys.readouterr().err == "config error: nlw.p must be >= 1, got -1\n"
 
     @pytest.mark.parametrize("engine, section, make, grid, unset", [
-        ("lattice", "lattice", LatticeModel, (), ()),
+        ("lattice", "lattice", LatticeModel, ("extent",), ()),
         ("lattice", "weight", WeightProfile, (), ()),
         ("continuum", "continuum", ContinuumModel, (), ("mollifier",)),
         ("newton", "newton", newton_iterate, ("box_length", "grid_size"), ("psi0", "smallness")),
@@ -565,6 +594,15 @@ class TestRunner:
         assert cfg.params["data.kind"] in data
         assert execute(cfg).warnings == []
 
+    def test_lattice_batch_needs_one_extent(self):
+        # lattice.extent makes the ring of each row, so two rings are no batch
+        cases = [
+            parse_config_text(LATTICE_CFG.replace("lattice.extent = 64", f"lattice.extent = {n}")).params
+            for n in (64, 65)
+        ]
+        with pytest.raises(ValueError, match="needs one model, lattice.extent, run.t_final"):
+            _run_lattice_rows(cases)
+
     def test_wrap_margin_warning_in_gronwall_geometry(self):
         # c04's ring: extent 192, T = 50, random phases; the light cone wraps
         cfg = parse_config_text(
@@ -864,6 +902,22 @@ class TestCli:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "config error: weight.R must be >= 1, got 0.5\n"
         assert not (tmp_path / "out").exists()
+
+    def test_memory_error_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an allocation the host cannot make is invalid input: one line, exit 2,
+        # no run directory.  The stub raises numpy's message without allocating
+        from nlsgrowth.harness import runner
+        message = "Unable to allocate 1.46 TiB for an array with shape (200000000001,) and data type float64"
+
+        def refuse(spec, extent):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(runner, "make_initial_lattice", refuse)
+        cfg_path = tmp_path / "m.cfg"
+        cfg_path.write_text("engine = lattice\nlattice.extent = 100000000000\n")
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_accept_exit_codes_inprocess(self, monkeypatch):
         # stub the criteria list so the accept verb is cheap to exercise

@@ -41,14 +41,14 @@ class TestStencils:
     # is sup |Laplacian|
 
     def test_forward_diff(self):
-        linear = LatticeModel(extent=3, coupling=0.0)
+        linear = LatticeModel(coupling=0.0)
         assert global_energy(lattice(np.ones(7)), linear) == 0.0
         assert global_energy(lattice([0, 0, 0, 1, 0, 0, 0]), linear) == 1.0
         # ramp -3..3: six unit steps plus the wrap step 3 -> -3
         assert global_energy(lattice(np.arange(-3, 4, dtype=float)), linear) == 0.5 * (6 + 36)
 
     def test_laplacian(self):
-        linear = LatticeModel(extent=4, coupling=0.0)
+        linear = LatticeModel(coupling=0.0)
         delta = lattice([0, 0, 0, 0, 1, 0, 0, 0, 0])
         assert sup_time_derivative(delta, linear) == 2.0
         assert sup_time_derivative(lattice(np.ones(9)), linear) == 0.0
@@ -61,7 +61,7 @@ class TestStencils:
         x = np.arange(-n, n + 1)
         wave = np.exp(1j * kappa * x)
         eig = -4.0 * np.sin(kappa / 2) ** 2
-        linear = LatticeModel(extent=n, dt=0.05, coupling=0.0)
+        linear = LatticeModel(dt=0.05, coupling=0.0)
         assert sup_time_derivative(wave, linear) == pytest.approx(-eig, rel=1e-12)
         _, stepped = run_lattice(linear, wave, 0.05, 0.05)
         assert np.allclose(stepped, np.exp(1j * eig * 0.05) * wave, atol=1e-12)
@@ -80,13 +80,13 @@ class TestSplitStep:
         return run_lattice(model, psi, t_final, record_dt=t_final)[1]
 
     def test_zero_field(self):
-        model = LatticeModel(extent=8, dt=0.05)
+        model = LatticeModel(dt=0.05)
         out = self.evolve(lattice(np.zeros(17)), model, 1)
         assert np.all(out == 0)
 
     def test_constant_field_phase_rotation(self):
         # uniform solution: psi(t) = e^{-i t} for A = 1, defocusing cubic
-        model = LatticeModel(sign=+1, p=2.0, extent=8, dt=0.05)
+        model = LatticeModel(sign=+1, p=2.0, dt=0.05)
         psi = make_initial_lattice(InitialData.constant(1.0), 8)
         psi = self.evolve(psi, model, 100)
         t = 100 * model.dt
@@ -94,14 +94,14 @@ class TestSplitStep:
         assert np.max(np.abs(np.abs(psi) - 1.0)) < 1e-13
 
     def test_mass_conserved_per_step(self):
-        model = LatticeModel(extent=128, dt=0.05)
+        model = LatticeModel(dt=0.05)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 21), 128)
         m0 = mass(psi)
         psi = self.evolve(psi, model, 1)
         assert abs(mass(psi) - m0) / m0 < 1e-14
 
     def test_mass_drift_many_steps(self):
-        model = LatticeModel(extent=256, dt=0.01)
+        model = LatticeModel(dt=0.01)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 5), 256)
         m0 = mass(psi)
         psi = self.evolve(psi, model, 2000)
@@ -111,38 +111,39 @@ class TestSplitStep:
         # coupling 0, delta data: 1000 steps of dt = 0.05 vs exact propagator
         t = 50.0
         extent = max(default_half_width(t), 200)
-        model = LatticeModel(extent=extent, dt=0.05, coupling=0.0)
+        model = LatticeModel(dt=0.05, coupling=0.0)
         psi0 = make_initial_lattice(InitialData.delta(1.0), extent)
         psi = self.evolve(psi0, model, 1000)
         exact = linear_evolve(psi0, kernel_table(t, extent))
         assert np.max(np.abs(psi - exact)) < 1e-8
 
-    def test_extent_mismatch_rejected(self):
-        model = LatticeModel(extent=8, dt=0.05)
-        with pytest.raises(ValueError, match="extent"):
-            run_lattice(model, lattice(np.zeros(33)), 0.05, 0.05)
+    def test_even_ring_rejected(self):
+        # the ring of sites -N..N has odd length 2N+1
+        model = LatticeModel(dt=0.05)
+        with pytest.raises(ValueError, match=r"lattice length 32 is not 2\*extent\+1"):
+            run_lattice(model, lattice(np.zeros(32)), 0.05, 0.05)
 
     def test_dt_precondition(self):
         with pytest.raises(ValueError):
-            LatticeModel(extent=8, dt=0.2)
+            LatticeModel(dt=0.2)
 
     def test_weight_shorter_than_run_rejected(self):
-        model = LatticeModel(extent=8, dt=0.05)
+        model = LatticeModel(dt=0.05)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 3), 8)
         with pytest.raises(ValueError, match="t0"):
-            run_lattice(model, psi, 2.0, 0.5, WeightProfile(0, 1.0, 1.0))
+            run_lattice_batch(model, psi[None], 2.0, 0.5, [WeightProfile(0, 1.0, 1.0)])
 
     def test_last_step_past_weight_t0_rejected(self):
         # 0.555 / 0.01 = 55.5 steps: no last step lands on t_final
-        model = LatticeModel(extent=8, dt=0.01)
+        model = LatticeModel(dt=0.01)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 3), 8)
         with pytest.raises(ValueError, match="last step"):
-            run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.555))
+            run_lattice_batch(model, psi[None], 0.555, 0.1, [WeightProfile(0, 1.0, 0.555)])
         with pytest.raises(ValueError, match="last step"):
-            run_lattice(model, psi, 0.555, 0.1)  # the default weight has t0 = t_final
+            run_lattice(model, psi, 0.555, 0.1)  # its weight has t0 = t_final
         # a weight past the rounded-up step does not make the horizon whole
         with pytest.raises(ValueError, match="whole number of steps"):
-            run_lattice(model, psi, 0.555, 0.1, WeightProfile(0, 1.0, 0.56))
+            run_lattice_batch(model, psi[None], 0.555, 0.1, [WeightProfile(0, 1.0, 0.56)])
 
 
 def per_probe_pair_scale(period):
@@ -221,7 +222,7 @@ class TestPhaseIdentity:
         # uint64 views: equal to the last bit, signed zeros included (the
         # signed-zero row at 27 sites differs after one step without the
         # + 0 that _half_phase adds to the angle)
-        model = LatticeModel(sign=sign, p=p, extent=(shape[1] - 1) // 2, coupling=coupling)
+        model = LatticeModel(sign=sign, p=p, coupling=coupling)
         symbol = _linear_symbol(shape[1], model.dt)
         got, want = self.rows(shape), self.rows(shape)
         work = [(np.empty_like(v), np.empty_like(v), np.empty(shape), np.empty(shape)) for v in (got, want)]
@@ -241,9 +242,9 @@ class TestBatch:
         records, finals = run_lattice_batch(
             model, np.stack(psis), t_final, record_dt, weights
         )
-        assert finals.shape == (len(psis), 2 * model.extent + 1)
+        assert finals.shape == np.shape(psis)
         for psi, weight, rows, final in zip(psis, weights, records, finals):
-            ref_rows, ref_final = run_lattice(model, psi, t_final, record_dt, weight)
+            (ref_rows,), (ref_final,) = run_lattice_batch(model, psi[None], t_final, record_dt, [weight])
             assert rows == ref_rows  # every field of every record, exactly
             assert final.tobytes() == ref_final.tobytes()
 
@@ -251,7 +252,7 @@ class TestBatch:
     def test_batch_equals_rows(self, rows):
         # 100 rows of 385 sites are 616 KB per array, above numpy's 256 KiB
         # temporary-elision threshold
-        model = LatticeModel(sign=+1, p=2.0, extent=self.EXTENT, dt=0.01)
+        model = LatticeModel(sign=+1, p=2.0, dt=0.01)
         psis = [
             make_initial_lattice(InitialData.random_phase(1.0, seed), self.EXTENT)
             for seed in range(rows)
@@ -261,7 +262,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("sign,p", [(+1, 2.0), (-1, 4.0), (+1, 1.0)])
     def test_mixed_weights_and_data(self, sign, p):
-        model = LatticeModel(sign=sign, p=p, extent=self.EXTENT, dt=0.01, coupling=0.7)
+        model = LatticeModel(sign=sign, p=p, dt=0.01, coupling=0.7)
         psis = [
             make_initial_lattice(InitialData.random_phase(1.0, 4), self.EXTENT),
             make_initial_lattice(InitialData.random_gaussian(0.8, 5), self.EXTENT),
@@ -281,7 +282,8 @@ class TestBatch:
     @staticmethod
     def written_out(model, v, w, t):
         """The six recorded diagnostics of one row, each formula written out."""
-        x = np.arange(-model.extent, model.extent + 1).astype(float)
+        n = (len(v) - 1) // 2
+        x = np.arange(-n, n + 1).astype(float)
         weight = np.exp(-(np.sqrt((x - w.x0) ** 2 + 1.0) / (w.R * (2.0 * w.t0 - min(t, w.t0) + 1.0))))
         abs2 = v.real ** 2 + v.imag ** 2
         grad = np.roll(v, -1) - v
@@ -303,8 +305,8 @@ class TestBatch:
     def test_record_pass_equals_written_out_rows(self, sign, p):
         # rows of different data and weights, a zero row among them, and
         # rows sharing one weight; t_final = 0.3 is the first weight's t0
-        model = LatticeModel(sign=sign, p=p, extent=48, dt=0.01, coupling=0.7)
-        n = model.extent
+        model = LatticeModel(sign=sign, p=p, dt=0.01, coupling=0.7)
+        n = 48
         values = np.stack([
             make_initial_lattice(InitialData.random_phase(1.0, 4), n),
             make_initial_lattice(InitialData.random_gaussian(0.8, 5), n),
@@ -321,7 +323,7 @@ class TestBatch:
             assert last == (last.t, *self.written_out(model, final, w, last.t))
 
     def test_overflow_names_the_row(self):
-        model = LatticeModel(extent=8, dt=0.01)
+        model = LatticeModel(dt=0.01)
         values = np.stack([
             make_initial_lattice(InitialData.random_phase(1.0, 1), 8),
             make_initial_lattice(InitialData.constant(1e200), 8),
@@ -342,9 +344,9 @@ class TestBatch:
         # sha256 of the final field and the records, computed with the
         # allocating one-row step that preceded the batch core (numpy 2.4.6,
         # scipy 1.17.1): the in-place step changes no bit of a run
-        model = LatticeModel(sign=sign, p=p, extent=extent, dt=0.01)
+        model = LatticeModel(sign=sign, p=p, dt=0.01)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 7), extent)
-        records, final = run_lattice(model, psi, 0.5, 0.25, WeightProfile(3, 2.0, 1.0))
+        (records,), (final,) = run_lattice_batch(model, psi[None], 0.5, 0.25, [WeightProfile(3, 2.0, 1.0)])
         h = hashlib.sha256(final.tobytes())
         h.update(np.array([
             [r.t, r.sup_abs, r.global_mass, r.global_energy, r.local_mass, r.local_energy, r.sup_dt]
@@ -353,17 +355,19 @@ class TestBatch:
         assert h.hexdigest() == digest
 
     def test_shape_and_weight_count_checked(self):
-        model = LatticeModel(extent=8, dt=0.01)
+        model = LatticeModel(dt=0.01)
         w = WeightProfile(0, 1.0, 0.1)
         with pytest.raises(ValueError, match="batch shape"):
-            run_lattice_batch(model, np.zeros((2, 15), complex), 0.1, 0.05, [w, w])
+            run_lattice_batch(model, np.zeros(17, complex), 0.1, 0.05, [w])
+        with pytest.raises(ValueError, match="lattice length 16"):
+            run_lattice_batch(model, np.zeros((2, 16), complex), 0.1, 0.05, [w, w])
         with pytest.raises(ValueError, match="weights"):
             run_lattice_batch(model, np.zeros((2, 17), complex), 0.1, 0.05, [w])
 
     def test_label_count_checked(self):
         # one label per row, checked before any step: an overflow in row 1
         # must find a label to name
-        model = LatticeModel(extent=8, dt=0.01)
+        model = LatticeModel(dt=0.01)
         values = np.stack([np.zeros(17, complex), np.full(17, 1e200, complex)])
         w = WeightProfile(0, 1.0, 0.1)
         with pytest.raises(ValueError, match="1 labels for 2 rows"):
@@ -380,7 +384,7 @@ class TestStates:
         # the restart chain that c05 and c06 ran before: the same states,
         # bitwise, so the same window averages
         extent, t0s = 512, (10.0, 20.0, 50.0, 100.0)
-        model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
+        model = LatticeModel(sign=+1, p=2.0, dt=0.01)
         specs = [
             InitialData.constant(1.0),
             InitialData.random_phase(1.0, 11),
@@ -403,7 +407,7 @@ class TestStates:
     def test_stream_is_what_the_records_read(self):
         # the record consumer reads the stream's states: times and sup norms
         # off the stream equal the records, and the last state the final values
-        model = LatticeModel(sign=-1, p=2.0, extent=32, dt=0.01)
+        model = LatticeModel(sign=-1, p=2.0, dt=0.01)
         values = np.stack([
             make_initial_lattice(InitialData.random_phase(1.0, seed), 32) for seed in (1, 2)
         ])
@@ -420,7 +424,7 @@ class TestStates:
     def test_stream_holds_no_error_state(self):
         # the generator sets no np.errstate across a yield: its caller's
         # error state holds between steps and governs the stepping
-        model = LatticeModel(extent=8, dt=0.01)
+        model = LatticeModel(dt=0.01)
         values = np.full((1, 17), 1e200, complex)
         before = np.geterr()
         states = lattice_states(model, values, 0.1, 0.05)
@@ -437,7 +441,7 @@ class TestTruncation:
         t = 25.0
 
         def origin(extent):
-            model = LatticeModel(extent=extent, dt=0.01)
+            model = LatticeModel(dt=0.01)
             psi0 = make_initial_lattice(InitialData.delta(1.0), extent)
             return run_lattice(model, psi0, t, record_dt=t)[1][extent]  # site 0
 
@@ -462,7 +466,7 @@ class TestTruncation:
         draw = make_initial_lattice(InitialData.random_phase(1.0, 11), 4 * reach)
 
         def origin(extent):
-            model = LatticeModel(sign=sign, extent=extent, dt=0.01)
+            model = LatticeModel(sign=sign, dt=0.01)
             for _, vals in lattice_states(model, self._centred(draw, extent)[None], t, t):
                 pass
             return vals[0, extent]
@@ -493,7 +497,7 @@ class TestTruncation:
         def observables(extent):
             slopes, averages = [], []
             for sign in (1, -1):
-                model = LatticeModel(sign=sign, extent=extent, dt=0.01)
+                model = LatticeModel(sign=sign, dt=0.01)
                 times, sups = [], []
                 for s, vals in lattice_states(model, self._centred(draw, extent)[None], t, 0.5):
                     times.append(s)
@@ -565,7 +569,7 @@ class TestDiagnostics:
             windowed_mass_avg(psi, 0, 0.5)
 
     def test_sup_time_derivative(self):
-        model = LatticeModel(extent=5, dt=0.01)
+        model = LatticeModel(dt=0.01)
         assert sup_time_derivative(lattice(np.zeros(11)), model) == 0.0
         const = make_initial_lattice(InitialData.constant(1.0), 5)
         assert sup_time_derivative(const, model) == pytest.approx(1.0)
@@ -579,7 +583,7 @@ class TestGronwall:
         # integrated differential inequality, R = 1, t0 = 50
         t0 = 50.0
         extent = 192
-        model = LatticeModel(sign=+1, p=2.0, extent=extent, dt=0.01)
+        model = LatticeModel(sign=+1, p=2.0, dt=0.01)
         w = WeightProfile(0, 1.0, t0)
         bound = 2.0 ** 3 * (1.0 + 1e-6)
         for seed in (0, 1, 2):
@@ -593,7 +597,7 @@ class TestGronwall:
 class TestGrowthInvariants:
     @staticmethod
     def _slopes(p, sign, seed=11, t_final=120.0, extent=320):
-        model = LatticeModel(sign=sign, p=p, extent=extent, dt=0.01)
+        model = LatticeModel(sign=sign, p=p, dt=0.01)
         psi0 = make_initial_lattice(InitialData.random_phase(1.0, seed), extent)
         records, _ = run_lattice(model, psi0, t_final, record_dt=0.5)
         t = np.array([r.t for r in records])
@@ -620,7 +624,7 @@ class TestGrowthInvariants:
 
 class TestRunDriver:
     def test_records_monotone_and_finite(self):
-        model = LatticeModel(extent=64, dt=0.01)
+        model = LatticeModel(dt=0.01)
         psi = make_initial_lattice(InitialData.random_phase(1.0, 2), 64)
         records, final = run_lattice(model, psi, 2.0, 0.25)
         ts = [r.t for r in records]
@@ -631,7 +635,7 @@ class TestRunDriver:
                 assert np.isfinite(v)
 
     def test_global_energy_drift_small(self):
-        model = LatticeModel(extent=128, dt=0.005)
+        model = LatticeModel(dt=0.005)
         psi = make_initial_lattice(InitialData.random_phase(0.5, 9), 128)
         e0 = global_energy(psi, model)
         records, final = run_lattice(model, psi, 5.0, 1.0)

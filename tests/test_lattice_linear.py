@@ -39,9 +39,9 @@ class TestKernelIntegral:
         assert abs(abs(got) - abs(ref)) < 1e-12
 
     def test_no_convergence_raises(self):
-        # tol = 0: successive levels never agree exactly up to 2^22 points
+        # t = 3e6: the starting resolution already exceeds the 2^22-point cap
         with pytest.raises(NumericsError, match="did not converge"):
-            kernel_integral(37.0, 5, tol=0.0)
+            kernel_integral(3e6, 0)
 
 
 def _value(tab: np.ndarray, n: int) -> complex:

@@ -97,7 +97,7 @@ def test_verlet_step(benchmark, rows, box, size, dt):
 
 @pytest.mark.parametrize("rows,extent", [(1, 4096), (8, 192)])
 def test_strang_step(benchmark, rows, extent):
-    model = LatticeModel(extent=extent, dt=0.01)
+    model = LatticeModel(dt=0.01)
     rng = np.random.default_rng(3)
     v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(rows, 2 * extent + 1)))
     work = (np.empty_like(v), np.empty_like(v), np.empty(v.shape), np.empty(v.shape))
@@ -109,7 +109,7 @@ def test_strang_step(benchmark, rows, extent):
 @pytest.mark.parametrize("rows,extent", [(8, 192), (100, 192)])
 def test_record_pass(benchmark, rows, extent):
     # c04's weight (R = 1, t0 = 50), shared by every row, halfway through
-    model = LatticeModel(extent=extent, dt=0.01)
+    model = LatticeModel(dt=0.01)
     rng = np.random.default_rng(5)
     v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(rows, 2 * extent + 1)))
     columns = benchmark(_record_columns, v, model, [WeightProfile(0, 1.0, 50.0)] * rows, 25.0)

@@ -26,17 +26,17 @@ lattice_models = st.builds(
     LatticeModel,
     sign=st.sampled_from([+1, -1]),
     p=st.sampled_from([2.0, 3.0]),
-    extent=st.integers(1, 12),
     dt=st.floats(1e-3, 0.1),
 )
+extents = st.integers(1, 12)  # N of the ring of 2N+1 sites
 seeds = st.integers(0, 2**32 - 1)
 amplitudes = st.floats(0.1, 2.0)
 
 
-def ring_data(model: LatticeModel, seed: int, amplitude: float) -> np.ndarray:
-    """Two rows of complex Gaussian data on the ring of the model."""
+def ring_data(extent: int, seed: int, amplitude: float) -> np.ndarray:
+    """Two rows of complex Gaussian data on the ring of 2*extent+1 sites."""
     rng = np.random.default_rng(seed)
-    shape = (2, 2 * model.extent + 1)
+    shape = (2, 2 * extent + 1)
     return amplitude * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
@@ -52,35 +52,35 @@ def roundoff(values: np.ndarray) -> float:
 
 class TestStrangStep:
     @PROPERTY
-    @given(lattice_models, seeds, amplitudes, st.floats(0.0, 2.0 * np.pi))
-    def test_gauge_covariance(self, model, seed, amplitude, theta):
-        psi = ring_data(model, seed, amplitude)
+    @given(lattice_models, extents, seeds, amplitudes, st.floats(0.0, 2.0 * np.pi))
+    def test_gauge_covariance(self, model, extent, seed, amplitude, theta):
+        psi = ring_data(extent, seed, amplitude)
         rotation = np.exp(1j * theta)
         got = strang(rotation * psi, model)
         np.testing.assert_allclose(got, rotation * strang(psi, model), rtol=0, atol=roundoff(psi))
 
     @PROPERTY
-    @given(lattice_models, seeds, amplitudes, st.integers(-30, 30))
-    def test_translation_covariance(self, model, seed, amplitude, shift):
-        psi = ring_data(model, seed, amplitude)
+    @given(lattice_models, extents, seeds, amplitudes, st.integers(-30, 30))
+    def test_translation_covariance(self, model, extent, seed, amplitude, shift):
+        psi = ring_data(extent, seed, amplitude)
         got = strang(np.roll(psi, shift, axis=1), model)
         np.testing.assert_allclose(
             got, np.roll(strang(psi, model), shift, axis=1), rtol=0, atol=roundoff(psi)
         )
 
     @PROPERTY
-    @given(lattice_models, seeds, amplitudes)
-    def test_mass_preserved(self, model, seed, amplitude):
-        psi = ring_data(model, seed, amplitude)
+    @given(lattice_models, extents, seeds, amplitudes)
+    def test_mass_preserved(self, model, extent, seed, amplitude):
+        psi = ring_data(extent, seed, amplitude)
         mass = np.sum(np.abs(psi) ** 2, axis=1)
         stepped = np.sum(np.abs(strang(psi, model)) ** 2, axis=1)
         np.testing.assert_allclose(stepped, mass, rtol=1e-13, atol=0)
 
     @PROPERTY
-    @given(lattice_models, seeds, amplitudes)
-    def test_time_reversal(self, model, seed, amplitude):
+    @given(lattice_models, extents, seeds, amplitudes)
+    def test_time_reversal(self, model, extent, seed, amplitude):
         # conj turns the forward step into the backward one, S(-dt) = S(dt)^-1
-        psi = ring_data(model, seed, amplitude)
+        psi = ring_data(extent, seed, amplitude)
         back = strang(np.conj(strang(psi, model)), model)
         np.testing.assert_allclose(back, np.conj(psi), rtol=0, atol=roundoff(psi))
 
