@@ -124,7 +124,7 @@ def linear_propagate(u0: GridField, t: float) -> GridField:
     return GridField(values=vals, box_length=u0.box_length)
 
 
-def comb_oracle(coeffs: Sequence[complex], t: float, x, comb_origin: int = 0):
+def comb_oracle(coeffs: Sequence[complex], t: float, x, comb_origin: int):
     """Closed-form free evolution of the Gaussian comb.
 
     sum_j a_j exp(-(x-j)^2 / (4it+1)) / (4it+1)^(1/2), principal branch root;

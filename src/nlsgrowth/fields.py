@@ -250,12 +250,10 @@ class InitialData:
         return cls(f"random_gaussian({amplitude}, seed={seed})", sample, on_grid=False)
 
     @classmethod
-    def gaussian_comb(cls, coeffs: Sequence[complex], comb_origin: int | None = None) -> "InitialData":
+    def gaussian_comb(cls, coeffs: Sequence[complex], comb_origin: int) -> "InitialData":
         arr = np.asarray(coeffs, dtype=complex)
         if np.any(np.abs(arr) > 1.0 + 1e-12):
             raise ValueError("comb coefficients must satisfy |a_j| <= 1")
-        if comb_origin is None:
-            comb_origin = -(len(arr) // 2)
         j = comb_origin + np.arange(len(arr), dtype=float)
         live = comb_origin + np.flatnonzero(np.abs(arr) > 0)
         support = float(np.max(np.abs(live))) + _COMB_REACH if len(live) else 0.0

@@ -1,10 +1,8 @@
 """Acceptance suite: every shipped claim, measured at its stated tolerance.
 
-``acceptance_suite("quick")`` runs all criteria at desk scale (minutes);
-``"full"`` extends the adversarial lower bound to t0 = 400 and widens the
-kernel sweep.  Each criterion is self-contained (no shared state), so a
-failure in one cannot contaminate another; ``run_criterion`` executes a
-single one by name.
+``acceptance_suite()`` runs all criteria at desk scale (minutes).  Each
+criterion is self-contained (no shared state), so a failure in one cannot
+contaminate another; ``run_criterion`` executes a single one by name.
 
 Each criterion returns its checks as data, ``(name, value, op, bound,
 fmt)``; the pass flag, the printed line and both report files derive from
@@ -124,7 +122,6 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class AcceptanceReport:
-    level: str
     results: tuple
 
     @property
@@ -136,7 +133,7 @@ class AcceptanceReport:
         n_fail = sum(not r.passed for r in self.results)
         out.append(
             f"{'ALL PASS' if n_fail == 0 else f'{n_fail} FAILED'} "
-            f"({len(self.results)} criteria, level={self.level})"
+            f"({len(self.results)} criteria)"
         )
         return out
 
@@ -145,7 +142,7 @@ class AcceptanceReport:
 # criteria: each returns its checks as (name, value, op, bound, fmt) tuples
 # ---------------------------------------------------------------------------
 
-def _c01_lattice_unitarity(level: str) -> list[tuple]:
+def _c01_lattice_unitarity() -> list[tuple]:
     model = LatticeModel(sign=+1, p=2.0, dt=0.01)
     psi0 = make_initial_lattice(InitialData.random_phase(1.0, seed=5), 4096)
     records, _ = run_lattice(model, psi0, t_final=100.0, record_dt=10.0)
@@ -154,7 +151,7 @@ def _c01_lattice_unitarity(level: str) -> list[tuple]:
     return [("drift", drift, "<=", 1e-12, ".3e")]
 
 
-def _c02_linear_equivalence(level: str) -> list[tuple]:
+def _c02_linear_equivalence() -> list[tuple]:
     t_final = 50.0
     extent = max(default_half_width(t_final), 256)
     model = LatticeModel(dt=0.05, coupling=0.0)
@@ -165,7 +162,7 @@ def _c02_linear_equivalence(level: str) -> list[tuple]:
     return [("sup_err", err, "<=", 1e-8, ".3e")]
 
 
-def _c03_kernel_oracle(level: str) -> list[tuple]:
+def _c03_kernel_oracle() -> list[tuple]:
     worst_pair = 0.0
     worst_unitarity = 0.0
     for t in (10.0, 50.0, 200.0):
@@ -174,8 +171,7 @@ def _c03_kernel_oracle(level: str) -> list[tuple]:
         worst_unitarity = max(worst_unitarity, abs(1.0 - float(np.sum(np.abs(tab) ** 2))))
         step = max(1, int(t) // 6)
         phase = np.exp(-2j * t)
-        ns = range(0, int(2 * t) + 40, step) if level == "full" else range(0, int(2 * t) + 40, 2 * step)
-        for n in ns:
+        for n in range(0, int(2 * t) + 40, step):
             diff = abs(tab[n + half_width] - phase * kernel_integral(2.0 * t, n))
             worst_pair = max(worst_pair, diff)
     return [
@@ -184,7 +180,7 @@ def _c03_kernel_oracle(level: str) -> list[tuple]:
     ]
 
 
-def _c04_gronwall_mass(level: str) -> list[tuple]:
+def _c04_gronwall_mass() -> list[tuple]:
     t0 = 50.0
     extent = 192
     model = LatticeModel(sign=+1, p=2.0, dt=0.01)
@@ -223,7 +219,7 @@ def _growth_runs(specs: list[InitialData], sign: int):
     return [(np.array(times), sup) for sup in np.array(sups).T], windows
 
 
-def _c05_prop21(level: str) -> list[tuple]:
+def _c05_prop21() -> list[tuple]:
     runs = {sign: _growth_runs(list(_GROWTH_DATA.values()), sign) for sign in (+1, -1)}
     slopes = [
         (f"slope[{kind}/{sign:+d}]", fit_growth(*runs[sign][0][i], (10.0, 200.0)).slope, "<=", 0.55, ".3f")
@@ -235,7 +231,7 @@ def _c05_prop21(level: str) -> list[tuple]:
     return slopes + [("mass_avg_spread", max(averages) / min(averages), "<=", 4.0, ".2f")]
 
 
-def _c06_prop22(level: str) -> list[tuple]:
+def _c06_prop22() -> list[tuple]:
     ((t, sup),), windows = _growth_runs([_GROWTH_DATA["random_phase"]], +1)
     quartics = [windowed_quartic_avg(psi, 0, t0) for t0, (psi,) in windows.items()]
     return [
@@ -244,10 +240,10 @@ def _c06_prop22(level: str) -> list[tuple]:
     ]
 
 
-def _c07_lemma_a(level: str) -> list[tuple]:
+def _c07_lemma_a() -> list[tuple]:
     checks = []
     pairing = True
-    for t0 in (25.0, 100.0, 400.0) if level == "full" else (25.0, 100.0):
+    for t0 in (25.0, 100.0, 400.0):
         tab = kernel_table(t0)
         evolved = linear_evolve(adversarial_data(tab), tab)
         ratio = abs(evolved[_extent(tab)]) / np.sqrt(t0)  # site 0
@@ -260,7 +256,7 @@ def _c07_lemma_a(level: str) -> list[tuple]:
     ]
 
 
-def _c08_continuum_linear_oracle(level: str) -> list[tuple]:
+def _c08_continuum_linear_oracle() -> list[tuple]:
     box, size = 256.0, 4096
     coeffs = np.ones(41)
     u0 = make_initial_grid(InitialData.gaussian_comb(coeffs, -20), box, size)
@@ -272,7 +268,7 @@ def _c08_continuum_linear_oracle(level: str) -> list[tuple]:
     return [("sup_err", worst, "<=", 1e-8, ".3e")]
 
 
-def _c09_regularized_conservation(level: str) -> list[tuple]:
+def _c09_regularized_conservation() -> list[tuple]:
     gauss = Mollifier.gaussian(1.0)
     box, size = 128.0, 1024
     u0 = make_initial_grid(InitialData.gaussian_comb(np.ones(127), -63), box, size)
@@ -300,7 +296,7 @@ def _c09_regularized_conservation(level: str) -> list[tuple]:
     ]
 
 
-def _c10_picard_oracle(level: str) -> list[tuple]:
+def _c10_picard_oracle() -> list[tuple]:
     gauss = Mollifier.gaussian(1.0)
     box, size = 64.0, 512
     u0 = make_initial_grid(InitialData.gaussian_comb(0.5 * np.ones(17), -8), box, size)
@@ -311,7 +307,7 @@ def _c10_picard_oracle(level: str) -> list[tuple]:
     return [("sup_diff", diff, "<=", 1e-6, ".3e"), ("iterations", res.iterations, "<=", 8, "d")]
 
 
-def _c11_bootstrap_monitor(level: str) -> list[tuple]:
+def _c11_bootstrap_monitor() -> list[tuple]:
     gauss = Mollifier.gaussian(1.0)
     big_r = 256.0
     box, size = 2048.0, 8192
@@ -330,27 +326,31 @@ def _c11_bootstrap_monitor(level: str) -> list[tuple]:
     ]
 
 
-def _c12_nlw(level: str) -> list[tuple]:
+def _c12_nlw() -> list[tuple]:
+    def real_band(amplitude, k_band, seed, box, size):  # the wave equation evolves real data
+        spec = InitialData.random_band(amplitude, k_band, seed)
+        return GridField(make_initial_grid(spec, box, size).values.real, box)
+
     # (a) energy drift over [0, 50]
     box, size = 128.0, 512
-    u0 = make_initial_grid(InitialData.random_band(1.0, 2.0, 4), box, size)
-    u1 = make_initial_grid(InitialData.random_band(1.0, 2.0, 5), box, size)
+    u0 = real_band(1.0, 2.0, 4, box, size)
+    u1 = real_band(1.0, 2.0, 5, box, size)
     records, _ = run_nlw(WaveState(u=u0, v=u1), 50.0, 2.5e-4, 1.0)
     e0 = records[0][2]
     drift = max(abs(e - e0) / abs(e0) for _, _, e in records)
 
     # (b) cone test at T=20
     cbox, csize = 160.0, 8192
-    c0 = make_initial_grid(InitialData.random_band(0.5, 0.5, 11), cbox, csize)
-    c1 = make_initial_grid(InitialData.random_band(0.5, 0.5, 12), cbox, csize)
+    c0 = real_band(0.5, 0.5, 11, cbox, csize)
+    c1 = real_band(0.5, 0.5, 12, cbox, csize)
     cone = nlw_cone_test(c0, c1, 20.0, 3.2e-4)
 
     # (c) sup-norm growth slopes against 1/(p+2) + 0.05, rounded down to 0.38 at p = 1
     checks = [("energy_drift", drift, "<=", 1e-6, ".3e"), ("cone_diff", cone, "<=", 1e-10, ".3e")]
     for p, bound in ((1, 0.38), (2, 0.30)):
         sbox, ssize = 256.0, 1024
-        s0 = make_initial_grid(InitialData.random_band(1.0, 1.0, 21), sbox, ssize)
-        s1 = make_initial_grid(InitialData.random_band(1.0, 1.0, 22), sbox, ssize)
+        s0 = real_band(1.0, 1.0, 21, sbox, ssize)
+        s1 = real_band(1.0, 1.0, 22, sbox, ssize)
         recs, _ = run_nlw(WaveState(u=s0, v=s1), 100.0, 0.0625, 0.5, p=p)
         t = np.array([r[0] for r in recs])
         sup = np.array([r[1] for r in recs])
@@ -358,7 +358,7 @@ def _c12_nlw(level: str) -> list[tuple]:
     return checks
 
 
-def _c13_newton(level: str) -> list[tuple]:
+def _c13_newton() -> list[tuple]:
     box = 2 * np.pi
     size = 64
     x = -box / 2 + (box / size) * np.arange(size)
@@ -417,7 +417,7 @@ weight.t0 = 2.0
 """
 
 
-def _c14_determinism(level: str) -> list[tuple]:
+def _c14_determinism() -> list[tuple]:
     import tempfile
 
     config = parse_config_text(_DETERMINISM_CONFIG)
@@ -429,64 +429,61 @@ def _c14_determinism(level: str) -> list[tuple]:
     return [("byte_identical", b1 == b2, "==", True)]
 
 
-# name, function, detail, runtime bound in seconds (None: unbounded)
-CRITERIA: list[tuple[str, Callable[[str], list[tuple]], str, float | None]] = [
-    ("c01_lattice_unitarity", _c01_lattice_unitarity,
-     "split-step global mass over 1e4 steps, N=4096, random phases", 30.0),
-    ("c02_linear_equivalence", _c02_linear_equivalence,
-     "coupling-off split step vs Bessel kernel, delta data, t=50", 10.0),
-    ("c03_kernel_oracle", _c03_kernel_oracle, "t in (10.0, 50.0, 200.0)", None),
-    ("c04_gronwall_mass", _c04_gronwall_mass,
-     "100 random bounded data, R=1, t0=50, bound 2^3*(1+1e-6) (exponential Gronwall form)", None),
-    ("c05_prop21_sup_growth", _c05_prop21,
-     "three data classes, both signs; windowed mass at t0 in {10,20,50,100}", None),
-    ("c06_prop22_defocusing", _c06_prop22,
-     "defocusing windowed quartic average and sup-norm growth", None),
-    ("c07_lemma_a_lower_bound", _c07_lemma_a,
-     "adversarial phase alignment; measured delta pinned at 0.3; |E-1| <= 4/sqrt(200)", None),
-    ("c08_continuum_linear_oracle", _c08_continuum_linear_oracle,
-     "spectral propagator vs Gaussian-comb closed form, t<=5", None),
-    ("c09_regularized_conservation", _c09_regularized_conservation,
-     "comb data, Gaussian mollifier, t in [0,10], dt=1e-3", None),
-    ("c10_picard_oracle", _c10_picard_oracle,
-     "Duhamel fixed point vs Lawson-RK4 on [0, 0.1], tol=1e-8", None),
-    ("c11_bootstrap_monitor", _c11_bootstrap_monitor,
-     "defocusing comb, R=256, window T=R^(1/8)=2; t^8/t^(8/3) rates are bounds, not matches", None),
-    ("c12_nlw_finite_speed", _c12_nlw,
-     "leapfrog energy, chi-truncated cone check at T=20, growth exponents", None),
-    ("c13_newton", _c13_newton, "psi0=0.1cos(x), T=0.3; quadratic-convergence ladder", None),
-    ("c14_determinism", _c14_determinism, "repeated seeded runs", None),
-]
+# name -> function, detail, runtime bound in seconds (None: unbounded)
+CRITERIA: dict[str, tuple[Callable[[], list[tuple]], str, float | None]] = {
+    "c01_lattice_unitarity": (_c01_lattice_unitarity,
+        "split-step global mass over 1e4 steps, N=4096, random phases", 30.0),
+    "c02_linear_equivalence": (_c02_linear_equivalence,
+        "coupling-off split step vs Bessel kernel, delta data, t=50", 10.0),
+    "c03_kernel_oracle": (_c03_kernel_oracle, "t in (10.0, 50.0, 200.0)", None),
+    "c04_gronwall_mass": (_c04_gronwall_mass,
+        "100 random bounded data, R=1, t0=50, bound 2^3*(1+1e-6) (exponential Gronwall form)", None),
+    "c05_prop21_sup_growth": (_c05_prop21,
+        "three data classes, both signs; windowed mass at t0 in {10,20,50,100}", None),
+    "c06_prop22_defocusing": (_c06_prop22,
+        "defocusing windowed quartic average and sup-norm growth", None),
+    "c07_lemma_a_lower_bound": (_c07_lemma_a,
+        "adversarial phase alignment; measured delta pinned at 0.3; |E-1| <= 4/sqrt(200)", None),
+    "c08_continuum_linear_oracle": (_c08_continuum_linear_oracle,
+        "spectral propagator vs Gaussian-comb closed form, t<=5", None),
+    "c09_regularized_conservation": (_c09_regularized_conservation,
+        "comb data, Gaussian mollifier, t in [0,10], dt=1e-3", None),
+    "c10_picard_oracle": (_c10_picard_oracle,
+        "Duhamel fixed point vs Lawson-RK4 on [0, 0.1], tol=1e-8", None),
+    "c11_bootstrap_monitor": (_c11_bootstrap_monitor,
+        "defocusing comb, R=256, window T=R^(1/8)=2; t^8/t^(8/3) rates are bounds, not matches", None),
+    "c12_nlw_finite_speed": (_c12_nlw,
+        "leapfrog energy, chi-truncated cone check at T=20, growth exponents", None),
+    "c13_newton": (_c13_newton, "psi0=0.1cos(x), T=0.3; quadratic-convergence ladder", None),
+    "c14_determinism": (_c14_determinism, "repeated seeded runs", None),
+}
 
 
-def run_criterion(name: str, level: str = "quick") -> CriterionResult:
-    """Execute one criterion in isolation; its runtime bound, if any, is one more check."""
-    for cname, func, detail, max_runtime in CRITERIA:
-        if cname == name:
-            start = time.perf_counter()
-            error = ""
-            try:
-                checks = [Check(*c) for c in func(level)]
-            except Exception as exc:  # a crash is a failure, not an abort
-                checks, error = [], f"{type(exc).__name__}: {exc}"
-            runtime = time.perf_counter() - start
-            if checks and max_runtime is not None:  # no checks stays a failure
-                checks.append(Check("runtime_s", runtime, "<=", max_runtime, ".1f"))
-            return CriterionResult(name, tuple(checks), runtime, detail, error)
-    raise KeyError(f"unknown criterion {name!r}")
+def run_criterion(name: str) -> CriterionResult:
+    """Execute one criterion in isolation; its runtime bound, if any, is one
+    more check.  An unknown name raises KeyError."""
+    func, detail, max_runtime = CRITERIA[name]
+    start = time.perf_counter()
+    error = ""
+    try:
+        checks = [Check(*c) for c in func()]
+    except Exception as exc:  # a crash is a failure, not an abort
+        checks, error = [], f"{type(exc).__name__}: {exc}"
+    runtime = time.perf_counter() - start
+    if checks and max_runtime is not None:  # no checks stays a failure
+        checks.append(Check("runtime_s", runtime, "<=", max_runtime, ".1f"))
+    return CriterionResult(name, tuple(checks), runtime, detail, error)
 
 
-def acceptance_suite(level: str = "quick", out_dir: str | Path | None = None) -> AcceptanceReport:
+def acceptance_suite(out_dir: str | Path | None = None) -> AcceptanceReport:
     """Run every criterion, printing its line as it ends, then the summary
     line; failures are report entries, never exceptions."""
-    if level not in ("quick", "full"):
-        raise ValueError("level must be 'quick' or 'full'")
     results = []
-    for name, *_ in CRITERIA:
-        res = run_criterion(name, level)
+    for name in CRITERIA:
+        res = run_criterion(name)
         results.append(res)
         print(res.line())
-    report = AcceptanceReport(level=level, results=tuple(results))
+    report = AcceptanceReport(results=tuple(results))
     print(report.lines()[-1])
     if out_dir is not None:
         out = Path(out_dir)

@@ -5,7 +5,7 @@ Verbs:
   sweep          expand sweep.* lists and run the case grid (lattice cases
                  stepped as one batch, in at most --workers chunks)
   fit            least-squares growth exponent of a CSV column
-  accept         run the acceptance suite (quick or full)
+  accept         run the acceptance suite
   export-kernel  write a propagator kernel table as CSV (n, re, im)
 
 Exit codes: 0 success, 2 config error or invalid input (``ConfigError``,
@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--t-hi", type=float, required=True)
 
     acc_p = sub.add_parser("accept", help="run the acceptance suite")
-    acc_p.add_argument("--level", choices=("quick", "full"), default="quick")
     acc_p.add_argument("--out", type=Path, default=None)
 
     ker_p = sub.add_parser("export-kernel", help="write K_n(t) as CSV")
@@ -95,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.verb == "accept":
             from .acceptance import acceptance_suite
-            report = acceptance_suite(level=args.level, out_dir=args.out)
+            report = acceptance_suite(out_dir=args.out)
             return EXIT_OK if report.passed else EXIT_ACCEPTANCE
         if args.verb == "export-kernel":
             from ..fields import _extent

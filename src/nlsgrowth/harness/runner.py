@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..fields import InitialData, WeightProfile, _extent, make_initial_grid, make_initial_lattice
+from ..fields import GridField, InitialData, WeightProfile, _extent, make_initial_grid, make_initial_lattice
 from ..lattice import LatticeModel, LatticeRunRecord, run_lattice_batch
 from ..lattice_linear import (
     adversarial_data,
@@ -188,14 +188,15 @@ def _run_continuum_engine(params: dict) -> EngineResult:
 def _run_nlw_engine(params: dict) -> EngineResult:
     box = params["nlw.box_length"]
     size = params["nlw.grid_size"]
-    state = WaveState(
-        u=make_initial_grid(_build(DATA_KINDS, "data.kind", params), box, size),
-        v=make_initial_grid(_nlw_velocity(params), box, size),
-    )
+    specs = (_build(DATA_KINDS, "data.kind", params), _nlw_velocity(params))
+    u, v = (make_initial_grid(spec, box, size).values for spec in specs)
+    dropped = max(np.max(np.abs(u.imag)), np.max(np.abs(v.imag)))
+    warnings = [f"nlw evolves the real part of the data: dropped |Im| up to {dropped:.3g}"] if dropped else []
+    state = WaveState(GridField(u.real, box), GridField(v.real, box))
     records, _final = run_nlw(
         state, params["run.t_final"], params["nlw.dt"], params["run.record_dt"], params["nlw.p"]
     )
-    return EngineResult(columns=["t", "sup_abs", "energy"], rows=[tuple(r) for r in records])
+    return EngineResult(["t", "sup_abs", "energy"], [tuple(r) for r in records], warnings)
 
 
 def _run_newton_engine(params: dict) -> EngineResult:

@@ -56,9 +56,9 @@ def write_line_plot(
     path: str | Path,
     x: np.ndarray,
     ys: dict[str, np.ndarray],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
     loglog: bool = False,
 ) -> Path:
     """Write an SVG with one polyline per labeled series (plus its .dat)."""
@@ -106,10 +106,9 @@ def write_line_plot(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="black"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.0f}" y="{_MT - 14}" text-anchor="middle" font-size="13">{title}</text>'
-        )
+    parts.append(
+        f'<text x="{_W / 2:.0f}" y="{_MT - 14}" text-anchor="middle" font-size="13">{title}</text>'
+    )
     x_ticks = _ticks_log(x_lo, x_hi) if loglog else _ticks_linear(x_lo, x_hi)
     y_ticks = _ticks_log(y_lo, y_hi) if loglog else _ticks_linear(y_lo, y_hi)
     for v in x_ticks:
@@ -124,13 +123,11 @@ def write_line_plot(
         py = ty(v)
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(v)}</text>')
-    if xlabel:
-        parts.append(f'<text x="{_W / 2:.0f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{_H / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {_H / 2:.0f})">{ylabel}</text>'
-        )
+    parts.append(f'<text x="{_W / 2:.0f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>')
+    parts.append(
+        f'<text x="16" y="{_H / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_H / 2:.0f})">{ylabel}</text>'
+    )
     for idx, (label, vals) in enumerate(series.items()):
         color = _COLORS[idx % len(_COLORS)]
         pts = []

@@ -11,6 +11,8 @@ import pytest
 
 import nlsgrowth
 from nlsgrowth import errors
+from nlsgrowth.harness.config import ENGINE_SCHEMAS
+from test_harness import SECTION_CONSTRUCTORS
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(nlsgrowth.__path__, "nlsgrowth.")
@@ -35,7 +37,6 @@ SRC = Path(nlsgrowth.__file__).parent
 # the raises outside the error policy: (file, enclosing function, exception)
 RAISE_ALLOWLIST = {
     ("_fft.py", "<module>", "ImportError"),          # scipy without its pocketfft module
-    ("harness/acceptance.py", "run_criterion", "KeyError"),  # unknown criterion name
     ("harness/cli.py", "main", "AssertionError"),    # unreachable verb
     ("harness/cli.py", "<module>", "SystemExit"),
     ("__main__.py", "<module>", "SystemExit"),
@@ -65,9 +66,17 @@ def test_error_policy():
     assert not stray
 
 
+# constructor name -> the keys of the config section the runner passes it as ``**``
+SECTION_KEYS = {
+    make.__name__: {key.partition(".")[2] for key in ENGINE_SCHEMAS[engine] if key.startswith(section + ".")}
+    for engine, section, make, *_ in SECTION_CONSTRUCTORS
+}
+
+
 def _passed_arguments(trees):
     """called name -> positions and keywords passed in some call; a starred
-    argument passes every position, a ``**`` one every keyword."""
+    argument passes every position, a ``**`` one its config section's keys
+    (``SECTION_KEYS``) or else every keyword."""
     passed = {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -78,7 +87,8 @@ def _passed_arguments(trees):
             marks = passed.setdefault(name, set())
             for i, arg in enumerate(node.args):
                 marks.add("*" if isinstance(arg, ast.Starred) else i)
-            marks.update(kw.arg or "**" for kw in node.keywords)
+            for kw in node.keywords:
+                marks.update([kw.arg] if kw.arg else SECTION_KEYS.get(name, ["**"]))
     return passed
 
 
@@ -88,6 +98,9 @@ TEST_SEAMS = {
     ("main", "argv"): "the CLI entry point; the console script passes no argv",
     ("run_nlw", "coupling"): "coupling = 0 is the free-wave oracle",
     ("picard_solve", "max_iter"): "it reaches the 'did not reach tol' abort",
+    ("newton_iterate", "smallness"): (
+        "it reaches the correction-growth abort; under the 0.5 rescale no cheap data diverge"
+    ),
 }
 
 

@@ -190,9 +190,17 @@ class TestGaussianCombEval:
         got = make_initial_grid(InitialData.gaussian_comb(coeffs, origin), box, size).values
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: InitialData.random_comb(1.5, 3, 0), r"comb amplitude must lie in \[0, 1\]"),
+        (lambda: InitialData.periodic([1, 1], [1]), "equal length"),
+    ], ids=["random_comb", "periodic"])
+    def test_rejects_invalid_parameters(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_rejects_large_coefficients(self):
         with pytest.raises(ValueError, match=r"\|a_j\| <= 1"):
-            InitialData.gaussian_comb(np.array([2.0]))
+            InitialData.gaussian_comb(np.array([2.0]), 0)
 
 
 class TestSpectral:

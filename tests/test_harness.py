@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +72,17 @@ NON_FINITE_CFGS = [
 ]
 
 
+# the constructors the runner calls with a config section's entries as
+# keywords: engine, section, constructor, the section keys that make the grid
+# instead, and the parameters that no section key sets
+SECTION_CONSTRUCTORS = [
+    ("lattice", "lattice", LatticeModel, ("extent",), ()),
+    ("lattice", "weight", WeightProfile, (), ()),
+    ("continuum", "continuum", ContinuumModel, (), ("mollifier",)),
+    ("newton", "newton", newton_iterate, ("box_length", "grid_size"), ("psi0", "smallness")),
+]
+
+
 # a small run of each engine: the base of the numeric-key probe below
 PROBE_BASES = {
     "lattice": {"lattice.extent": 16, "run.t_final": 0.1},
@@ -132,6 +146,19 @@ class TestConfig:
             assert not (tmp_path / verb).exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("config error:") for line in err)
+
+    def test_line_without_equals_sign(self):
+        with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'lattice.extent'$"):
+            parse_config_text("engine = lattice\nlattice.extent\n")
+
+    @pytest.mark.parametrize("value, parsed", [("off", False), ("yes", True), ("maybe", None)])
+    def test_boolean_words(self, value, parsed):
+        text = f"engine = lattice\noutput.svg = {value}\n"
+        if parsed is None:
+            with pytest.raises(ConfigError, match=r"^bad value for 'output.svg': 'maybe' \(not a boolean"):
+                parse_config_text(text)
+        else:
+            assert parse_config_text(text).params["output.svg"] is parsed
 
     def test_missing_engine(self):
         with pytest.raises(ConfigError, match="engine"):
@@ -231,12 +258,9 @@ class TestConfig:
         assert not (tmp_path / "o").exists()
         assert capsys.readouterr().err == "config error: nlw.p must be >= 1, got -1\n"
 
-    @pytest.mark.parametrize("engine, section, make, grid, unset", [
-        ("lattice", "lattice", LatticeModel, ("extent",), ()),
-        ("lattice", "weight", WeightProfile, (), ()),
-        ("continuum", "continuum", ContinuumModel, (), ("mollifier",)),
-        ("newton", "newton", newton_iterate, ("box_length", "grid_size"), ("psi0", "smallness")),
-    ], ids=["lattice", "weight", "continuum", "newton"])
+    @pytest.mark.parametrize(
+        "engine, section, make, grid, unset", SECTION_CONSTRUCTORS, ids=[s for _, s, *_ in SECTION_CONSTRUCTORS]
+    )
     def test_section_keys_are_constructor_arguments(self, engine, section, make, grid, unset):
         # the runner passes a section's entries by keyword, less the keys that
         # make the grid; a renamed key or field fails here, not in a run
@@ -293,6 +317,12 @@ class TestFitGrowth:
         v = t ** 0.25 * (2.0 + np.sin(np.log(t)))
         res = fit_growth(t, v, (1.0, 1000.0))
         assert 0.15 <= res.slope <= 0.35
+
+    @pytest.mark.parametrize("window", [(5.0, 5.0), (10.0, 1.0)])
+    def test_rejects_empty_window(self, window):
+        t = np.linspace(1.0, 10.0, 12)
+        with pytest.raises(ValueError, match="t_lo < t_hi"):
+            fit_growth(t, t, window)
 
     def test_too_few_points(self):
         t = np.linspace(1.0, 10.0, 5)
@@ -560,6 +590,25 @@ class TestRunner:
         energies = [r[2] for r in res.rows]
         assert max(energies) / min(energies) < 1.001
 
+    @pytest.mark.parametrize("data, dropped", [
+        ("data.kind = random_band\ndata.k_band = 1.0\n", True),
+        ("data.kind = constant\n", False),
+    ], ids=["random_band", "constant"])
+    def test_nlw_engine_names_a_dropped_imaginary_part(self, tmp_path, data, dropped):
+        # the wave equation evolves the real part of complex data, and says so
+        cfg = parse_config_text(
+            "engine = nlw\nnlw.box_length = 32\nnlw.grid_size = 64\nrun.t_final = 0\n" + data
+        )
+        out = run_experiment(cfg, tmp_path / "r")
+        warnings = json.loads((out / "metadata.json").read_text())["warnings"]
+        assert len(warnings) == dropped
+        assert all(w.startswith("nlw evolves the real part of the data: dropped |Im| up to") for w in warnings)
+
+    def test_sweep_without_lists_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="no sweep.* lists are set"):
+            sweep_experiment(parse_config_text(LATTICE_CFG), tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
     def test_wrap_margin_warning(self, tmp_path):
         cfg = parse_config_text(
             "engine = lattice\nlattice.extent = 32\nlattice.dt = 0.01\n"
@@ -625,6 +674,16 @@ class TestSvg:
         dat = (tmp_path / "p.dat").read_text()
         assert dat.startswith("# x a b")
 
+    def test_linear_axes(self, tmp_path):
+        # x in [0, 10] takes ticks 0, 2, ..., 10; y in [0, 5e4], padded by 5%,
+        # takes 0, 2e+04 and 4e+04
+        x = np.linspace(0.0, 10.0, 11)
+        text = write_line_plot(
+            tmp_path / "p.svg", x, {"a": 5e3 * x}, title="lin", xlabel="n", ylabel="a"
+        ).read_text()
+        labels = re.findall(r">([^<>]*)</text>", text)
+        assert labels == ["lin", "0", "2", "4", "6", "8", "10", "0", "2e+04", "4e+04", "n", "a", "a"]
+
     def test_svg_via_runner(self, tmp_path):
         cfg = parse_config_text(LATTICE_CFG + "output.svg = true\n")
         out = run_experiment(cfg, tmp_path / "r")
@@ -634,20 +693,29 @@ class TestSvg:
 
 class TestCli:
     def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "nlsgrowth", *args],
-            capture_output=True, text=True,
-        )
+        """``cli.main(args)`` in this process, returned as a finished subprocess:
+        its exit code, stdout and stderr."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
     def test_run_and_fit(self, tmp_path):
+        # the one run through the ``python -m nlsgrowth`` entry point
+        def run_module(*args):
+            return subprocess.run([sys.executable, "-m", "nlsgrowth", *args], capture_output=True, text=True)
+
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(
             LATTICE_CFG.replace("run.t_final = 1.0", "run.t_final = 20.0")
         )
         out = tmp_path / "out"
-        proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(out))
+        proc = run_module("run", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        proc = self.run_cli(
+        proc = run_module(
             "fit", "--csv", str(out / "series.csv"), "--column", "sup_abs",
             "--t-lo", "2", "--t-hi", "20",
         )
@@ -923,25 +991,25 @@ class TestCli:
         # stub the criteria list so the accept verb is cheap to exercise
         from nlsgrowth.harness import acceptance, cli
 
-        def good(level):
+        def good():
             return [("one", 1.0, "<=", 1.0, ".1f")]
 
-        def bad(level):
+        def bad():
             return [("zero", 0.0, ">=", 1.0, ".1f")]
 
-        monkeypatch.setattr(acceptance, "CRITERIA", [("stub_ok", good, "", None)])
-        assert cli.main(["accept", "--level", "quick"]) == 0
-        monkeypatch.setattr(acceptance, "CRITERIA", [("stub_ok", good, "", None), ("stub_bad", bad, "", None)])
-        assert cli.main(["accept", "--level", "quick"]) == 4
+        monkeypatch.setattr(acceptance, "CRITERIA", {"stub_ok": (good, "", None)})
+        assert cli.main(["accept"]) == 0
+        monkeypatch.setattr(acceptance, "CRITERIA", {"stub_ok": (good, "", None), "stub_bad": (bad, "", None)})
+        assert cli.main(["accept"]) == 4
 
     def test_accept_crash_names_exception(self, monkeypatch, capsys):
         from nlsgrowth.harness import acceptance, cli
 
-        def crash(level):
+        def crash():
             return [("ratio", 1.0 / 0, "<=", 1.0, ".1f")]
 
-        monkeypatch.setattr(acceptance, "CRITERIA", [("stub_crash", crash, "", None)])
-        assert cli.main(["accept", "--level", "quick"]) == 4
+        monkeypatch.setattr(acceptance, "CRITERIA", {"stub_crash": (crash, "", None)})
+        assert cli.main(["accept"]) == 4
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("FAIL stub_crash: ZeroDivisionError: ")
 

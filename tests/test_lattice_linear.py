@@ -22,6 +22,16 @@ from nlsgrowth.lattice_linear import (
 )
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: kernel_integral(-1.0, 0), "t must be >= 0"),
+    (lambda: default_half_width(np.inf), "t = inf is not finite"),
+    (lambda: kernel_table(5.0, 0), "half_width must be >= 1"),
+], ids=["kernel_integral", "default_half_width", "kernel_table"])
+def test_rejects_invalid_argument(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestKernelIntegral:
     def test_t_zero_orthogonality(self):
         assert kernel_integral(0.0, 0) == pytest.approx(1.0)
@@ -212,6 +222,10 @@ class TestPairing:
     @pytest.mark.parametrize("t", [100.0, 400.0])
     def test_pairing_true(self, t):
         assert pairing_check(t) is True
+
+    def test_pairing_false(self):
+        # t = 20 is one of the horizons in [20, 800) that fail the pairing
+        assert pairing_check(20.0) is False
 
     def test_regime(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,14 @@ class TestMajorantNorm:
         g = grid(np.cos(x_grid()))
         assert majorant_norm(g, AnalyticNormParams(1.0, 0)) == pytest.approx(np.e, rel=1e-12)
 
+    @pytest.mark.parametrize("radius, count, match", [
+        (0.0, 0, "radius must be positive"),
+        (1.0, -1, "derivative count must be >= 0"),
+    ])
+    def test_params_validation(self, radius, count, match):
+        with pytest.raises(ValueError, match=match):
+            AnalyticNormParams(radius, count)
+
     def test_overflow_guard(self):
         g = grid(np.cos(x_grid()))
         with pytest.raises(ValueError, match="radius"):

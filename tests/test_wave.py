@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nlsgrowth.errors import NumericsError
 from nlsgrowth.fields import GridField, InitialData, chi_eval, make_initial_grid
 from nlsgrowth.wave import WaveState, _wavenumbers, _verlet, nlw_cone_test, nlw_energy, run_nlw
 
@@ -29,6 +30,17 @@ class TestStep:
             run_nlw(s, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="CFL"):
             nlw_cone_test(s.u, s.v, 1.0, 1.0)
+
+    @pytest.mark.parametrize("call", ["state", "cone"])
+    @pytest.mark.parametrize("u, v, match", [
+        (real_grid(np.zeros(64), 32.0), real_grid(np.zeros(64), 16.0), "share one grid"),
+        (GridField(np.full(64, 1e-3j), 32.0), real_grid(np.zeros(64), 32.0), "must be real"),
+        (real_grid(np.zeros(64), 32.0), GridField(np.full(64, 1e-3j), 32.0), "must be real"),
+    ], ids=["two_grids", "complex_u", "complex_v"])
+    def test_rejects_fields_it_cannot_step(self, call, u, v, match):
+        # the equation evolves real data: an imaginary part is not dropped silently
+        with pytest.raises(ValueError, match=match):
+            WaveState(u, v) if call == "state" else nlw_cone_test(u, v, 1.0, 0.05)
 
     @pytest.mark.parametrize("dt", (-0.1, 0.0))
     def test_rejects_non_positive_dt(self, dt):
@@ -82,6 +94,16 @@ class TestEnergy:
 
 
 class TestConeTest:
+    def test_overflow_is_a_numerical_abort(self):
+        # the overflow ends in NumericsError, not in a numpy warning
+        box, size = 32.0, 64
+        u0, u1 = (
+            real_grid(make_initial_grid(InitialData.random_band(1e200, 1.0, seed), box, size).values.real, box)
+            for seed in (1, 2)
+        )
+        with pytest.raises(NumericsError, match="cone test run overflowed"):
+            nlw_cone_test(u0, u1, 1.0, 0.1)
+
     def test_zero_data(self):
         box, size = 128.0, 512
         z = np.zeros(size)
