@@ -324,16 +324,21 @@ def local_energy_probe(u: GridField, probe: LocalEnergyProbe, phi: Mollifier) ->
 
 def _record_pass(values: np.ndarray, box_length: float, phi: Mollifier, probes=()) -> np.ndarray:
     """[global_mass, global_energy, local_energy_probe of each probe] of each
-    grid field values[i]: fft(u), u_x, phi*u once per field, chi^2 once per probe."""
+    complex grid row values[i] on a box of box_length: fft(u), u_x, phi*u once
+    per row, chi^2 once per probe.  A non-finite entry raises ValueError."""
     for probe in probes:
         probe.check_inside(box_length)
-    grid = GridField(values[0], box_length)
-    k = grid_wavenumbers(box_length, grid.size)
-    ik, transfer, h = 1j * k, phi.transfer(k), grid.spacing
-    cut2 = [chi_eval((grid.x - probe.x0) / probe.R) ** 2 for probe in probes]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid field contains non-finite entries")
+    size = values.shape[-1]
+    k = grid_wavenumbers(box_length, size)
+    ik, transfer, h = 1j * k, phi.transfer(k), box_length / size
+    x = -box_length / 2 + h * np.arange(size)
+    cut2 = [chi_eval((x - probe.x0) / probe.R) ** 2 for probe in probes]
     table = np.empty((len(values), 2 + len(probes)))
+    # one row at a time: a pass over all rows at once would hold several
+    # [n_times, M] temporaries
     for u, row in zip(values, table):
-        u = GridField(u, box_length).values  # a finite grid field, or ValueError
         v = _fft.fft(u)
         ux, w = _fft.ifft(ik * v), _fft.ifft(transfer * v)
         mass, kin = u.real ** 2 + u.imag ** 2, ux.real ** 2 + ux.imag ** 2

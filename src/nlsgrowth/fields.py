@@ -65,6 +65,8 @@ class GridField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
+        if vals.ndim != 1:
+            raise ValueError(f"grid field values must be 1-D, not of shape {vals.shape}")
         _check_grid_size(vals.shape[0])
         if not self.box_length > 0:
             raise ValueError("box_length must be positive")
@@ -82,9 +84,6 @@ class GridField:
     @property
     def x(self) -> np.ndarray:
         return -self.box_length / 2 + self.spacing * np.arange(self.size)
-
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def grid_wavenumbers(box_length: float, size: int) -> np.ndarray:

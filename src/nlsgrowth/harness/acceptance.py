@@ -318,7 +318,7 @@ def _c11_bootstrap_monitor() -> list[tuple]:
     traj = run_continuum(u0, model, t_window, 0.1)
     probes = [LocalEnergyProbe(x0, big_r) for x0 in (-256.0, 0.0, 256.0)]
     report = bootstrap_monitor(traj, probes, gauss, flag_factor=2.0)
-    sup = np.array([traj.field(i).sup_abs() for i in range(len(traj.times))])
+    sup = np.max(np.abs(traj.values), axis=-1)
     slope = fit_growth(traj.times, np.maximum(sup, 1e-30), (t_window / 10.0, t_window)).slope
     return [
         ("max_probe_ratio", report.max_ratio, "<=", 2.0, ".3f"),

@@ -6,7 +6,9 @@ taken spectrally on the periodic grid (real FFT).  One Verlet loop serves
 ``run_nlw`` (one field) and ``nlw_cone_test`` (a two-row batch of the full
 and the truncated data, along the last axis); it copies u and v once, steps
 them in place and yields the same two arrays after every step (the stepper
-contract of the continuum module).  The conserved energy is
+contract of the continuum module).  ``run_nlw`` records sup|u| and the
+energy from those live arrays; ``WaveState`` is its input and final output.
+The conserved energy is
 
     E = 1/2 int u_x^2 + 1/2 int u_t^2 + 1/(2p+2) int u^(2p+2).
 
@@ -99,12 +101,12 @@ def _check_cfl(dt: float, grid: GridField) -> None:
         raise ValueError(f"CFL violation: dt={dt} > h={grid.spacing}")
 
 
-def nlw_energy(state: WaveState, p: int = 1, coupling: float = 1.0) -> float:
-    """1/2 int u_x^2 + 1/2 int u_t^2 + coupling/(2p+2) int u^(2p+2)."""
-    u, v = state.u.values.real, state.v.values.real
-    k = _wavenumbers(state.u.box_length, state.u.size)
+def nlw_energy(u: np.ndarray, v: np.ndarray, box_length: float, p: int, coupling: float) -> float:
+    """1/2 int u_x^2 + 1/2 int u_t^2 + coupling/(2p+2) int u^(2p+2) of real
+    displacement u and velocity v on the periodic grid over box_length."""
+    k = _wavenumbers(box_length, u.shape[0])
     ux = _fft.irfft(1j * k * _fft.rfft(u), n=u.shape[0])
-    h = state.u.spacing
+    h = box_length / u.shape[0]
     return float(
         0.5 * h * np.sum(ux ** 2)
         + 0.5 * h * np.sum(v ** 2)
@@ -128,11 +130,8 @@ def run_nlw(
     u, v = state.u.values.real, state.v.values.real
     box = state.u.box_length
 
-    def snapshot(uv, vv):
-        return WaveState(GridField(uv, box), GridField(vv, box))
-
-    def record(t, uv, vv):
-        rec = (t, float(np.max(np.abs(uv))), nlw_energy(snapshot(uv, vv), p, coupling))
+    def record(t, u, v):
+        rec = (t, float(np.max(np.abs(u))), nlw_energy(u, v, box, p, coupling))
         _check_row(rec, ("t", "sup_abs", "energy"), "wave run")
         return rec
 
@@ -141,7 +140,7 @@ def run_nlw(
         verlet = _verlet(u, v, k, dt, p, coupling)
         for t, (u, v) in drive(verlet, t_final, dt, record_dt, "wave run", ["u", "u_t"]):
             records.append(record(t, u, v))
-    return records, snapshot(u, v)
+    return records, WaveState(GridField(u, box), GridField(v, box))
 
 
 def nlw_cone_test(u0: GridField, u1: GridField, t_final: float, dt: float) -> float:

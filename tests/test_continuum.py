@@ -21,6 +21,7 @@ from nlsgrowth.continuum import (
     _cubic_stage,
     _lawson_ctx,
     _lawson_rk4,
+    _record_pass,
 )
 from nlsgrowth.errors import NumericsError
 from nlsgrowth.harness.config import parse_config_text
@@ -431,7 +432,8 @@ class TestRecordPass:
         rows = []
         for i, t in enumerate(traj.times):
             u = traj.field(i)
-            rows.append([float(t), u.sup_abs(), _loop_mass(u), _loop_energy(u, GAUSS)]
+            sup = float(np.max(np.abs(u.values)))
+            rows.append([float(t), sup, _loop_mass(u), _loop_energy(u, GAUSS)]
                         + [_loop_local_energy(u, p, GAUSS) for p in self.PROBES])
         oracle = write_csv(tmp_path / "oracle.csv", columns, rows)
         assert (tmp_path / "run" / "series.csv").read_bytes() == oracle.read_bytes()
@@ -448,6 +450,14 @@ class TestRecordPass:
         rep = bootstrap_monitor(traj, self.PROBES, GAUSS, flag_factor=1.0)
         assert rep.max_ratio == _loop_bootstrap_ratio(traj, self.PROBES, GAUSS)
         assert rep.max_ratio > 1.0 and rep.flagged
+
+    @pytest.mark.parametrize("row", (0, 2))
+    def test_non_finite_row_rejected(self, traj, row):
+        # one check over every row, before the first is recorded
+        values = traj.values[:3].copy()
+        values[row, 5] = np.nan
+        with pytest.raises(ValueError, match="^grid field contains non-finite entries$"):
+            _record_pass(values, traj.box_length, GAUSS, self.PROBES)
 
     @pytest.mark.parametrize("probes, match", [
         ([], "zero initial local energy"),
@@ -470,7 +480,7 @@ class TestDispersiveEnvelope:
         )
         # sup_x |e^{it Dxx} u0| / (1 + t^(3/2)) over sampled times
         ratio = max(
-            linear_propagate(u0, float(t)).sup_abs() / (1.0 + float(t) ** 1.5)
+            np.max(np.abs(linear_propagate(u0, float(t)).values)) / (1.0 + float(t) ** 1.5)
             for t in np.linspace(0.0, 20.0, 21)
         )
         assert ratio <= 10.0 * norms

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,12 @@ class TestSpectral:
         with pytest.raises(ValueError):
             GridField(values=np.zeros(12, dtype=complex), box_length=1.0)
 
+    @pytest.mark.parametrize("shape", [(4, 64), (), (1, 1, 64)])
+    def test_one_row_of_values_required(self, shape):
+        # a [4, 64] array used to pass as a field of size 4 and spacing 0.25
+        with pytest.raises(ValueError, match=re.escape(f"not of shape {shape}")):
+            GridField(values=np.ones(shape), box_length=1.0)
+
 
 class TestMollifier:
     def test_gaussian_transfer(self):
@@ -242,7 +249,7 @@ class TestGridData:
         f1 = make_initial_grid(spec, 64.0, 256)
         f2 = make_initial_grid(spec, 64.0, 256)
         assert np.array_equal(f1.values, f2.values)
-        assert f1.sup_abs() == pytest.approx(0.7, rel=1e-12)
+        assert np.max(np.abs(f1.values)) == pytest.approx(0.7, rel=1e-12)
 
     @pytest.mark.parametrize(
         "spec, realize",

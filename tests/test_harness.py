@@ -747,7 +747,7 @@ class TestCli:
         assert "engine" in proc.stderr
 
     def test_newton_blowup_exit_3(self, tmp_path):
-        # the linearized solve outgrows its bound: a numerical abort, one line
+        # the linearized solve overflows: drive's finiteness check aborts, one line
         cfg_path = tmp_path / "n.cfg"
         cfg_path.write_text(
             "engine = newton\ndata.kind = constant\ndata.amplitude = 5.0\n"
@@ -755,8 +755,7 @@ class TestCli:
         )
         proc = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("numerical abort:")
-        assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr == "numerical abort: linearized solve overflowed near t=17.210\n"
 
     @pytest.mark.parametrize("text", [
         "engine = nlw\nnlw.dt = 0\n",
@@ -1028,8 +1027,11 @@ class TestCli:
         "data.kind = random_band\ndata.amplitude = 1e100\nrun.t_final = 0\n",
         "engine = nlw\nnlw.grid_size = 64\nnlw.box_length = 32\n"
         "data.kind = random_band\ndata.amplitude = 1e100\nrun.t_final = 0\n",
+        # a Newton residual that overflows before the correction-growth abort
+        "engine = newton\ndata.kind = constant\ndata.amplitude = 5.0\n"
+        "newton.t_final = 40\nnewton.dt = 0.5\nnewton.grid_size = 16\n",
     ], ids=["lattice", "continuum", "nlw",
-            "lattice_mass_t0", "lattice_energy", "continuum_energy", "nlw_energy"])
+            "lattice_mass_t0", "lattice_energy", "continuum_energy", "nlw_energy", "newton"])
     def test_overflow_one_stderr_line(self, tmp_path, text):
         # an overflow is the numerical abort line alone, no numpy warnings,
         # and no run directory with inf or nan in it

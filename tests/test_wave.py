@@ -78,7 +78,8 @@ class TestEnergy:
         )
         # 1/2 int u_x^2 = 1/2 * amp^2 k^2 * box/2 ; quartic = 1/4 * amp^4 * (3/8) box
         expected = 0.5 * amp ** 2 * k ** 2 * box / 2 + 0.25 * amp ** 4 * (3.0 / 8.0) * box
-        assert nlw_energy(state) == pytest.approx(expected, rel=1e-12)
+        energy = nlw_energy(state.u.values.real, state.v.values.real, box, 1, 1.0)
+        assert energy == pytest.approx(expected, rel=1e-12)
 
     def test_drift_random_data(self):
         box, size = 64.0, 256
@@ -87,10 +88,19 @@ class TestEnergy:
         state = WaveState(
             u=real_grid(u0.values.real, box), v=real_grid(u1.values.real, box)
         )
-        e0 = nlw_energy(state)
+        e0 = nlw_energy(state.u.values.real, state.v.values.real, box, 1, 1.0)
         records, _ = run_nlw(state, 5.0, 2.5e-4, 1.0)
         drift = max(abs(e - e0) / abs(e0) for _, _, e in records)
         assert drift < 1e-6
+
+    @pytest.mark.parametrize("p", (1, 2))
+    def test_records_are_energy_of_recorded_state(self, p):
+        # run_nlw records from its live arrays: bitwise nlw_energy of the
+        # initial state and of the final state it returns
+        state = band_state(64.0, 256, 21)
+        records, final = run_nlw(state, 0.25, 2.0 ** -6, 0.25, p=p)
+        for (_, _, energy), s in zip((records[0], records[-1]), (state, final)):
+            assert energy == nlw_energy(s.u.values.real, s.v.values.real, 64.0, p, 1.0)
 
 
 class TestConeTest:
