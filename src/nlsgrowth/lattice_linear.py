@@ -19,6 +19,8 @@ oracle.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from . import _fft
@@ -44,6 +46,9 @@ TAIL_MASS_TOL = 1e-14
 
 # agreement of two successive quadrature levels that ends kernel_integral
 _QUADRATURE_TOL = 1e-13
+
+# ensemble samples drawn, and their cos and sin taken, per block
+_SAMPLE_BLOCK = 32
 
 
 def kernel_integral(t: float, n: int) -> complex:
@@ -233,20 +238,43 @@ def random_ensemble_second_moment(
     a_j = amplitude * exp(i theta_j); psi(t,0) = sum_n K_n(t) a_n.  Each sample
     draws from an independent PCG64 stream spawned from the master seed, so the
     estimate is reproducible and order-independent.  A sample draws once, at
-    the longest kernel's length; a shorter draw from its stream would be a
+    the longest kernel's length L; a shorter draw from its stream would be a
     prefix of that one, so each kernel's estimate is bitwise its own.
     exp(i theta_j) is cos + i sin, bitwise numpy's complex exp of 1j * theta_j.
+
+    Samples are drawn in blocks of ``_SAMPLE_BLOCK`` into one theta[32, L]
+    buffer and one complex unit[32, L] buffer, made once per call (about
+    1.5 MB at L = 1969).  Each row of theta is its stream's ``random()``
+    times 2 pi, which is bitwise ``uniform(0, 2 pi)`` (that is 0 + 2 pi x).
+    For each block one helper thread, opened and closed inside the call,
+    writes sin into unit.imag while the caller writes cos into unit.real;
+    both release the GIL.  Then each sample's dots are accumulated in sample
+    order.  Each element's cos and sin, each dot and the order of the sum
+    are the serial loop's, so the estimates are bitwise its own.  On one
+    core the helper costs a few percent: c07's call (t0 = 25, 100, 400,
+    3000 samples) pinned to one CPU took 292-296 ms against 286-292 ms for
+    the serial loop, and 205-215 ms unpinned on two cores.
     """
     if num_samples < 100:
         raise ValueError("num_samples must be >= 100")
     if not kernels:
         raise ValueError("no kernel tables to estimate at")
-    unit = np.empty(max(k.shape[0] for k in kernels), dtype=complex)
+    length = max(k.shape[0] for k in kernels)
+    theta = np.empty((_SAMPLE_BLOCK, length))
+    unit = np.empty((_SAMPLE_BLOCK, length), dtype=complex)
     acc = [0.0] * len(kernels)
-    for ss in np.random.SeedSequence(seed).spawn(num_samples):
-        theta = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, unit.shape[0])
-        np.cos(theta, out=unit.real)
-        np.sin(theta, out=unit.imag)
-        for i, k in enumerate(kernels):
-            acc[i] += abs(np.dot(k, amplitude * unit[:k.shape[0]])) ** 2
+    streams = np.random.SeedSequence(seed).spawn(num_samples)
+    with ThreadPoolExecutor(1) as helper:
+        for start in range(0, num_samples, _SAMPLE_BLOCK):
+            block = streams[start:start + _SAMPLE_BLOCK]
+            angles, phases = theta[:len(block)], unit[:len(block)]
+            for row, ss in zip(angles, block):
+                np.random.default_rng(ss).random(out=row)
+            angles *= 2.0 * np.pi
+            sin = helper.submit(np.sin, angles, out=phases.imag)
+            np.cos(angles, out=phases.real)
+            sin.result()
+            for phase in phases:
+                for i, k in enumerate(kernels):
+                    acc[i] += abs(np.dot(k, amplitude * phase[:k.shape[0]])) ** 2
     return [a / num_samples for a in acc]

@@ -1,5 +1,7 @@
 import hashlib
 import runpy
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -268,24 +270,45 @@ class TestEnsemble:
         b = random_ensemble_second_moment([kernel_table(10.0)], 1.0, 100, seed=4)
         assert a == b
 
+    @pytest.mark.parametrize("num_samples", [100, 200, 1000])
     @pytest.mark.parametrize("amplitude", [1.0, 0.7])
     @pytest.mark.parametrize("t0", [25.0, 100.0, 400.0])
-    def test_equals_exp_oracle(self, t0, amplitude):
+    def test_equals_exp_oracle(self, t0, amplitude, num_samples):
         # the draw takes exp(i theta) as cos + i sin; numpy's complex exp of
-        # 1j * theta is the oracle, summed in the same order, equal exactly
+        # 1j * theta is the oracle, summed in the same order, equal exactly.
+        # The sample counts span several blocks and end in a partial one.
         kern = kernel_table(t0)
-        assert random_ensemble_second_moment([kern], amplitude, 200, 11) == [
-            _exp_form_moment(kern, amplitude, 200, 11)
+        assert random_ensemble_second_moment([kern], amplitude, num_samples, 11) == [
+            _exp_form_moment(kern, amplitude, num_samples, 11)
         ]
 
+    @pytest.mark.parametrize("num_samples", [100, 200, 1000])
     @pytest.mark.parametrize("amplitude", [1.0, 0.7])
-    def test_shared_draw_equals_each_kernel_alone(self, amplitude):
+    def test_shared_draw_equals_each_kernel_alone(self, amplitude, num_samples):
         # one draw at the longest kernel (t0 = 400) serves all three, out of
         # order: each estimate is the one drawn at its own kernel's length
         kernels = [kernel_table(t0) for t0 in (100.0, 25.0, 400.0)]
-        assert random_ensemble_second_moment(kernels, amplitude, 200, 11) == [
-            _exp_form_moment(kern, amplitude, 200, 11) for kern in kernels
+        assert random_ensemble_second_moment(kernels, amplitude, num_samples, 11) == [
+            _exp_form_moment(kern, amplitude, num_samples, 11) for kern in kernels
         ]
+
+    def test_leaves_no_thread(self):
+        # the sin helper is opened and closed inside the call
+        before = threading.active_count()
+        random_ensemble_second_moment([kernel_table(25.0)], 1.0, 100, seed=3)
+        assert threading.active_count() == before
+
+    def test_block_buffers_bounded(self):
+        # theta[32, L] and unit[32, L] at L = 1969 are about 1.5 MB; a call's
+        # peak beyond its kernel tables stays under 2 MiB
+        kernels = [kernel_table(t0) for t0 in (25.0, 100.0, 400.0)]
+        tracemalloc.start()
+        try:
+            random_ensemble_second_moment(kernels, 1.0, 100, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_demo_prints_the_estimates(self, capsys):
         # the demo's one call serves t = 10, 50, 200 and prints what one call
