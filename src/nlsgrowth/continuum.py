@@ -47,6 +47,9 @@ __all__ = [
     "bootstrap_monitor",
 ]
 
+# Picard sweeps before "did not reach tol" aborts
+_PICARD_MAX_SWEEPS = 30
+
 
 @dataclass(frozen=True)
 class ContinuumModel:
@@ -124,14 +127,14 @@ def linear_propagate(u0: GridField, t: float) -> GridField:
     return GridField(values=vals, box_length=u0.box_length)
 
 
-def comb_oracle(coeffs: Sequence[complex], t: float, x, comb_origin: int):
-    """Closed-form free evolution of the Gaussian comb.
+def comb_oracle(coeffs: Sequence[complex], t: float, x: np.ndarray, comb_origin: int) -> np.ndarray:
+    """Closed-form free evolution of the Gaussian comb at the points x.
 
     sum_j a_j exp(-(x-j)^2 / (4it+1)) / (4it+1)^(1/2), principal branch root;
     the overall constant is 1, fixed by matching the t -> 0 limit.
     """
     a = np.asarray(coeffs, dtype=complex)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xv = np.asarray(x, dtype=float)
     j = comb_origin + np.arange(len(a), dtype=float)
     z = 4j * t + 1.0
     root = np.sqrt(z)  # numpy principal branch
@@ -141,8 +144,6 @@ def comb_oracle(coeffs: Sequence[complex], t: float, x, comb_origin: int):
     for lo in range(0, xv.shape[0], step):
         xs = xv[lo:lo + step, None]
         out[lo:lo + step] = np.sum(a[None, :] * np.exp(-(xs - j[None, :]) ** 2 / z), axis=1) / root
-    if np.ndim(x) == 0:
-        return complex(out[0])
     return out
 
 
@@ -229,14 +230,14 @@ def picard_solve(
     t_final: float,
     model: ContinuumModel,
     tol: float,
-    max_iter: int = 30,
 ) -> PicardResult:
     """Fixed-point iteration of the Duhamel map on a sampled trajectory.
 
     u <- e^{it Dxx} u0 - i int_0^t e^{i(t-s) Dxx} N(u(s)) ds, the time integral
     by trapezoid on the model's dt grid, iterated until successive sweep
-    differences fall below tol in sup norm.  Diverging iterates raise
-    NumericsError (choose a smaller horizon).
+    differences fall below tol in sup norm.  Diverging iterates, or no
+    convergence within ``_PICARD_MAX_SWEEPS`` sweeps, raise NumericsError
+    (choose a smaller horizon).
     """
     _check_grid(u0, model)
     filt = _cubic_filter(model.mollifier, model.box_length, model.grid_size, model.dealias)
@@ -248,7 +249,7 @@ def picard_solve(
     cubic, nl_hat = _cubic_stage(filt, 1, current_hat.shape), np.empty_like(current_hat)
     prev_diff = np.inf
     grow_count = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _PICARD_MAX_SWEEPS + 1):
         # cumulative trapezoid of e^{+is Dxx} N(u(s)), then propagate forward
         cubic(current_hat, 0, nl_hat)
         integrand = phases.conj() * nl_hat
@@ -277,7 +278,7 @@ def picard_solve(
             grow_count = 0
         prev_diff = diff
     raise NumericsError(
-        f"Picard did not reach tol={tol} within {max_iter} sweeps (last diff {prev_diff:.3e})"
+        f"Picard did not reach tol={tol} within {_PICARD_MAX_SWEEPS} sweeps (last diff {prev_diff:.3e})"
     )
 
 
@@ -362,7 +363,7 @@ def bootstrap_monitor(
     trajectory: Trajectory,
     probes: Sequence[LocalEnergyProbe],
     phi: Mollifier,
-    flag_factor: float = 2.0,
+    flag_factor: float,
 ) -> BootstrapReport:
     """Track sup over probes and times of E(x0, t) / max_x0 E(x0, 0).
 

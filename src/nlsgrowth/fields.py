@@ -95,8 +95,9 @@ def grid_wavenumbers(box_length: float, size: int) -> np.ndarray:
 # cutoff and weights
 # ---------------------------------------------------------------------------
 
-def chi_eval(x):
-    """C^2 plateau cutoff: 1 on |x|<=1, 0 on |x|>=2, quintic smoothstep between.
+def chi_eval(x: np.ndarray) -> np.ndarray:
+    """C^2 plateau cutoff at the points x: 1 on |x|<=1, 0 on |x|>=2, quintic
+    smoothstep between.
 
     The shell uses s(u) = 6u^5 - 15u^4 + 10u^3 with u = 2-|x|, so chi and its
     first two derivatives are continuous and chi is even.
@@ -108,8 +109,6 @@ def chi_eval(x):
     shell = (ax > 1.0) & (ax < 2.0)
     u = 2.0 - ax[shell]
     out[shell] = u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -215,7 +214,7 @@ class InitialData:
     ring_exact: bool = False
 
     @classmethod
-    def constant(cls, amplitude: float = 1.0) -> "InitialData":
+    def constant(cls, amplitude: float) -> "InitialData":
         return cls(
             f"constant({amplitude})",
             lambda x, period: np.full(x.shape, amplitude, dtype=complex),
@@ -223,7 +222,7 @@ class InitialData:
         )
 
     @classmethod
-    def delta(cls, amplitude: float = 1.0) -> "InitialData":
+    def delta(cls, amplitude: float) -> "InitialData":
         def sample(x, period):
             vals = np.zeros(x.shape, dtype=complex)
             vals[x == 0] = amplitude

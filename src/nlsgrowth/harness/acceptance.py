@@ -1,6 +1,6 @@
 """Acceptance suite: every shipped claim, measured at its stated tolerance.
 
-``acceptance_suite()`` runs all criteria at desk scale (minutes).  Each
+``acceptance_suite(out_dir)`` runs all criteria at desk scale (minutes).  Each
 criterion is self-contained (no shared state), so a failure in one cannot
 contaminate another; ``run_criterion`` executes a single one by name.
 
@@ -57,7 +57,7 @@ from .csvio import write_csv
 from .fitting import fit_growth
 from .runner import run_experiment
 
-__all__ = ["Check", "CriterionResult", "AcceptanceReport", "acceptance_suite", "run_criterion", "CRITERIA"]
+__all__ = ["Check", "CriterionResult", "acceptance_suite", "run_criterion", "CRITERIA"]
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class CriterionResult:
     name: str
     checks: tuple[Check, ...]
     runtime_s: float
-    detail: str = ""
-    error: str = ""  # "<exception type>: <message>" when the criterion crashed
+    detail: str
+    error: str  # "<exception type>: <message>" when the criterion crashed, else ""
 
     @property
     def passed(self) -> bool:
@@ -118,24 +118,6 @@ class CriterionResult:
             (self.name, c.name, c.value, c.op, c.bound, c.margin, int(c.passed), self.runtime_s)
             for c in self.checks
         ]
-
-
-@dataclass(frozen=True)
-class AcceptanceReport:
-    results: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self) -> list[str]:
-        out = [r.line() for r in self.results]
-        n_fail = sum(not r.passed for r in self.results)
-        out.append(
-            f"{'ALL PASS' if n_fail == 0 else f'{n_fail} FAILED'} "
-            f"({len(self.results)} criteria)"
-        )
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +457,19 @@ def run_criterion(name: str) -> CriterionResult:
     return CriterionResult(name, tuple(checks), runtime, detail, error)
 
 
-def acceptance_suite(out_dir: str | Path | None = None) -> AcceptanceReport:
+def acceptance_suite(out_dir: str | Path | None) -> tuple[CriterionResult, ...]:
     """Run every criterion, printing its line as it ends, then the summary
-    line; failures are report entries, never exceptions."""
+    line; failures are results, never exceptions.  Returns the results in
+    ``CRITERIA`` order; with an out_dir, also writes the printed lines to
+    ``acceptance_report.txt`` and the checks to ``acceptance_report.csv``."""
     results = []
     for name in CRITERIA:
         res = run_criterion(name)
         results.append(res)
         print(res.line())
-    report = AcceptanceReport(results=tuple(results))
-    print(report.lines()[-1])
+    n_fail = sum(not r.passed for r in results)
+    summary = f"{'ALL PASS' if n_fail == 0 else f'{n_fail} FAILED'} ({len(results)} criteria)"
+    print(summary)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -493,7 +478,6 @@ def acceptance_suite(out_dir: str | Path | None = None) -> AcceptanceReport:
             ["criterion", "check", "value", "op", "bound", "margin", "passed", "runtime_s"],
             [row for r in results for row in r.rows()],
         )
-        (out / "acceptance_report.txt").write_text(
-            "\n".join(report.lines()) + "\n", encoding="utf-8"
-        )
-    return report
+        lines = [r.line() for r in results] + [summary]
+        (out / "acceptance_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return tuple(results)

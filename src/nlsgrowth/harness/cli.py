@@ -94,8 +94,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.verb == "accept":
             from .acceptance import acceptance_suite
-            report = acceptance_suite(out_dir=args.out)
-            return EXIT_OK if report.passed else EXIT_ACCEPTANCE
+            results = acceptance_suite(args.out)
+            return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPTANCE
         if args.verb == "export-kernel":
             from ..fields import _extent
             from ..lattice_linear import kernel_table

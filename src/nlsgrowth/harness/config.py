@@ -14,7 +14,7 @@ engine or kind outside its table is rejected at parse time.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..fields import InitialData, Mollifier
@@ -182,7 +182,7 @@ class ExperimentConfig:
     """Validated engine name plus typed parameter map."""
 
     engine: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def echo(self) -> dict:
         """Serializable view (config echo for the metadata sidecar)."""

@@ -46,7 +46,7 @@ from ..continuum import (
     _record_pass,
     run_continuum,
 )
-from ..newton import newton_iterate
+from ..newton import _SMALLNESS, newton_iterate
 from ..errors import NumericsError
 from ..timegrid import _check_row, time_grid
 from ..wave import WaveState, run_nlw
@@ -152,15 +152,19 @@ def _run_lattice_engine(params: dict) -> EngineResult:
 def _run_lattice_linear_engine(params: dict) -> EngineResult:
     t0s = params["run.t0_values"]
     kernels = [kernel_table(t0) for t0 in t0s]
-    m2s = random_ensemble_second_moment(
-        kernels, params["ensemble.amplitude"], params["ensemble.samples"], params["ensemble.seed"]
-    )
-    rows = []
-    for t0, kern, m2 in zip(t0s, kernels, m2s):
-        evolved = linear_evolve(adversarial_data(kern), kern)
-        ratio = abs(evolved[_extent(kern)]) / np.sqrt(t0)  # site 0
-        rows.append((float(t0), float(ratio), bool(pairing_check(t0)), float(m2)))
     columns = ["t0", "adversarial_ratio", "pairing_ok", "ensemble_m2"]
+    rows = []
+    # an overflowed moment is reported by _check_row, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2s = random_ensemble_second_moment(
+            kernels, params["ensemble.amplitude"], params["ensemble.samples"], params["ensemble.seed"]
+        )
+        for t0, kern, m2 in zip(t0s, kernels, m2s):
+            evolved = linear_evolve(adversarial_data(kern), kern)
+            ratio = abs(evolved[_extent(kern)]) / np.sqrt(t0)  # site 0
+            row = (float(t0), float(ratio), bool(pairing_check(t0)), float(m2))
+            _check_row(row, columns, "lattice-linear run")
+            rows.append(row)
     return EngineResult(columns=columns, rows=rows)
 
 
@@ -205,9 +209,17 @@ def _run_newton_engine(params: dict) -> EngineResult:
     psi0 = make_initial_grid(spec, newton.pop("box_length"), newton.pop("grid_size"))
     result = newton_iterate(psi0, **newton)
     rows = [(r.n, r.eps, r.sup_residual, r.ratio) for r in result.rows]
-    warnings = [] if result.converged else [
-        f"newton did not converge: sup_residual {rows[-1][2]:.3e} > newton.tol after "
-        f"{result.iterations} iterations (newton.max_iter = {params['newton.max_iter']})"]
+    warnings = []
+    if result.amplitude_scale < 1:
+        warnings.append(
+            f"newton iterated the data scaled by {result.amplitude_scale:.3g}: "
+            f"its majorant at newton.r1 exceeds {_SMALLNESS:g}"
+        )
+    if not result.converged:
+        warnings.append(
+            f"newton did not converge: sup_residual {rows[-1][2]:.3e} > newton.tol after "
+            f"{result.iterations} iterations (newton.max_iter = {params['newton.max_iter']})"
+        )
     return EngineResult(
         columns=["n", "eps_n", "sup_residual", "ratio"],
         rows=rows,
@@ -282,7 +294,7 @@ def _case_key(assignment: dict) -> str:
     return "_".join(f"{k.split('.')[-1]}={v}" for k, v in sorted(assignment.items()))
 
 
-def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int = 1) -> Path:
+def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int) -> Path:
     """Expand sweep lists into a deterministic case grid and run them all.
 
     Cases execute concurrently over immutable configs, lattice cases as

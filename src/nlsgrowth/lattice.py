@@ -41,9 +41,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LatticeModel:
-    """Lattice NLS parameters.
+    """Lattice NLS parameters, by keyword; the time step dt is required.
 
     sign +1 is defocusing, -1 focusing; p is the exponent in |psi|^p psi
     (the cubic equation is p = 2).  coupling scales the nonlinear term and
@@ -52,7 +52,7 @@ class LatticeModel:
 
     sign: int = +1
     p: float = 2.0
-    dt: float = 0.01
+    dt: float
     coupling: float = 1.0
 
     def __post_init__(self):

@@ -43,12 +43,13 @@ __all__ = [
     "NewtonIterationRow",
     "NewtonResult",
     "majorant_norm",
-    "residual",
     "solve_linearized",
     "newton_iterate",
 ]
 
 MAX_RADIUS_EXPONENT = 700.0  # exp overflow guard for e^{|k| r}
+# data whose majorant at r1 exceeds this are scaled down to it before iterating
+_SMALLNESS = 0.5
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class AnalyticNormParams:
     """Radius r > 0 and derivative count p >= 0 of the majorant norm."""
 
     radius: float
-    derivative_count: int = 0
+    derivative_count: int
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -105,7 +106,7 @@ def majorant_norm(f: GridField, params: AnalyticNormParams) -> float:
 # residuals
 # ---------------------------------------------------------------------------
 
-def residual(psi_prev: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _residual(psi_prev: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """R = 2|xi|^2 psi_prev + xi^2 conj(psi_prev) + |xi|^2 xi (quadratic in xi)."""
     xi2 = xi.real ** 2 + xi.imag ** 2
     return 2.0 * xi2 * psi_prev + xi ** 2 * np.conj(psi_prev) + xi2 * xi
@@ -185,22 +186,22 @@ def newton_iterate(
     t_final: float,
     dt: float,
     r1: float = 1.0,
-    max_iter: int = 12,
-    tol: float = 1e-12,
-    smallness: float = 0.5,
+    *,
+    max_iter: int,
+    tol: float,
 ) -> NewtonResult:
     """Run the Newton scheme from psi_1 = e^{it Dxx} psi0.
 
     The n-th correction is measured at the radius r_n, which shrinks from r1
-    and stays above r1/2.  If the initial majorant norm exceeds ``smallness``
-    the data is multiplied by a recorded amplitude scale first (the returned
-    trajectory then solves the problem for the scaled data).  Stops when
-    sup|R_n| <= tol or after max_iter corrections; raises
-    NumericsError when the correction norms grow twice in a row.
+    and stays above r1/2.  If the initial majorant norm exceeds ``_SMALLNESS``
+    the data is scaled down to it first, by the returned amplitude_scale (the
+    returned trajectory then solves the problem for the scaled data).  Stops
+    when sup|R_n| <= tol or after max_iter corrections; raises NumericsError
+    when the correction norms grow twice in a row.
     """
     times, phases = _free_phases(psi0.box_length, psi0.size, t_final, dt)
     eps1_raw = majorant_norm(psi0, AnalyticNormParams(r1, 0))
-    scale = 1.0 if eps1_raw <= smallness else smallness / eps1_raw
+    scale = 1.0 if eps1_raw <= _SMALLNESS else _SMALLNESS / eps1_raw
     data_hat = _fft.fft(scale * psi0.values)
     psi = _fft.ifft(phases * data_hat[None, :], axis=1)
     r = (psi.real ** 2 + psi.imag ** 2) * psi  # R_1 = |psi_1|^2 psi_1
@@ -218,7 +219,7 @@ def newton_iterate(
         xi = solve_linearized(psi, r, psi0.box_length, dt)
         # an overflow ends in a NumericsError (growth check or next solve), not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            r = residual(psi, xi)
+            r = _residual(psi, xi)
             # sup over the rows of the order-0 majorant at r_{n+1}
             params = AnalyticNormParams(_radius(r1, n + 1), 0)
             eps_next = float(np.max(_majorant_rows(xi, psi0.box_length, params)))

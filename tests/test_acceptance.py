@@ -66,55 +66,55 @@ FULL_PRECISION = {
 @pytest.fixture(scope="module")
 def suite_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance")
-    report = acceptance_suite(out_dir=out)
-    return report, out
+    results = acceptance_suite(out)
+    return results, out
 
 
 def test_acceptance_quick_all_pass(suite_report):
-    report, _ = suite_report
-    failed = [r.name for r in report.results if not r.passed]
+    results, _ = suite_report
+    failed = [r.name for r in results if not r.passed]
     assert not failed, f"acceptance criteria failed: {failed}"
 
 
 def test_every_criterion_ran(suite_report):
-    report, _ = suite_report
-    assert len(report.results) == len(CRITERIA) == 14
+    results, _ = suite_report
+    assert len(results) == len(CRITERIA) == 14
 
 
 def test_printed_values_pinned(suite_report):
-    report, _ = suite_report
+    results, _ = suite_report
     printed = {
         r.name: {c.name: f"{c.value:{c.fmt}}" for c in r.checks if c.name != "runtime_s"}
-        for r in report.results
+        for r in results
     }
     assert printed == PINNED
 
 
 def test_chaotic_values_full_precision(suite_report):
-    report, _ = suite_report
+    results, _ = suite_report
     values = {
         r.name: [c.value for c in r.checks if c.name != "runtime_s"]
-        for r in report.results if r.name in FULL_PRECISION
+        for r in results if r.name in FULL_PRECISION
     }
     assert values == FULL_PRECISION
 
 
 def test_printed_bounds_are_enforced(suite_report):
-    report, _ = suite_report
-    lines = {r.name: r.line() for r in report.results}
+    results, _ = suite_report
+    lines = {r.name: r.line() for r in results}
     assert "ensemble_m2_err=0.017 <= 0.2828" in lines["c07_lemma_a_lower_bound"]
     assert "slope_p1=-0.023 <= 0.38" in lines["c12_nlw_finite_speed"]
     assert "runtime_s=" in lines["c01_lattice_unitarity"]
 
 
 def test_report_files_written(suite_report):
-    report, out = suite_report
+    results, out = suite_report
     text = (out / "acceptance_report.txt").read_text()
-    assert text.splitlines() == report.lines()
+    assert text.splitlines() == [r.line() for r in results] + ["ALL PASS (14 criteria)"]
     with (out / "acceptance_report.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["criterion", "check", "value", "op", "bound", "margin", "passed", "runtime_s"]
-    assert len(rows) == sum(len(r.checks) for r in report.results)
+    assert len(rows) == sum(len(r.checks) for r in results)
     c07 = [r for r in rows if r["check"] == "ensemble_m2_err"]
     assert float(c07[0]["bound"]) == 4.0 / math.sqrt(200)
     assert float(c07[0]["margin"]) == pytest.approx(4.0 / math.sqrt(200) - float(c07[0]["value"]))

@@ -73,23 +73,60 @@ SECTION_KEYS = {
 }
 
 
-def _passed_arguments(trees):
-    """called name -> positions and keywords passed in some call; a starred
-    argument passes every position, a ``**`` one its config section's keys
-    (``SECTION_KEYS``) or else every keyword."""
-    passed = {}
+def _calls(trees):
+    """(called name, marks) of every call: the positions and keywords it
+    passes, "*" for a starred argument and "**" for a ``**`` one that is not a
+    config section (a section passes its keys, ``SECTION_KEYS``); ``cls(...)``
+    inside a class calls that class."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                marks = {"*" if isinstance(arg, ast.Starred) else i for i, arg in enumerate(child.args)}
+                for kw in child.keywords:
+                    marks.update([kw.arg] if kw.arg else SECTION_KEYS.get(name, ["**"]))
+                yield (owner if name == "cls" and owner else name), marks
+            yield from walk(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
     for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            marks = passed.setdefault(name, set())
-            for i, arg in enumerate(node.args):
-                marks.add("*" if isinstance(arg, ast.Starred) else i)
-            for kw in node.keywords:
-                marks.update([kw.arg] if kw.arg else SECTION_KEYS.get(name, ["**"]))
-    return passed
+        yield from walk(tree, None)
+
+
+def _is_dataclass(node):
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list
+    )
+
+
+def _defaults(tree):
+    """(callable name, parameter, position or None) of every defaulted
+    parameter of a function and every defaulted field of a dataclass, whose
+    constructor is called by the class name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, i - offset
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            kw_only = any(
+                kw.arg == "kw_only" and kw.value.value is True
+                for d in node.decorator_list if isinstance(d, ast.Call) for kw in d.keywords
+            )
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            for i, f in enumerate(fields):
+                value = f.value
+                if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                    if not {kw.arg for kw in value.keywords} & {"default", "default_factory"}:
+                        continue
+                if value is not None:
+                    yield node.name, f.target.id, None if kw_only else i
 
 
 # (function, parameter) -> why only tests set that default: the options that
@@ -97,16 +134,15 @@ def _passed_arguments(trees):
 TEST_SEAMS = {
     ("main", "argv"): "the CLI entry point; the console script passes no argv",
     ("run_nlw", "coupling"): "coupling = 0 is the free-wave oracle",
-    ("picard_solve", "max_iter"): "it reaches the 'did not reach tol' abort",
-    ("newton_iterate", "smallness"): (
-        "it reaches the correction-growth abort; under the 0.5 rescale no cheap data diverge"
-    ),
 }
 
 
 def test_every_default_is_passed():
-    # a parameter with a default that no call outside tests/ passes is an
-    # option no caller sets, unless it is a listed test seam
+    # a default stays only if some call outside tests/ passes its parameter
+    # (else it is an option no caller sets, unless it is a listed test seam)
+    # and some such call omits it (else every caller restates it); a starred
+    # or non-section ``**`` argument may or may not pass a parameter, so such
+    # a call counts on both sides
     src_trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
     root = SRC.parents[1]
     callers = [
@@ -114,24 +150,22 @@ def test_every_default_is_passed():
         for folder in ("demos", "perfbench")
         for path in sorted((root / folder).rglob("*.py"))
     ]
-    passed = _passed_arguments(src_trees + callers)
-    unset = []
+    calls = {}
+    for name, marks in _calls(src_trees + callers):
+        calls.setdefault(name, []).append(marks)
+    unset, restated = [], []
     for tree in src_trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = node.args
-            positional = args.posonlyargs + args.args
-            offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
-            first = len(positional) - len(args.defaults)
-            defaulted = [(arg.arg, i - offset) for i, arg in enumerate(positional) if i >= first]
-            defaulted += [
-                (arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-            ]
-            marks = passed.get(node.name, set())
-            for name, pos in defaulted:
-                if not marks & {name, "**"} and (pos is None or not marks & {pos, "*"}):
-                    unset.append((node.name, name))
+        for func, name, pos in _defaults(tree):
+            passes, omits = False, False
+            for marks in calls.get(func, []):
+                named = bool({name, pos} & marks)
+                passes |= named or "**" in marks or (pos is not None and "*" in marks)
+                omits |= not named
+            if not passes:
+                unset.append((func, name))
+            elif not omits:
+                restated.append((func, name))
+    assert sorted(restated) == []
     assert sorted(unset) == sorted(TEST_SEAMS)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import fft, integrate
 
-from nlsgrowth import _fft
+from nlsgrowth import _fft, continuum
 from nlsgrowth.continuum import (
     ContinuumModel,
     LocalEnergyProbe,
@@ -170,12 +170,12 @@ class TestCombOracle:
 
     def test_single_gaussian_modulus(self):
         t = 1.7
-        val = comb_oracle([1.0], t, 0.0, 0)
+        (val,) = comb_oracle([1.0], t, np.zeros(1), 0)
         assert abs(val) == pytest.approx((1 + 16 * t ** 2) ** -0.25, rel=1e-12)
 
     def test_all_ones_t10_origin_pinned(self):
         # frozen by direct wide-window summation of the closed form
-        val = comb_oracle(np.ones(81), 10.0, 0.0, -40)
+        (val,) = comb_oracle(np.ones(81), 10.0, np.zeros(1), -40)
         z = 40j + 1.0
         j = np.arange(-40, 41)
         direct = np.sum(np.exp(-(0.0 - j) ** 2 / z)) / np.sqrt(z)
@@ -259,24 +259,26 @@ class TestPicard:
         diff = np.max(np.abs(res.trajectory.values[-1] - traj.values[-1]))
         assert diff < 1e-6
 
-    def test_no_convergence_within_max_iter(self):
+    def test_no_convergence_within_max_sweeps(self, monkeypatch):
         # c10's comb data converges in at most 8 sweeps; 2 stop short of tol
+        monkeypatch.setattr(continuum, "_PICARD_MAX_SWEEPS", 2)
         box, size = 64.0, 512
         u0 = make_initial_grid(InitialData.gaussian_comb(0.5 * np.ones(17), -8), box, size)
         model = ContinuumModel(GAUSS, box, size, 1e-3)
         with pytest.raises(
             NumericsError, match=r"^Picard did not reach tol=1e-08 within 2 sweeps \(last diff 2\.745e-03\)$"
         ):
-            picard_solve(u0, 0.1, model, tol=1e-8, max_iter=2)
+            picard_solve(u0, 0.1, model, tol=1e-8)
 
-    def test_divergence_error(self):
+    def test_divergence_error(self, monkeypatch):
+        monkeypatch.setattr(continuum, "_PICARD_MAX_SWEEPS", 40)
         box, size = 32.0, 128
         u0 = make_initial_grid(
             InitialData.periodic([3.0], [1.0]), box, size
         )
         model = ContinuumModel(IDENT, box, size, 5e-2)
         with pytest.raises(NumericsError, match="Picard iterates diverging"):
-            picard_solve(u0, 4.0, model, tol=1e-10, max_iter=40)
+            picard_solve(u0, 4.0, model, tol=1e-10)
 
 
 class TestConserved:
@@ -313,7 +315,7 @@ class TestLocalEnergyProbe:
         amp, R = 1.5, 4.0
         box, size = 128.0, 1024
         g = GridField(values=np.full(size, amp, dtype=complex), box_length=box)
-        chi_sq_integral, _ = integrate.quad(lambda s: chi_eval(s) ** 2, -2.0, 2.0, epsabs=1e-13)
+        chi_sq_integral, _ = integrate.quad(lambda s: chi_eval(np.array([s]))[0] ** 2, -2.0, 2.0, epsabs=1e-13)
         expected = (amp ** 4 / 4 + amp ** 2 / 2) * R * chi_sq_integral
         got = local_energy_probe(g, LocalEnergyProbe(0.0, R), GAUSS)
         assert got == pytest.approx(expected, rel=1e-6)
@@ -325,7 +327,7 @@ class TestLocalEnergyProbe:
         g2 = GridField(values=np.full(size, 2.0, dtype=complex), box_length=box)
         e1_mass = 0.5 * 1.0 ** 2
         # quartic scales x16, mass term x4
-        chi_sq_integral, _ = integrate.quad(lambda s: chi_eval(s) ** 2, -2.0, 2.0)
+        chi_sq_integral, _ = integrate.quad(lambda s: chi_eval(np.array([s]))[0] ** 2, -2.0, 2.0)
         e1 = local_energy_probe(g1, probe, GAUSS)
         e2 = local_energy_probe(g2, probe, GAUSS)
         quartic1 = 0.25 * 1.0
@@ -357,7 +359,7 @@ class TestBootstrap:
             box_length=64.0,
         )
         with pytest.raises(ValueError, match="zero initial local energy"):
-            bootstrap_monitor(traj, [LocalEnergyProbe(0.0, 2.0)], GAUSS)
+            bootstrap_monitor(traj, [LocalEnergyProbe(0.0, 2.0)], GAUSS, flag_factor=2.0)
 
     def test_linear_run_ratio_bounded(self):
         box, size = 256.0, 2048
@@ -465,7 +467,7 @@ class TestRecordPass:
     ], ids=["no_probe", "probe_outside_box"])
     def test_bootstrap_errors(self, traj, probes, match):
         with pytest.raises(ValueError, match=match):
-            bootstrap_monitor(traj, probes, GAUSS)
+            bootstrap_monitor(traj, probes, GAUSS, flag_factor=2.0)
 
 
 class TestDispersiveEnvelope:

@@ -20,11 +20,11 @@ from nlsgrowth.fields import (
 
 class TestChi:
     def test_plateau_support_symmetry(self):
-        assert chi_eval(0.5) == 1.0
-        assert chi_eval(3.0) == 0.0
-        mid = chi_eval(1.5)
+        plateau, outside, mid, mirror = chi_eval(np.array([0.5, 3.0, 1.5, -1.5]))
+        assert plateau == 1.0
+        assert outside == 0.0
         assert 0.0 < mid < 1.0
-        assert mid == chi_eval(-1.5)
+        assert mid == mirror
 
     def test_sampled_invariants(self):
         x = np.linspace(-4.0, 4.0, 10_000)
@@ -44,7 +44,7 @@ class TestChi:
                 pts_out = [x0 + eps + i * h for i in range(fd + 1)]
 
                 def diff(pts):
-                    vals = [chi_eval(p) for p in pts]
+                    vals = chi_eval(np.array(pts))
                     for _ in range(fd):
                         vals = np.diff(vals) / h
                     return np.asarray(vals)[0]

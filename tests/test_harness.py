@@ -79,7 +79,20 @@ SECTION_CONSTRUCTORS = [
     ("lattice", "lattice", LatticeModel, ("extent",), ()),
     ("lattice", "weight", WeightProfile, (), ()),
     ("continuum", "continuum", ContinuumModel, (), ("mollifier",)),
-    ("newton", "newton", newton_iterate, ("box_length", "grid_size"), ("psi0", "smallness")),
+    ("newton", "newton", newton_iterate, ("box_length", "grid_size"), ("psi0",)),
+]
+
+
+# config defaults that restate a constructor default (config.py imports no
+# engine, so each value is stated twice): engine, key, constructor, parameter
+RESTATED_DEFAULTS = [
+    ("lattice", "lattice.sign", LatticeModel, "sign"),
+    ("lattice", "lattice.p", LatticeModel, "p"),
+    ("lattice", "lattice.coupling", LatticeModel, "coupling"),
+    ("continuum", "continuum.sign", ContinuumModel, "sign"),
+    ("continuum", "continuum.coupling", ContinuumModel, "coupling"),
+    ("continuum", "continuum.dealias", ContinuumModel, "dealias"),
+    ("newton", "newton.r1", newton_iterate, "r1"),
 ]
 
 
@@ -272,6 +285,14 @@ class TestConfig:
             names = set(inspect.signature(make).parameters)
         assert keys - set(grid) == names - set(unset)
 
+    @pytest.mark.parametrize(
+        "engine, key, make, name", RESTATED_DEFAULTS, ids=[key for _, key, *_ in RESTATED_DEFAULTS]
+    )
+    def test_config_default_is_the_constructor_default(self, engine, key, make, name):
+        default = inspect.signature(make).parameters[name].default
+        config_default = ENGINE_SCHEMAS[engine][key][1]
+        assert (config_default, type(config_default)) == (default, type(default))
+
     @pytest.mark.parametrize("engine, key", [("lattice", "weight.R"), ("continuum", "probe.R")])
     def test_scale_bound(self, engine, key):
         # WeightProfile and LocalEnergyProbe need R >= 1; the parser says so
@@ -439,14 +460,14 @@ class TestRunner:
         # two equal cases would write one directory and list it twice
         cfg = parse_config_text(LATTICE_CFG + entry + "\n")
         with pytest.raises(ConfigError, match=entry.split(" =")[0] + " repeats a value"):
-            sweep_experiment(cfg, tmp_path / "s")
+            sweep_experiment(cfg, tmp_path / "s", workers=1)
         assert not (tmp_path / "s").exists()
 
     def test_repeated_value_outside_sweep_lists_allowed(self, tmp_path):
         text = LATTICE_CFG.replace("constant", "periodic") + (
             "data.amplitudes = 0.5, 0.5\ndata.frequencies = 1, 1\nsweep.seeds = 1, 2\n"
         )
-        out = sweep_experiment(parse_config_text(text), tmp_path / "s")
+        out = sweep_experiment(parse_config_text(text), tmp_path / "s", workers=1)
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["seed=1", "seed=2"]
 
     def test_sweep_probe_outside_box_names_the_case(self, tmp_path):
@@ -573,10 +594,26 @@ class TestRunner:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["summary"]["converged"] is False
         assert meta["summary"]["iterations"] == 12
-        assert len(meta["warnings"]) == 1 and "did not converge" in meta["warnings"][0]
+        # the default constant data, amplitude 1, have majorant 1 > 0.5
+        scaled, stopped = meta["warnings"]
+        assert scaled.startswith("newton iterated the data scaled by 0.5:")
+        assert "did not converge" in stopped
         series = read_csv(out / "series.csv")
         assert series["eps_n"][6] ** 2 == 0.0 < series["eps_n"][6]
         assert np.isnan(series["ratio"][6]) and np.isnan(series["ratio"][-1])
+
+    @pytest.mark.parametrize("data, warnings", [
+        ("data.kind = constant\ndata.amplitude = 1e200\n",
+         ["newton iterated the data scaled by 5e-201: its majorant at newton.r1 exceeds 0.5"]),
+        # c13's data, 0.1 cos x, whose majorant 0.1 e at r1 = 1 is below 0.5
+        ("data.kind = periodic\ndata.amplitudes = 0.05, 0.05\ndata.frequencies = 1, -1\n", []),
+    ], ids=["rescaled", "c13"])
+    def test_newton_rescale_warning(self, tmp_path, data, warnings):
+        # a run whose series describe scaled data says so
+        cfg = parse_config_text(f"engine = newton\nnewton.t_final = 0.01\n{data}")
+        meta = json.loads((run_experiment(cfg, tmp_path / "n") / "metadata.json").read_text())
+        assert (meta["summary"]["amplitude_scale"] < 1) == bool(warnings)
+        assert meta["warnings"] == warnings
 
     def test_nlw_engine(self):
         cfg = parse_config_text(
@@ -606,7 +643,7 @@ class TestRunner:
 
     def test_sweep_without_lists_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no sweep.* lists are set"):
-            sweep_experiment(parse_config_text(LATTICE_CFG), tmp_path / "s")
+            sweep_experiment(parse_config_text(LATTICE_CFG), tmp_path / "s", workers=1)
         assert not (tmp_path / "s").exists()
 
     def test_wrap_margin_warning(self, tmp_path):
@@ -1009,8 +1046,9 @@ class TestCli:
 
         monkeypatch.setattr(acceptance, "CRITERIA", {"stub_crash": (crash, "", None)})
         assert cli.main(["accept"]) == 4
-        line = capsys.readouterr().out.splitlines()[0]
+        line, summary = capsys.readouterr().out.splitlines()
         assert line.startswith("FAIL stub_crash: ZeroDivisionError: ")
+        assert summary == "1 FAILED (1 criteria)"
 
     @pytest.mark.parametrize("text", [
         "engine = lattice\nlattice.extent = 16\ndata.kind = random_phase\n"
@@ -1030,8 +1068,11 @@ class TestCli:
         # a Newton residual that overflows before the correction-growth abort
         "engine = newton\ndata.kind = constant\ndata.amplitude = 5.0\n"
         "newton.t_final = 40\nnewton.dt = 0.5\nnewton.grid_size = 16\n",
+        # an ensemble moment that overflows
+        "engine = lattice-linear\nrun.t0_values = 25\nensemble.samples = 100\nensemble.amplitude = 1e200\n",
     ], ids=["lattice", "continuum", "nlw",
-            "lattice_mass_t0", "lattice_energy", "continuum_energy", "nlw_energy", "newton"])
+            "lattice_mass_t0", "lattice_energy", "continuum_energy", "nlw_energy", "newton",
+            "lattice_linear_m2"])
     def test_overflow_one_stderr_line(self, tmp_path, text):
         # an overflow is the numerical abort line alone, no numpy warnings,
         # and no run directory with inf or nan in it

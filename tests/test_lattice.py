@@ -41,14 +41,14 @@ class TestStencils:
     # is sup |Laplacian|
 
     def test_forward_diff(self):
-        linear = LatticeModel(coupling=0.0)
+        linear = LatticeModel(dt=0.01, coupling=0.0)
         assert global_energy(lattice(np.ones(7)), linear) == 0.0
         assert global_energy(lattice([0, 0, 0, 1, 0, 0, 0]), linear) == 1.0
         # ramp -3..3: six unit steps plus the wrap step 3 -> -3
         assert global_energy(lattice(np.arange(-3, 4, dtype=float)), linear) == 0.5 * (6 + 36)
 
     def test_laplacian(self):
-        linear = LatticeModel(coupling=0.0)
+        linear = LatticeModel(dt=0.01, coupling=0.0)
         delta = lattice([0, 0, 0, 0, 1, 0, 0, 0, 0])
         assert sup_time_derivative(delta, linear) == 2.0
         assert sup_time_derivative(lattice(np.ones(9)), linear) == 0.0
@@ -70,7 +70,7 @@ class TestStencils:
 class TestModel:
     def test_nan_exponent_rejected(self):
         with pytest.raises(ValueError, match="p must be >= 1"):
-            LatticeModel(p=np.nan)
+            LatticeModel(p=np.nan, dt=0.01)
 
 
 class TestSplitStep:
@@ -222,7 +222,7 @@ class TestPhaseIdentity:
         # uint64 views: equal to the last bit, signed zeros included (the
         # signed-zero row at 27 sites differs after one step without the
         # + 0 that _half_phase adds to the angle)
-        model = LatticeModel(sign=sign, p=p, coupling=coupling)
+        model = LatticeModel(sign=sign, p=p, dt=0.01, coupling=coupling)
         symbol = _linear_symbol(shape[1], model.dt)
         got, want = self.rows(shape), self.rows(shape)
         work = [(np.empty_like(v), np.empty_like(v), np.empty(shape), np.empty(shape)) for v in (got, want)]

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from nlsgrowth import newton
 from nlsgrowth.continuum import ContinuumModel, run_continuum
 from nlsgrowth.fields import GridField, InitialData, Mollifier, make_initial_grid
 from nlsgrowth.errors import NumericsError
@@ -11,7 +12,7 @@ from nlsgrowth.newton import (
     _radius,
     majorant_norm,
     newton_iterate,
-    residual,
+    _residual,
     solve_linearized,
 )
 
@@ -106,13 +107,13 @@ class TestResidual:
     def test_zero_correction(self):
         psi = self.make_rows(np.full(SIZE, 0.5 + 0.1j))
         xi = self.make_rows(np.zeros(SIZE))
-        assert np.all(residual(psi, xi) == 0)
+        assert np.all(_residual(psi, xi) == 0)
 
     def test_first_residual_single_mode(self):
         # psi_1 is the free plane wave, so R_1 = |psi_1|^2 psi_1 has sup |amp|^3
         amp = 0.03 + 0.01j
         psi0 = grid(amp * np.exp(2j * x_grid()))
-        res = newton_iterate(psi0, 0.15, 0.05, max_iter=1)
+        res = newton_iterate(psi0, 0.15, 0.05, max_iter=1, tol=1e-12)
         assert res.amplitude_scale == 1.0
         assert res.rows[0].sup_residual == pytest.approx(abs(amp) ** 3, rel=1e-12)
         assert np.allclose(
@@ -127,7 +128,7 @@ class TestResidual:
         xi_v = rng.standard_normal(SIZE) + 1j * rng.standard_normal(SIZE)
         psi = self.make_rows(psi_v)
         lam = 0.37
-        r_lam = residual(psi, self.make_rows(lam * xi_v))[0]
+        r_lam = _residual(psi, self.make_rows(lam * xi_v))[0]
         quad = 2 * np.abs(xi_v) ** 2 * psi_v + xi_v ** 2 * np.conj(psi_v)
         cubic = np.abs(xi_v) ** 2 * xi_v
         assert np.allclose(r_lam, lam ** 2 * quad + lam ** 3 * cubic, atol=1e-13)
@@ -179,7 +180,7 @@ class TestSolveLinearized:
 class TestNewton:
     def test_zero_data(self):
         psi0 = grid(np.zeros(SIZE))
-        res = newton_iterate(psi0, 0.1, 1e-3)
+        res = newton_iterate(psi0, 0.1, 1e-3, max_iter=12, tol=1e-12)
         assert res.converged
         assert np.all(res.trajectory.values == 0)
         assert res.amplitude_scale == 1.0
@@ -232,7 +233,7 @@ class TestNewton:
 
     def test_matches_fine_cubic_integration(self):
         psi0_vals = 0.1 * np.cos(x_grid())
-        res = newton_iterate(grid(psi0_vals), 0.3, 1e-3, tol=1e-13)
+        res = newton_iterate(grid(psi0_vals), 0.3, 1e-3, max_iter=12, tol=1e-13)
         model = ContinuumModel(
             Mollifier.fourier_cutoff(np.inf), BOX, SIZE, 1e-4, dealias=False
         )
@@ -242,14 +243,16 @@ class TestNewton:
 
     def test_rescaling_recorded(self):
         psi0 = grid(2.0 * np.cos(x_grid()))
-        res = newton_iterate(psi0, 0.05, 1e-3, tol=1e-12)
+        res = newton_iterate(psi0, 0.05, 1e-3, max_iter=12, tol=1e-12)
         assert res.amplitude_scale < 1.0
         assert res.converged
 
-    def test_divergence_error_for_large_data_and_time(self):
+    def test_divergence_error_for_large_data_and_time(self, monkeypatch):
+        # under the 0.5 rescale no cheap data diverge, so the rescale is lifted
+        monkeypatch.setattr(newton, "_SMALLNESS", 1e9)
         psi0 = grid(0.9 * np.cos(x_grid()) + 0.9 * np.cos(2 * x_grid()))
-        with pytest.raises(NumericsError):
-            newton_iterate(psi0, 2.0, 2e-3, smallness=1e9, max_iter=12)
+        with pytest.raises(NumericsError, match="^correction norms grew twice in a row"):
+            newton_iterate(psi0, 2.0, 2e-3, max_iter=12, tol=1e-12)
 
     def test_first_eps_is_data_majorant(self):
         psi0 = grid(0.1 * np.cos(x_grid()))
@@ -265,7 +268,7 @@ class TestPinned:
         (0.1, 0.3, {"tol": 1e-13, "max_iter": 8},
          "93207eeda91f63a79e4b94549ddd5676cc36113dbb1930e5793f044c69aff4c8",
          "7f122df22b96f282c9f3e9bcc7330007d3ccbf91a85903c3d415bb98a5483fb6"),
-        (2.0, 0.05, {"tol": 1e-12},
+        (2.0, 0.05, {"tol": 1e-12, "max_iter": 12},
          "5ee5c8979af898ed8346b5a48b08d2c0fabe24cdca5f9944578e68b5bb668407",
          "8d389722ae111db516eabd90f93ac99f9e6e85e7f81c2407ad726b379471bd61"),
     ], ids=["c13_ladder", "rescaled_2cos"])
