@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # each verb imports what it uses, so fit and a config error never load
-    # the engines and their FFT backend
+    # the engines and their FFT seam (no verb imports scipy.fft)
     args = _build_parser().parse_args(argv)
     try:
         if args.verb in ("run", "sweep"):

@@ -248,12 +248,14 @@ def random_ensemble_second_moment(
     times 2 pi, which is bitwise ``uniform(0, 2 pi)`` (that is 0 + 2 pi x).
     For each block one helper thread, opened and closed inside the call,
     writes sin into unit.imag while the caller writes cos into unit.real;
-    both release the GIL.  Then each sample's dots are accumulated in sample
-    order.  Each element's cos and sin, each dot and the order of the sum
-    are the serial loop's, so the estimates are bitwise its own.  On one
-    core the helper costs a few percent: c07's call (t0 = 25, 100, 400,
-    3000 samples) pinned to one CPU took 292-296 ms against 286-292 ms for
-    the serial loop, and 205-215 ms unpinned on two cores.
+    both release the GIL.  Then the block is scaled by the amplitude in
+    place, once, and each sample's dots with its row's prefixes are
+    accumulated in sample order.  Each element's cos and sin, its product
+    with the amplitude, each dot and the order of the sum are the serial
+    loop's, so the estimates are bitwise its own.  On one core the helper
+    costs a few percent: c07's call (t0 = 25, 100, 400, 3000 samples) pinned
+    to one CPU took 292-296 ms against 286-292 ms for the serial loop, and
+    205-215 ms unpinned on two cores.
     """
     if num_samples < 100:
         raise ValueError("num_samples must be >= 100")
@@ -274,7 +276,8 @@ def random_ensemble_second_moment(
             sin = helper.submit(np.sin, angles, out=phases.imag)
             np.cos(angles, out=phases.real)
             sin.result()
-            for phase in phases:
+            phases *= amplitude
+            for data in phases:
                 for i, k in enumerate(kernels):
-                    acc[i] += abs(np.dot(k, amplitude * phase[:k.shape[0]])) ** 2
+                    acc[i] += abs(np.dot(k, data[:k.shape[0]])) ** 2
     return [a / num_samples for a in acc]

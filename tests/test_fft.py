@@ -2,9 +2,10 @@
 
 Every transform is compared as uint64 views at each length and batch shape
 the criteria use, so the sha256 pins and printed values rest on scipy's
-pocketfft alone.  The seam is the engines' one path to an FFT: no other
-module under ``src/`` imports ``scipy.fft``, not even its helpers, and a
-missing pocketfft module fails the import instead of falling back.
+pocketfft alone.  The seam is the engines' one path to an FFT: no module
+under ``src/`` imports ``scipy.fft``, not even its helpers or the seam, which
+loads the pocketfft module by path, and a missing pocketfft module fails the
+import instead of falling back.
 """
 
 import ast
@@ -89,57 +90,80 @@ def test_real_transforms_bitwise(shape):
     _assert_bitwise(_fft.rfft(z.real), sfft.rfft(z.real))
 
 
-def test_missing_pocketfft_fails_the_import():
-    code = (
-        "import sys, scipy.fft\n"
-        "sys.modules['scipy.fft._pocketfft.pypocketfft'] = None\n"
-        "import nlsgrowth.continuum\n"
-    )
+def _fresh_python(code, *path):
+    """Run code in a fresh interpreter that imports from path, then the
+    package's own source tree."""
     src = Path(nlsgrowth.__file__).parents[1]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (*path, src)))),
     )
+
+
+def test_missing_pocketfft_fails_the_import(tmp_path):
+    # a scipy package that holds no pocketfft module, and whose __init__ the
+    # seam must not run
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("raise AssertionError('scipy/__init__.py ran')\n")
+    proc = _fresh_python("import nlsgrowth.continuum\n", tmp_path)
     assert proc.returncode != 0
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError: ")
     assert "scipy.fft._pocketfft.pypocketfft" in last and f"scipy {scipy.__version__}" in last
 
 
+def test_runner_import_leaves_scipy_unloaded():
+    # the seam loads pocketfft by path: neither scipy's nor scipy.fft's
+    # __init__ runs, and the process pays for neither import
+    proc = _fresh_python(
+        "import sys\nimport nlsgrowth.harness.runner\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 BLUESTEIN_PAIR_FAULTS = """\
 import resource
+import sys
 import numpy as np
 import nlsgrowth.lattice
 from nlsgrowth import _fft
 
-x = np.exp(1j * np.arange(8193.0))[None, :]
-for _ in range(20):
-    _fft.ifft(_fft.fft(x))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(200):
-    _fft.ifft(_fft.fft(x))
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+assert "scipy.fft" not in sys.modules
+before = faults()
+nlsgrowth.lattice._fft_pair_scale(8193)
+print(faults() - before)
+for rows in (1, 4):
+    x = np.exp(1j * np.arange(8193.0)) * np.ones((rows, 1))
+    for _ in range(20):
+        _fft.ifft(_fft.fft(x))
+    before = faults()
+    for _ in range(200):
+        _fft.ifft(_fft.fft(x))
+    print((faults() - before) / 200)
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a property of glibc's malloc")
 def test_bluestein_pairs_reuse_the_heap():
     # c01's speed rests on this: at the non-fast length 8193 pocketfft allocates
-    # its Bluestein scratch on every call, and only because importing the seam
-    # imports scipy.fft, which raises glibc's mmap and trim thresholds, does
-    # that scratch come back from the heap instead of fresh pages (loaded
-    # without scipy.fft, pocketfft takes about 190 minor faults a pair)
-    src = Path(nlsgrowth.__file__).parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", BLUESTEIN_PAIR_FAULTS], capture_output=True, text=True,
-        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
-    )
+    # its Bluestein scratch on every call, and that scratch comes back from the
+    # heap instead of fresh pages only because the seam fixes glibc's mmap and
+    # trim thresholds when it loads.  Left to glibc's dynamic thresholds, a
+    # [4, 8193] pair took about 1,200 minor faults and the pair-scale
+    # calibration about 43,700 even with scipy.fft imported; without
+    # scipy.fft, a [1, 8193] pair took about 190
+    proc = _fresh_python(BLUESTEIN_PAIR_FAULTS)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 1.0
-
-
-# the seam's own import, the one import of scipy.fft under src/
-SEAM_IMPORTS = {f"scipy.fft._pocketfft.pypocketfft.{name}" for name in ("c2c", "c2r", "r2c")}
+    calibration, *pairs = proc.stdout.split()
+    assert int(calibration) < 1000
+    assert [float(p) < 1.0 for p in pairs] == [True, True]
 
 
 def _in_scipy_fft(name):
@@ -159,13 +183,12 @@ def _scipy_fft_imports(tree):
 
 
 def test_seam_is_the_only_transform_path():
-    # no other module under src/ imports scipy.fft at all, helpers included
+    # no module under src/ imports scipy.fft at all, helpers and the seam included
     src = Path(nlsgrowth.__file__).parent
     stray = []
     for path in sorted(src.rglob("*.py")):
         imports = set(_scipy_fft_imports(ast.parse(path.read_text(encoding="utf-8"))))
-        allowed = SEAM_IMPORTS if path == src / "_fft.py" else set()
-        stray += [(path.relative_to(src).as_posix(), name) for name in sorted(imports - allowed)]
+        stray += [(path.relative_to(src).as_posix(), name) for name in sorted(imports)]
     assert not stray
 
 

@@ -759,8 +759,20 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "slope=" in proc.stdout
 
+    @staticmethod
+    def _modules_after_main(argv):
+        """``main(argv)``'s exit code in a fresh process, and whether that
+        process then holds the FFT seam and ``scipy.fft``."""
+        probe = (
+            "import sys; from nlsgrowth.harness.cli import main; "
+            f"code = main({argv!r}); print(code, 'nlsgrowth._fft' in sys.modules, 'scipy.fft' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.stdout, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
     def test_fit_and_config_error_leave_fft_unloaded(self, tmp_path):
-        # neither needs an engine, so neither pays for importing scipy.fft
+        # neither needs an engine, so neither loads the FFT seam
         rows = [(float(t), t ** 0.5) for t in range(1, 21)]
         csv_path = write_csv(tmp_path / "series.csv", ["t", "sup_abs"], rows)
         bad = tmp_path / "bad.cfg"
@@ -769,12 +781,14 @@ class TestCli:
             (["fit", "--csv", str(csv_path), "--t-lo", "1", "--t-hi", "20"], 0),
             (["run", "--config", str(bad), "--out", str(tmp_path / "o")], 2),
         ):
-            probe = (
-                "import sys; from nlsgrowth.harness.cli import main; "
-                f"code = main({argv!r}); print(code, 'scipy.fft' in sys.modules)"
-            )
-            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-            assert proc.stdout.splitlines()[-1] == f"{code} False", proc.stderr
+            assert self._modules_after_main(argv) == f"{code} False False"
+
+    def test_lattice_run_leaves_scipy_fft_unloaded(self, tmp_path):
+        # the seam loads pocketfft by path, so a run never imports scipy.fft
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(LATTICE_CFG)
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        assert self._modules_after_main(argv) == "0 True False"
 
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"

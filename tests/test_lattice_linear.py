@@ -271,7 +271,7 @@ class TestEnsemble:
         assert a == b
 
     @pytest.mark.parametrize("num_samples", [100, 200, 1000])
-    @pytest.mark.parametrize("amplitude", [1.0, 0.7])
+    @pytest.mark.parametrize("amplitude", [1.0, 0.7, 3.3])
     @pytest.mark.parametrize("t0", [25.0, 100.0, 400.0])
     def test_equals_exp_oracle(self, t0, amplitude, num_samples):
         # the draw takes exp(i theta) as cos + i sin; numpy's complex exp of
