@@ -70,7 +70,6 @@ MOLLIFIER_KINDS = {
 _COMMON_KEYS = {
     "run.t_final": (float, 10.0),
     "run.record_dt": (float, 0.5),
-    "output.svg": (_parse_bool, False),
 }
 
 _DATA_KEYS = {
@@ -87,17 +86,18 @@ _DATA_KEYS = {
 # entry of a list: the time-grid keys a run divides by or steps towards
 # (lattice.dt and continuum.dt are checked by their models), the lattice-linear
 # horizons, in the stationary-phase regime t0 >= 20, the ensemble size that
-# random_ensemble_second_moment needs, the wave power u^(2p+1) with p >= 1,
-# the scales R >= 1, and the seeds and comb half-extent, which numpy takes
-# only >= 0
+# random_ensemble_second_moment needs, the wave power u^(2p+1) with p >= 1 and
+# the lattice ring's extent N >= 1, the scales R >= 1, the seeds and comb
+# half-extent, which numpy takes only >= 0, and the grids' box lengths
 _LOWER_BOUNDS = {
     **dict.fromkeys(("run.record_dt", "nlw.dt", "newton.dt"), (0.0, False)),
     **dict.fromkeys(("run.t_final", "newton.t_final"), (0.0, True)),
     "run.t0_values": (20.0, True),
     "ensemble.samples": (100, True),
-    "nlw.p": (1, True),
+    **dict.fromkeys(("nlw.p", "lattice.extent"), (1, True)),
     **dict.fromkeys(("weight.R", "probe.R"), (1.0, True)),
     **dict.fromkeys(("data.seed", "ensemble.seed", "data.comb_half_extent"), (0, True)),
+    **dict.fromkeys(("continuum.box_length", "nlw.box_length", "newton.box_length"), (0.0, False)),
 }
 
 # sweep key -> the config keys it may set; a schema that holds the sweep key
@@ -134,7 +134,6 @@ ENGINE_SCHEMAS: dict[str, dict] = {
         "ensemble.samples": (int, 200),
         "ensemble.amplitude": (float, 1.0),
         "ensemble.seed": (int, 0),
-        "output.svg": (_parse_bool, False),
         "sweep.seeds": (_parse_list(int), ()),
     },
     "continuum": {
@@ -172,7 +171,6 @@ ENGINE_SCHEMAS: dict[str, dict] = {
         "newton.tol": (float, 1e-12),
         "newton.max_iter": (int, 12),
         "newton.r1": (float, 1.0),
-        "output.svg": (_parse_bool, False),
     },
 }
 

@@ -1,10 +1,10 @@
 """Experiment execution: engine dispatch, run directories, parallel sweeps.
 
 Each run writes ``series.csv`` (columns fixed per engine), a
-``metadata.json`` sidecar (config echo, code version, wall time, warnings;
-for lattice runs also ``batch``: rows in the batch, step count, stepping
-wall time), and optionally an SVG plot with its ``.dat`` companion, log-log
-when the first column is ``t``.
+``metadata.json`` sidecar (config echo, code version, wall time, warnings,
+a summary of the values no column holds, which only Newton runs fill; for
+lattice runs also ``batch``: rows in the batch, step count, stepping wall
+time).
 Identical (config, seed) pairs produce byte-identical CSVs regardless of the
 sweep worker count: cases are keyed and written in sorted order.  A sweep's
 numerical abort or invalid input names its case, and the aborted sweep
@@ -52,7 +52,6 @@ from ..timegrid import _check_row, time_grid
 from ..wave import WaveState, run_nlw
 from .config import _SWEEP_TARGETS, DATA_KINDS, MOLLIFIER_KINDS, ConfigError, ExperimentConfig
 from .csvio import write_csv
-from .svgplot import write_line_plot
 
 __all__ = ["EngineResult", "execute", "run_experiment", "sweep_experiment"]
 
@@ -106,17 +105,14 @@ def _wrap_warnings(spec: InitialData, extent: int, t_final: float) -> list[str]:
 def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> list[EngineResult]:
     """Run lattice cases as one batch: one row per case, one Strang loop.
 
-    The cases share model, lattice.extent, run.t_final and run.record_dt; each
-    row keeps its own initial data and weight, and its own records and warnings.
+    The cases share model, lattice.extent, run.t_final and run.record_dt (no
+    sweep axis sets them), read from the first case; each row keeps its own
+    initial data and weight, and its own records and warnings.
     """
-    shared = set()
-    for p in cases:
-        lattice = _section(p, "lattice")
-        del lattice["extent"]  # it makes the data
-        shared.add((LatticeModel(**lattice), p["lattice.extent"], p["run.t_final"], p["run.record_dt"]))
-    if len(shared) != 1:
-        raise ValueError("a lattice batch needs one model, lattice.extent, run.t_final and run.record_dt")
-    ((model, extent, t_final, record_dt),) = shared
+    lattice = _section(cases[0], "lattice")
+    extent = lattice.pop("extent")  # it makes the data
+    model = LatticeModel(**lattice)
+    t_final, record_dt = cases[0]["run.t_final"], cases[0]["run.record_dt"]
     specs = [_build(DATA_KINDS, "data.kind", params) for params in cases]
     values = np.stack([make_initial_lattice(spec, extent) for spec in specs])
     weights = []
@@ -132,17 +128,10 @@ def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> lis
         "steps": time_grid(t_final, model.dt),
         "stepping_wall_s": time.perf_counter() - start,
     }
-    results = []
-    for spec, rows in zip(specs, records):
-        # the last record holds the diagnostics of the final values
-        results.append(EngineResult(
-            columns=list(LatticeRunRecord._fields),
-            rows=rows,
-            warnings=_wrap_warnings(spec, extent, t_final),
-            summary={"final_sup_abs": rows[-1].sup_abs, "final_mass": rows[-1].global_mass},
-            batch=batch,
-        ))
-    return results
+    return [
+        EngineResult(list(LatticeRunRecord._fields), rows, _wrap_warnings(spec, extent, t_final), batch=batch)
+        for spec, rows in zip(specs, records)
+    ]
 
 
 def _run_lattice_engine(params: dict) -> EngineResult:
@@ -224,11 +213,7 @@ def _run_newton_engine(params: dict) -> EngineResult:
         columns=["n", "eps_n", "sup_residual", "ratio"],
         rows=rows,
         warnings=warnings,
-        summary={
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "amplitude_scale": result.amplitude_scale,
-        },
+        summary={"converged": result.converged, "amplitude_scale": result.amplitude_scale},
     )
 
 
@@ -264,21 +249,6 @@ def _write_outputs(config: ExperimentConfig, result: EngineResult, out_dir: Path
     if result.batch:
         meta["batch"] = result.batch
     _write_metadata(out_dir, meta)
-    if config.params.get("output.svg"):
-        data = np.array([[float(v) for v in row] for row in result.rows])
-        if len(data):
-            x = data[:, 0]
-            ys = {result.columns[1]: data[:, 1]}
-            loglog = result.columns[0] == "t" and np.all(x[1:] > 0)
-            write_line_plot(
-                out_dir / "plot.svg",
-                x[1:] if loglog else x,
-                {k: v[1:] if loglog else v for k, v in ys.items()},
-                title=config.engine,
-                xlabel=result.columns[0],
-                ylabel=result.columns[1],
-                loglog=bool(loglog),
-            )
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Path:
@@ -298,7 +268,7 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     """Expand sweep lists into a deterministic case grid and run them all.
 
     Cases execute concurrently over immutable configs, lattice cases as
-    batched chunks; the summary is keyed and sorted before writing, and a
+    batched chunks; the index is keyed and sorted before writing, and a
     batch is bitwise equal to its rows run alone, so the output is
     independent of worker count.  Raises ValueError for workers < 1, and
     ConfigError, before any case runs, for a sweep list that repeats a value
@@ -382,11 +352,9 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str | Path, workers: int
     axis_names = sorted({k for _, a in done for k in a})
     rows = [tuple([key] + [a[name] for name in axis_names]) for key, a in done]
     write_csv(out / "sweep_index.csv", ["case"] + axis_names, rows)
-    meta = {
+    _write_metadata(out, {
         "config": config.echo(),
         "code_version": __version__,
         "wall_time_s": time.perf_counter() - start,
-        "cases": [key for key, _ in done],
-    }
-    _write_metadata(out, meta)
+    })
     return out

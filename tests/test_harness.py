@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -27,7 +28,7 @@ from nlsgrowth.harness.config import (
 from nlsgrowth.harness.csvio import read_csv, write_csv
 from nlsgrowth.harness.acceptance import _DETERMINISM_CONFIG
 from nlsgrowth.harness.fitting import fit_growth
-from nlsgrowth.harness.runner import _run_lattice_rows, execute, run_experiment, sweep_experiment
+from nlsgrowth.harness.runner import execute, run_experiment, sweep_experiment
 from nlsgrowth.harness.svgplot import write_line_plot
 from nlsgrowth.lattice import LatticeModel, LatticeRunRecord
 from nlsgrowth.lattice_linear import default_half_width
@@ -166,12 +167,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("value, parsed", [("off", False), ("yes", True), ("maybe", None)])
     def test_boolean_words(self, value, parsed):
-        text = f"engine = lattice\noutput.svg = {value}\n"
+        text = f"engine = continuum\ncontinuum.dealias = {value}\n"
         if parsed is None:
-            with pytest.raises(ConfigError, match=r"^bad value for 'output.svg': 'maybe' \(not a boolean"):
+            with pytest.raises(ConfigError, match=r"^bad value for 'continuum.dealias': 'maybe' \(not a boolean"):
                 parse_config_text(text)
         else:
-            assert parse_config_text(text).params["output.svg"] is parsed
+            assert parse_config_text(text).params["continuum.dealias"] is parsed
 
     def test_missing_engine(self):
         with pytest.raises(ConfigError, match="engine"):
@@ -270,6 +271,40 @@ class TestConfig:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         assert capsys.readouterr().err == "config error: nlw.p must be >= 1, got -1\n"
+
+    @pytest.mark.parametrize("engine, key, value, message", [
+        ("lattice", "lattice.extent", 0, "lattice.extent must be >= 1, got 0"),
+        ("continuum", "continuum.box_length", 0, "continuum.box_length must be > 0, got 0"),
+        ("nlw", "nlw.box_length", -1, "nlw.box_length must be > 0, got -1"),
+        ("newton", "newton.box_length", 0, "newton.box_length must be > 0, got 0"),
+    ], ids=["lattice.extent", "continuum.box_length", "nlw.box_length", "newton.box_length"])
+    def test_ring_and_box_size_bounds(self, tmp_path, capsys, engine, key, value, message):
+        # the realizers' own messages name no key; the parser names it
+        # before a run or any sweep case
+        text = f"engine = {engine}\n{key} = {value}\n"
+        if "sweep.seeds" in ENGINE_SCHEMAS[engine]:
+            text += "sweep.seeds = 1, 2\n"
+        cfg_path = tmp_path / "b.cfg"
+        cfg_path.write_text(text)
+        for verb in ("run", "sweep"):
+            assert cli.main([verb, "--config", str(cfg_path), "--out", str(tmp_path / verb)]) == 2
+            assert not (tmp_path / verb).exists()
+        assert capsys.readouterr().err == 2 * f"config error: {message}\n"
+
+    @pytest.mark.parametrize("engine", ENGINE_SCHEMAS)
+    def test_every_schema_key_is_read(self, engine):
+        # a key is read through its section's constructor, as an argument of
+        # a data or mollifier kind, as a sweep list, or by name in the runner;
+        # a key that no engine reads would be accepted and then ignored
+        read = {key for kinds in (DATA_KINDS, MOLLIFIER_KINDS) for _, keys in kinds.values() for key in keys}
+        read |= set(_SWEEP_TARGETS)
+        read |= {
+            node.value for node in ast.walk(ast.parse(inspect.getsource(inspect.getmodule(execute))))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        sections = {section for e, section, *_ in SECTION_CONSTRUCTORS if e == engine}
+        unread = [key for key in ENGINE_SCHEMAS[engine] if key not in read and key.split(".")[0] not in sections]
+        assert unread == []
 
     @pytest.mark.parametrize(
         "engine, section, make, grid, unset", SECTION_CONSTRUCTORS, ids=[s for _, s, *_ in SECTION_CONSTRUCTORS]
@@ -417,6 +452,25 @@ class TestRunner:
             rows = {json.loads((d / c / "metadata.json").read_text())["batch"]["rows"] for c in cases}
             assert rows == chunk_rows
 
+    @pytest.mark.parametrize("engine", ENGINE_SCHEMAS)
+    def test_run_directory_holds_series_and_metadata(self, tmp_path, engine):
+        # each number is written once: the rows in series.csv, what no row
+        # holds in metadata.json, and nothing else
+        text = f"engine = {engine}\n" + "".join(f"{k} = {v}\n" for k, v in PROBE_BASES[engine].items())
+        out = run_experiment(parse_config_text(text), tmp_path / "r")
+        assert sorted(p.name for p in out.iterdir()) == ["metadata.json", "series.csv"]
+        meta = json.loads((out / "metadata.json").read_text())
+        keys = {"config", "code_version", "wall_time_s", "warnings", "summary"}
+        assert set(meta) == keys | ({"batch"} if engine == "lattice" else set())
+        # only Newton's summary holds values that no column does
+        assert bool(meta["summary"]) == (engine == "newton")
+
+    def test_sweep_directory_holds_cases_index_and_metadata(self, tmp_path):
+        cfg = parse_config_text(LATTICE_CFG + "sweep.seeds = 1, 2\n")
+        out = sweep_experiment(cfg, tmp_path / "s", workers=1)
+        assert sorted(p.name for p in out.iterdir()) == ["metadata.json", "seed=1", "seed=2", "sweep_index.csv"]
+        assert set(json.loads((out / "metadata.json").read_text())) == {"config", "code_version", "wall_time_s"}
+
     def test_sweep_case_equals_single_run(self, tmp_path):
         text = (
             LATTICE_CFG.replace("constant", "random_phase")
@@ -563,17 +617,19 @@ class TestRunner:
 
     @pytest.mark.parametrize("max_iter", [1, 12])
     def test_newton_summary_types(self, tmp_path, max_iter):
-        # metadata keeps bools and ints; a run that stops short of tol warns
+        # metadata keeps bools; the iteration count is the last row's n; a
+        # run that stops short of tol warns
         cfg = parse_config_text(
             "engine = newton\n"
             "data.kind = periodic\ndata.amplitudes = 0.1\ndata.frequencies = 1\n"
             f"newton.max_iter = {max_iter}\n"
         )
-        meta = json.loads((run_experiment(cfg, tmp_path / "n") / "metadata.json").read_text())
+        out = run_experiment(cfg, tmp_path / "n")
+        meta = json.loads((out / "metadata.json").read_text())
         converged = max_iter > 1
         assert meta["summary"]["converged"] is converged
-        assert type(meta["summary"]["iterations"]) is int
-        assert meta["summary"]["iterations"] == (3 if converged else 1)
+        last_n = (out / "series.csv").read_text().splitlines()[-1].split(",")[0]
+        assert last_n == ("3" if converged else "1")
         if converged:
             assert meta["warnings"] == []
         else:
@@ -593,12 +649,12 @@ class TestRunner:
         assert capsys.readouterr().err == ""
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["summary"]["converged"] is False
-        assert meta["summary"]["iterations"] == 12
         # the default constant data, amplitude 1, have majorant 1 > 0.5
         scaled, stopped = meta["warnings"]
         assert scaled.startswith("newton iterated the data scaled by 0.5:")
         assert "did not converge" in stopped
         series = read_csv(out / "series.csv")
+        assert series["n"][-1] == 12
         assert series["eps_n"][6] ** 2 == 0.0 < series["eps_n"][6]
         assert np.isnan(series["ratio"][6]) and np.isnan(series["ratio"][-1])
 
@@ -680,15 +736,6 @@ class TestRunner:
         assert cfg.params["data.kind"] in data
         assert execute(cfg).warnings == []
 
-    def test_lattice_batch_needs_one_extent(self):
-        # lattice.extent makes the ring of each row, so two rings are no batch
-        cases = [
-            parse_config_text(LATTICE_CFG.replace("lattice.extent = 64", f"lattice.extent = {n}")).params
-            for n in (64, 65)
-        ]
-        with pytest.raises(ValueError, match="needs one model, lattice.extent, run.t_final"):
-            _run_lattice_rows(cases)
-
     def test_wrap_margin_warning_in_gronwall_geometry(self):
         # c04's ring: extent 192, T = 50, random phases; the light cone wraps
         cfg = parse_config_text(
@@ -720,12 +767,6 @@ class TestSvg:
         ).read_text()
         labels = re.findall(r">([^<>]*)</text>", text)
         assert labels == ["lin", "0", "2", "4", "6", "8", "10", "0", "2e+04", "4e+04", "n", "a", "a"]
-
-    def test_svg_via_runner(self, tmp_path):
-        cfg = parse_config_text(LATTICE_CFG + "output.svg = true\n")
-        out = run_experiment(cfg, tmp_path / "r")
-        assert (out / "plot.svg").exists()
-        assert (out / "plot.dat").exists()
 
 
 class TestCli:
