@@ -4,18 +4,21 @@
 criterion is self-contained (no shared state), so a failure in one cannot
 contaminate another; ``run_criterion`` executes a single one by name.
 
-Each criterion returns its checks as data, ``(name, value, op, bound,
-fmt)``; the pass flag, the printed line and both report files derive from
-them.  Thresholds come from the project contract.  Values the underlying
-theorems leave unquantified (the lower-bound constant delta, bootstrap
-excursion factors) were measured once against the oracles and pinned here.
+Each criterion returns ``(checks, series)``: its checks as data, ``(name,
+value, op, bound, fmt)``, from which the pass flag, the printed line and
+both report files derive, and the series it judged, a CSV stem mapped to
+``(columns, rows)`` (empty for most criteria), which the suite writes under
+``out_dir/<criterion>/``.  Thresholds come from the project contract.
+Values the underlying theorems leave unquantified (the lower-bound constant
+delta, bootstrap excursion factors) were measured once against the oracles
+and pinned here.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -96,6 +99,7 @@ class CriterionResult:
     runtime_s: float
     detail: str
     error: str  # "<exception type>: <message>" when the criterion crashed, else ""
+    series: dict  # CSV stem -> (columns, rows) of the data the checks judged
 
     @property
     def passed(self) -> bool:
@@ -122,18 +126,19 @@ class CriterionResult:
 
 # ---------------------------------------------------------------------------
 # criteria: each returns its checks as (name, value, op, bound, fmt) tuples
+# and its series as {stem: (columns, rows)}
 # ---------------------------------------------------------------------------
 
-def _c01_lattice_unitarity() -> list[tuple]:
+def _c01_lattice_unitarity() -> tuple[list[tuple], dict]:
     model = LatticeModel(sign=+1, p=2.0, dt=0.01)
     psi0 = make_initial_lattice(InitialData.random_phase(1.0, seed=5), 4096)
     records, _ = run_lattice(model, psi0, t_final=100.0, record_dt=10.0)
     m0 = records[0].global_mass
     drift = max(abs(r.global_mass - m0) / m0 for r in records)
-    return [("drift", drift, "<=", 1e-12, ".3e")]
+    return [("drift", drift, "<=", 1e-12, ".3e")], {}
 
 
-def _c02_linear_equivalence() -> list[tuple]:
+def _c02_linear_equivalence() -> tuple[list[tuple], dict]:
     t_final = 50.0
     extent = max(default_half_width(t_final), 256)
     model = LatticeModel(dt=0.05, coupling=0.0)
@@ -141,10 +146,10 @@ def _c02_linear_equivalence() -> list[tuple]:
     _, psi = run_lattice(model, psi0, t_final, record_dt=t_final)  # 1000 steps
     exact = linear_evolve(psi0, kernel_table(t_final, extent))
     err = float(np.max(np.abs(psi - exact)))
-    return [("sup_err", err, "<=", 1e-8, ".3e")]
+    return [("sup_err", err, "<=", 1e-8, ".3e")], {}
 
 
-def _c03_kernel_oracle() -> list[tuple]:
+def _c03_kernel_oracle() -> tuple[list[tuple], dict]:
     worst_pair = 0.0
     worst_unitarity = 0.0
     for t in (10.0, 50.0, 200.0):
@@ -159,10 +164,10 @@ def _c03_kernel_oracle() -> list[tuple]:
     return [
         ("recurrence_vs_quadrature", worst_pair, "<=", 1e-12, ".3e"),
         ("unitarity_deficit", worst_unitarity, "<=", 1e-12, ".3e"),
-    ]
+    ], {}
 
 
-def _c04_gronwall_mass() -> list[tuple]:
+def _c04_gronwall_mass() -> tuple[list[tuple], dict]:
     t0 = 50.0
     extent = 192
     model = LatticeModel(sign=+1, p=2.0, dt=0.01)
@@ -173,7 +178,7 @@ def _c04_gronwall_mass() -> list[tuple]:
     ])
     records, _ = run_lattice_batch(model, psi0, t0, record_dt=t0, weights=[weight] * len(seeds))
     worst = max(rows[-1].local_mass / rows[0].local_mass for rows in records)
-    return [("max_mass_ratio", worst, "<=", 2.0 ** 3 * (1.0 + 1e-6), ".4f")]
+    return [("max_mass_ratio", worst, "<=", 2.0 ** 3 * (1.0 + 1e-6), ".4f")], {}
 
 
 # the three bounded data classes of Proposition 2.1
@@ -185,9 +190,10 @@ _GROWTH_DATA = {
 
 
 def _growth_runs(specs: list[InitialData], sign: int):
-    """(times, sup norms) of each spec's run to T = 200, read off one
-    ``lattice_states`` stream of the specs as a batch, and the rows' values
-    after t0 = 10, 20, 50 and 100 (1000 to 10000 steps), by t0."""
+    """The record times and sup norms ``[record, spec]`` of the specs' runs to
+    T = 200, read off one ``lattice_states`` stream of the specs as a batch,
+    and the rows' values after t0 = 10, 20, 50 and 100 (1000 to 10000
+    steps), by t0."""
     extent = 512
     model = LatticeModel(sign=sign, p=2.0, dt=0.01)
     psi0 = np.stack([make_initial_lattice(spec, extent) for spec in specs])
@@ -198,31 +204,37 @@ def _growth_runs(specs: list[InitialData], sign: int):
         sups.append(np.max(np.abs(vals), axis=-1))
         if round(t / model.dt) in window_t0:
             windows[window_t0[round(t / model.dt)]] = vals.copy()
-    return [(np.array(times), sup) for sup in np.array(sups).T], windows
+    return np.array(times), np.array(sups), windows
 
 
-def _c05_prop21() -> list[tuple]:
+def _c05_prop21() -> tuple[list[tuple], dict]:
     runs = {sign: _growth_runs(list(_GROWTH_DATA.values()), sign) for sign in (+1, -1)}
+    t = runs[+1][0]
     slopes = [
-        (f"slope[{kind}/{sign:+d}]", fit_growth(*runs[sign][0][i], (10.0, 200.0)).slope, "<=", 0.55, ".3f")
+        (f"slope[{kind}/{sign:+d}]", fit_growth(t, runs[sign][1][:, i], (10.0, 200.0)).slope, "<=", 0.55, ".3f")
         for i, kind in enumerate(_GROWTH_DATA)
         for sign in (+1, -1)
     ]
     # windowed mass average stability across t0 on the defocusing random run
-    averages = [windowed_mass_avg(psis[1], 0, t0) for t0, psis in runs[+1][1].items()]
-    return slopes + [("mass_avg_spread", max(averages) / min(averages), "<=", 4.0, ".2f")]
+    averages = {t0: windowed_mass_avg(psis[1], 0, t0) for t0, psis in runs[+1][2].items()}
+    spread = max(averages.values()) / min(averages.values())
+    sup = (["t"] + [f"{kind}/{sign:+d}" for sign in (+1, -1) for kind in _GROWTH_DATA],
+           np.column_stack([t, runs[+1][1], runs[-1][1]]))
+    return slopes + [("mass_avg_spread", spread, "<=", 4.0, ".2f")], {
+        "sup": sup, "windows": (["t0", "mass_avg"], list(averages.items())),
+    }
 
 
-def _c06_prop22() -> list[tuple]:
-    ((t, sup),), windows = _growth_runs([_GROWTH_DATA["random_phase"]], +1)
-    quartics = [windowed_quartic_avg(psi, 0, t0) for t0, (psi,) in windows.items()]
+def _c06_prop22() -> tuple[list[tuple], dict]:
+    t, sup, windows = _growth_runs([_GROWTH_DATA["random_phase"]], +1)
+    quartics = {t0: windowed_quartic_avg(psi, 0, t0) for t0, (psi,) in windows.items()}
     return [
-        ("quartic_spread", max(quartics) / min(quartics), "<=", 4.0, ".2f"),
-        ("sup_slope", fit_growth(t, sup, (10.0, 200.0)).slope, "<=", 0.30, ".3f"),
-    ]
+        ("quartic_spread", max(quartics.values()) / min(quartics.values()), "<=", 4.0, ".2f"),
+        ("sup_slope", fit_growth(t, sup[:, 0], (10.0, 200.0)).slope, "<=", 0.30, ".3f"),
+    ], {"windows": (["t0", "quartic_avg"], list(quartics.items()))}
 
 
-def _c07_lemma_a() -> list[tuple]:
+def _c07_lemma_a() -> tuple[list[tuple], dict]:
     checks = []
     pairing = True
     for t0 in (25.0, 100.0, 400.0):
@@ -235,28 +247,31 @@ def _c07_lemma_a() -> list[tuple]:
     return checks + [
         ("pairing", pairing, "==", True),
         ("ensemble_m2_err", abs(m2 - 1.0), "<=", 4.0 / np.sqrt(200), ".3f"),
-    ]
+    ], {}
 
 
-def _c08_continuum_linear_oracle() -> list[tuple]:
+def _c08_continuum_linear_oracle() -> tuple[list[tuple], dict]:
     box, size = 256.0, 4096
     coeffs = np.ones(41)
     u0 = make_initial_grid(InitialData.gaussian_comb(coeffs, -20), box, size)
-    worst = 0.0
-    for t in (0.5, 2.0, 5.0):
-        out = linear_propagate(u0, t)
-        exact = comb_oracle(coeffs, t, u0.x, -20)
-        worst = max(worst, float(np.max(np.abs(out.values - exact))))
-    return [("sup_err", worst, "<=", 1e-8, ".3e")]
+    errors = {
+        t: float(np.max(np.abs(linear_propagate(u0, t).values - comb_oracle(coeffs, t, u0.x, -20))))
+        for t in (0.5, 2.0, 5.0)
+    }
+    return [("sup_err", max(errors.values()), "<=", 1e-8, ".3e")], {
+        "sup_err": (["t", "sup_err"], list(errors.items())),
+    }
 
 
-def _c09_regularized_conservation() -> list[tuple]:
+def _c09_regularized_conservation() -> tuple[list[tuple], dict]:
     gauss = Mollifier.gaussian(1.0)
     box, size = 128.0, 1024
     u0 = make_initial_grid(InitialData.gaussian_comb(np.ones(127), -63), box, size)
     model = ContinuumModel(gauss, box, size, 1e-3)
     traj = run_continuum(u0, model, 10.0, 0.5)
     mass, energy = _record_pass(traj.values, box, gauss)[:, :2].T.tolist()
+    sup = np.max(np.abs(traj.values), axis=-1).tolist()
+    records = list(zip(traj.times.tolist(), sup, mass, energy))
     mass_drift = max(abs(m - mass[0]) / mass[0] for m in mass)
     energy_drift = max(abs(e - energy[0]) / energy[0] for e in energy)
 
@@ -275,10 +290,10 @@ def _c09_regularized_conservation() -> list[tuple]:
         ("mass_drift", mass_drift, "<=", 1e-8, ".3e"),
         ("energy_drift", energy_drift, "<=", 1e-6, ".3e"),
         ("halving_gain", gain, ">=", 12.0, ".1f"),
-    ]
+    ], {"conservation": (["t", "sup_abs", "mass", "energy"], records)}
 
 
-def _c10_picard_oracle() -> list[tuple]:
+def _c10_picard_oracle() -> tuple[list[tuple], dict]:
     gauss = Mollifier.gaussian(1.0)
     box, size = 64.0, 512
     u0 = make_initial_grid(InitialData.gaussian_comb(0.5 * np.ones(17), -8), box, size)
@@ -286,10 +301,10 @@ def _c10_picard_oracle() -> list[tuple]:
     res = picard_solve(u0, 0.1, model, tol=1e-8)
     traj = run_continuum(u0, model, 0.1, 1e-3)
     diff = float(np.max(np.abs(res.trajectory.values - traj.values)))
-    return [("sup_diff", diff, "<=", 1e-6, ".3e"), ("iterations", res.iterations, "<=", 8, "d")]
+    return [("sup_diff", diff, "<=", 1e-6, ".3e"), ("iterations", res.iterations, "<=", 8, "d")], {}
 
 
-def _c11_bootstrap_monitor() -> list[tuple]:
+def _c11_bootstrap_monitor() -> tuple[list[tuple], dict]:
     gauss = Mollifier.gaussian(1.0)
     big_r = 256.0
     box, size = 2048.0, 8192
@@ -305,10 +320,10 @@ def _c11_bootstrap_monitor() -> list[tuple]:
     return [
         ("max_probe_ratio", report.max_ratio, "<=", 2.0, ".3f"),
         ("sup_slope", slope, "<=", 8.0 / 3.0, ".3f"),
-    ]
+    ], {}
 
 
-def _c12_nlw() -> list[tuple]:
+def _c12_nlw() -> tuple[list[tuple], dict]:
     def real_band(amplitude, k_band, seed, box, size):  # the wave equation evolves real data
         spec = InitialData.random_band(amplitude, k_band, seed)
         return GridField(make_initial_grid(spec, box, size).values.real, box)
@@ -337,10 +352,10 @@ def _c12_nlw() -> list[tuple]:
         t = np.array([r[0] for r in recs])
         sup = np.array([r[1] for r in recs])
         checks.append((f"slope_p{p}", fit_growth(t, sup, (10.0, 100.0)).slope, "<=", bound, ".3f"))
-    return checks
+    return checks, {}
 
 
-def _c13_newton() -> list[tuple]:
+def _c13_newton() -> tuple[list[tuple], dict]:
     box = 2 * np.pi
     size = 64
     x = -box / 2 + (box / size) * np.arange(size)
@@ -383,7 +398,7 @@ def _c13_newton() -> list[tuple]:
         ("slope", slope, ">=", 1.8, ".2f"),
         ("vs_fine", diff, "<=", 1e-8, ".3e"),
         ("lemma43", lemma_ok, "==", True),
-    ]
+    ], {"ladder": (["n", "eps_n", "sup_residual", "ratio"], [astuple(r) for r in res.rows])}
 
 
 _DETERMINISM_CONFIG = """
@@ -399,7 +414,7 @@ weight.t0 = 2.0
 """
 
 
-def _c14_determinism() -> list[tuple]:
+def _c14_determinism() -> tuple[list[tuple], dict]:
     import tempfile
 
     config = parse_config_text(_DETERMINISM_CONFIG)
@@ -408,11 +423,11 @@ def _c14_determinism() -> list[tuple]:
         d2 = run_experiment(config, Path(tmp) / "b")
         b1 = (d1 / "series.csv").read_bytes()
         b2 = (d2 / "series.csv").read_bytes()
-    return [("byte_identical", b1 == b2, "==", True)]
+    return [("byte_identical", b1 == b2, "==", True)], {}
 
 
 # name -> function, detail, runtime bound in seconds (None: unbounded)
-CRITERIA: dict[str, tuple[Callable[[], list[tuple]], str, float | None]] = {
+CRITERIA: dict[str, tuple[Callable[[], tuple[list[tuple], dict]], str, float | None]] = {
     "c01_lattice_unitarity": (_c01_lattice_unitarity,
         "split-step global mass over 1e4 steps, N=4096, random phases", 30.0),
     "c02_linear_equivalence": (_c02_linear_equivalence,
@@ -448,20 +463,22 @@ def run_criterion(name: str) -> CriterionResult:
     start = time.perf_counter()
     error = ""
     try:
-        checks = [Check(*c) for c in func()]
+        raw, series = func()
+        checks = [Check(*c) for c in raw]
     except Exception as exc:  # a crash is a failure, not an abort
-        checks, error = [], f"{type(exc).__name__}: {exc}"
+        checks, series, error = [], {}, f"{type(exc).__name__}: {exc}"
     runtime = time.perf_counter() - start
     if checks and max_runtime is not None:  # no checks stays a failure
         checks.append(Check("runtime_s", runtime, "<=", max_runtime, ".1f"))
-    return CriterionResult(name, tuple(checks), runtime, detail, error)
+    return CriterionResult(name, tuple(checks), runtime, detail, error, series)
 
 
 def acceptance_suite(out_dir: str | Path | None) -> tuple[CriterionResult, ...]:
     """Run every criterion, printing its line as it ends, then the summary
     line; failures are results, never exceptions.  Returns the results in
     ``CRITERIA`` order; with an out_dir, also writes the printed lines to
-    ``acceptance_report.txt`` and the checks to ``acceptance_report.csv``."""
+    ``acceptance_report.txt``, the checks to ``acceptance_report.csv`` and
+    each criterion's series to ``<criterion>/<stem>.csv``."""
     results = []
     for name in CRITERIA:
         res = run_criterion(name)
@@ -480,4 +497,7 @@ def acceptance_suite(out_dir: str | Path | None) -> tuple[CriterionResult, ...]:
         )
         lines = [r.line() for r in results] + [summary]
         (out / "acceptance_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for r in results:
+            for stem, (columns, rows) in r.series.items():
+                write_csv(out / r.name / f"{stem}.csv", columns, rows)
     return tuple(results)

@@ -1,10 +1,9 @@
 """Experiment execution: engine dispatch, run directories, parallel sweeps.
 
 Each run writes ``series.csv`` (columns fixed per engine), a
-``metadata.json`` sidecar (config echo, code version, wall time, warnings,
-a summary of the values no column holds, which only Newton runs fill; for
-lattice runs also ``batch``: rows in the batch, step count, stepping wall
-time).
+``metadata.json`` sidecar (config echo, code version, wall time, warnings;
+for Newton runs also ``summary``, the values no column holds; for lattice
+runs also ``batch``: rows in the batch, step count, stepping wall time).
 Identical (config, seed) pairs produce byte-identical CSVs regardless of the
 sweep worker count: cases are keyed and written in sorted order.  A sweep's
 numerical abort or invalid input names its case, and the aborted sweep
@@ -102,6 +101,16 @@ def _wrap_warnings(spec: InitialData, extent: int, t_final: float) -> list[str]:
     ]
 
 
+def _seam_warnings(spec: InitialData, box_length: float) -> list[str]:
+    if spec.support_radius <= box_length / 2:
+        return []
+    # comb data are not periodic: teeth within _COMB_REACH of +-L/2 do not wrap
+    return [
+        f"seam check: support radius {spec.support_radius:.2f} > box_length / 2 = "
+        f"{box_length / 2:g}; the data jump across the periodic box's seam"
+    ]
+
+
 def _run_lattice_rows(cases: list[dict], labels: list[str] | None = None) -> list[EngineResult]:
     """Run lattice cases as one batch: one row per case, one Strang loop.
 
@@ -175,7 +184,7 @@ def _run_continuum_engine(params: dict) -> EngineResult:
             row = [float(t), float(np.max(np.abs(u))), *diagnostics]
             _check_row(row, columns, "continuum run")
             rows.append(tuple(row))
-    return EngineResult(columns=columns, rows=rows)
+    return EngineResult(columns, rows, _seam_warnings(spec, model.box_length))
 
 
 def _run_nlw_engine(params: dict) -> EngineResult:
@@ -184,7 +193,9 @@ def _run_nlw_engine(params: dict) -> EngineResult:
     specs = (_build(DATA_KINDS, "data.kind", params), _nlw_velocity(params))
     u, v = (make_initial_grid(spec, box, size).values for spec in specs)
     dropped = max(np.max(np.abs(u.imag)), np.max(np.abs(v.imag)))
-    warnings = [f"nlw evolves the real part of the data: dropped |Im| up to {dropped:.3g}"] if dropped else []
+    warnings = _seam_warnings(specs[0], box)
+    if dropped:
+        warnings.append(f"nlw evolves the real part of the data: dropped |Im| up to {dropped:.3g}")
     state = WaveState(GridField(u.real, box), GridField(v.real, box))
     records, _final = run_nlw(
         state, params["run.t_final"], params["nlw.dt"], params["run.record_dt"], params["nlw.p"]
@@ -195,10 +206,11 @@ def _run_nlw_engine(params: dict) -> EngineResult:
 def _run_newton_engine(params: dict) -> EngineResult:
     spec = _build(DATA_KINDS, "data.kind", params)
     newton = _section(params, "newton")
-    psi0 = make_initial_grid(spec, newton.pop("box_length"), newton.pop("grid_size"))
+    box = newton.pop("box_length")
+    psi0 = make_initial_grid(spec, box, newton.pop("grid_size"))
     result = newton_iterate(psi0, **newton)
     rows = [(r.n, r.eps, r.sup_residual, r.ratio) for r in result.rows]
-    warnings = []
+    warnings = _seam_warnings(spec, box)
     if result.amplitude_scale < 1:
         warnings.append(
             f"newton iterated the data scaled by {result.amplitude_scale:.3g}: "
@@ -244,8 +256,9 @@ def _write_outputs(config: ExperimentConfig, result: EngineResult, out_dir: Path
         "code_version": __version__,
         "wall_time_s": wall,
         "warnings": result.warnings,
-        "summary": result.summary,
     }
+    if result.summary:
+        meta["summary"] = result.summary
     if result.batch:
         meta["batch"] = result.batch
     _write_metadata(out_dir, meta)

@@ -11,6 +11,8 @@ import pytest
 
 from nlsgrowth.harness import acceptance
 from nlsgrowth.harness.acceptance import CRITERIA, Check, acceptance_suite, run_criterion
+from nlsgrowth.harness.csvio import read_csv
+from nlsgrowth.harness.fitting import fit_growth
 
 # Every check value but the runtimes, as the suite measured them before its
 # criteria became data (numpy 2.4, scipy 1.17, x86-64).  It printed all of
@@ -121,6 +123,30 @@ def test_report_files_written(suite_report):
     assert {r["passed"] for r in rows} == {"1"}
 
 
+def test_series_recompute_the_checks(suite_report):
+    # the series a criterion wrote are the data its checks judged: read back
+    # from the suite's CSVs, they give the checks' values exactly
+    results, out = suite_report
+    checks = {r.name: {c.name: c.value for c in r.checks} for r in results}
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+        "c05_prop21_sup_growth", "c06_prop22_defocusing", "c08_continuum_linear_oracle",
+        "c09_regularized_conservation", "c13_newton",
+    ]
+    c09 = read_csv(out / "c09_regularized_conservation" / "conservation.csv")
+    for column, check in (("mass", "mass_drift"), ("energy", "energy_drift")):
+        q = c09[column].tolist()
+        assert max(abs(v - q[0]) / q[0] for v in q) == checks["c09_regularized_conservation"][check]
+    c05 = read_csv(out / "c05_prop21_sup_growth" / "sup.csv")
+    t = c05.pop("t")
+    assert len(c05) == 6
+    for row, sup in c05.items():
+        slope = fit_growth(t, sup, (10.0, 200.0)).slope
+        assert slope == checks["c05_prop21_sup_growth"][f"slope[{row}]"]
+    c13 = read_csv(out / "c13_newton" / "ladder.csv")
+    first = min(n for n, r in zip(c13["n"], c13["sup_residual"]) if r <= 1e-10)
+    assert first == checks["c13_newton"]["n_residual_1e-10"]
+
+
 def test_check_ops_and_nan():
     assert Check("a", 1.0, "<=", 1.0).passed and not Check("a", 1.5, "<=", 1.0).passed
     assert Check("a", 2.0, ">=", 1.0).passed and not Check("a", 0.5, ">=", 1.0).passed
@@ -137,7 +163,7 @@ def test_check_ops_and_nan():
 
 def test_criterion_without_checks_fails(monkeypatch):
     # a runtime bound adds no check to a criterion that has none
-    monkeypatch.setattr(acceptance, "CRITERIA", {"stub_empty": (lambda: [], "", 10.0)})
+    monkeypatch.setattr(acceptance, "CRITERIA", {"stub_empty": (lambda: ([], {}), "", 10.0)})
     res = run_criterion("stub_empty")
     assert not res.passed
     assert "no checks" in res.line()

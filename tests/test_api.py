@@ -193,3 +193,22 @@ def test_perfbench_targets_resolve():
     assert ("nlsgrowth.lattice", "run_lattice") in names
     missing = [(module, attr) for module, attr in names if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+# the engine calls that define an experiment; three demos render the
+# acceptance criteria's own runs (run_criterion) and run their demo-only
+# data as configs (runner.execute), so none of them defines an experiment a
+# second time.  The Grönwall radii sweep of lattice_growth.py keeps
+# run_lattice_batch: it runs c04's shape at radii no criterion runs
+EXPERIMENT_CALLS = {
+    "lattice_states", "run_continuum", "picard_solve", "bootstrap_monitor",
+    "linear_propagate", "comb_oracle", "newton_iterate",
+}
+
+
+@pytest.mark.parametrize("demo", ["lattice_growth.py", "continuum_conservation.py", "newton_convergence.py"])
+def test_demos_render_the_criteria_runs(demo):
+    tree = ast.parse((SRC.parents[1] / "demos" / demo).read_text(encoding="utf-8"))
+    called = {name for name, _ in _calls([tree])}
+    assert "run_criterion" in called
+    assert not called & EXPERIMENT_CALLS

@@ -537,3 +537,27 @@ class TestStepperContract:
             stepped = next(stepper)
         assert stepped is not v
         assert np.array_equal(v, kept)
+
+
+class TestTruncation:
+    # the box stands in for R.  A random-phase comb (amplitude 0.7) stopping
+    # 8 short of the edge of a box of 128 is periodic to 1e-18 there, and the
+    # same comb in a box of 256 at the same spacing sees no seam by t = 2:
+    # on |x| <= 16 the two runs agree to 2e-14 to 4e-14 (seeds 0-5, both
+    # signs).  A comb whose teeth reach the seam of the box of 128 (support
+    # 69.4 > 64) jumps there, and the jump's high-k content crosses the box:
+    # the runs then differ by 1.2e-2 to 1.7e-2
+    @staticmethod
+    def _centre(spec, box, sign):
+        size = int(8 * box)
+        u0 = make_initial_grid(spec, box, size)
+        vals = run_continuum(u0, ContinuumModel(GAUSS, box, size, 2e-3, sign=sign), 2.0, 2.0).values[-1]
+        return vals[np.abs(u0.x) <= 16.0]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("half_extent, seamed", [(56, False), (63, True)])
+    def test_comb_independent_of_box_unless_seamed(self, sign, half_extent, seamed):
+        spec = InitialData.random_comb(0.7, half_extent, 3)
+        assert (spec.support_radius > 64.0) == seamed
+        diff = np.max(np.abs(self._centre(spec, 128.0, sign) - self._centre(spec, 256.0, sign)))
+        assert diff > 1e-3 if seamed else diff < 1e-10

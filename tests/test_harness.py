@@ -455,15 +455,14 @@ class TestRunner:
     @pytest.mark.parametrize("engine", ENGINE_SCHEMAS)
     def test_run_directory_holds_series_and_metadata(self, tmp_path, engine):
         # each number is written once: the rows in series.csv, what no row
-        # holds in metadata.json, and nothing else
+        # holds in metadata.json, and nothing else; only Newton's summary
+        # holds values that no column does, so only Newton writes one
         text = f"engine = {engine}\n" + "".join(f"{k} = {v}\n" for k, v in PROBE_BASES[engine].items())
         out = run_experiment(parse_config_text(text), tmp_path / "r")
         assert sorted(p.name for p in out.iterdir()) == ["metadata.json", "series.csv"]
         meta = json.loads((out / "metadata.json").read_text())
-        keys = {"config", "code_version", "wall_time_s", "warnings", "summary"}
-        assert set(meta) == keys | ({"batch"} if engine == "lattice" else set())
-        # only Newton's summary holds values that no column does
-        assert bool(meta["summary"]) == (engine == "newton")
+        keys = {"config", "code_version", "wall_time_s", "warnings"}
+        assert set(meta) == keys | {"lattice": {"batch"}, "newton": {"summary"}}.get(engine, set())
 
     def test_sweep_directory_holds_cases_index_and_metadata(self, tmp_path):
         cfg = parse_config_text(LATTICE_CFG + "sweep.seeds = 1, 2\n")
@@ -744,6 +743,26 @@ class TestRunner:
         )
         (warning,) = execute(cfg).warnings
         assert "wrap-margin" in warning and "extent 192 <" in warning
+
+    @pytest.mark.parametrize("engine, grid", [
+        ("continuum", "continuum.box_length = 128\ncontinuum.grid_size = 256\nrun.t_final = 0\n"),
+        ("nlw", "nlw.box_length = 128\nnlw.grid_size = 256\nrun.t_final = 0\n"),
+        ("newton", "newton.box_length = 128\nnewton.grid_size = 256\nnewton.t_final = 0.01\n"),
+    ])
+    @pytest.mark.parametrize("half_extent, warns", [(57, False), (58, True)])
+    def test_seam_warning(self, tmp_path, engine, grid, half_extent, warns):
+        # comb teeth j = -J..J reach J + _COMB_REACH: 63.44 fits in the box
+        # of 128, 64.44 crosses its seam at +-64, where the data then jump
+        cfg = parse_config_text(
+            f"engine = {engine}\n{grid}data.kind = gaussian_comb\ndata.comb_half_extent = {half_extent}\n"
+        )
+        out = run_experiment(cfg, tmp_path / "r")
+        warnings = json.loads((out / "metadata.json").read_text())["warnings"]
+        seam = [w for w in warnings if w.startswith("seam check")]
+        assert seam == ([
+            "seam check: support radius 64.44 > box_length / 2 = 64; "
+            "the data jump across the periodic box's seam"
+        ] if warns else [])
 
 
 class TestSvg:
@@ -1083,10 +1102,10 @@ class TestCli:
         from nlsgrowth.harness import acceptance, cli
 
         def good():
-            return [("one", 1.0, "<=", 1.0, ".1f")]
+            return [("one", 1.0, "<=", 1.0, ".1f")], {}
 
         def bad():
-            return [("zero", 0.0, ">=", 1.0, ".1f")]
+            return [("zero", 0.0, ">=", 1.0, ".1f")], {}
 
         monkeypatch.setattr(acceptance, "CRITERIA", {"stub_ok": (good, "", None)})
         assert cli.main(["accept"]) == 0
@@ -1097,7 +1116,7 @@ class TestCli:
         from nlsgrowth.harness import acceptance, cli
 
         def crash():
-            return [("ratio", 1.0 / 0, "<=", 1.0, ".1f")]
+            return [("ratio", 1.0 / 0, "<=", 1.0, ".1f")], {}
 
         monkeypatch.setattr(acceptance, "CRITERIA", {"stub_crash": (crash, "", None)})
         assert cli.main(["accept"]) == 4
